@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping
 
-from .errors import InputError, WorkBoundExceeded
+from .errors import InputError
+from .games import _check_epsilon, bounded_product
 from .rationals import as_fraction
-from .trees import NATURE, ExtensiveGame
+from .trees import NATURE, ExtensiveGame, _payoff_vector, _walk
 from .verdicts import Verdict, Witness
 
 DEFAULT_WORK_BOUND = 10_000_000
@@ -303,42 +303,28 @@ def _profile_rows(gwa: GameWithAwareness, profile: GeneralizedProfile):
 
 def _outcome_from_rows(gwa, game_name, rows):
     tree = gwa.game(game_name).tree
-    out = {}
 
-    def visit(h, prob):
-        if h in tree.payoffs:
-            out[h] = out.get(h, ZERO) + prob
-            return
-        mover = tree.owner[h]
-        if mover == NATURE:
-            dist = tree.nature_probs[h]
-            for m in tree.moves[h]:
-                q = dist.get(m, ZERO)
-                if q != 0:
-                    visit(h + (m,), prob * q)
-            return
+    def believed_moves(h):
         if (game_name, h) not in gwa.views:
             raise InputError(
                 f"game {game_name}: no belief entry at node {h!r}; "
                 f"run validate()")
         target_name, label = gwa.views[(game_name, h)]
-        row = rows.get((mover, target_name, label))
+        row = rows.get((tree.owner[h], target_name, label))
         if row is None:
             raise InputError(
                 f"game {game_name}: node {h!r} believes ({target_name}, "
                 f"{label!r}), which no profile entry covers; run validate()")
         for m, q in row:
-            if q != 0:
-                # the believed information set may offer moves the concrete
-                # node lacks; playing one is an error, not a silent skip
-                if m not in tree.moves[h]:
-                    raise InputError(
-                        f"game {game_name}: strategy move {m!r} is "
-                        f"unavailable at node {h!r}")
-                visit(h + (m,), prob * q)
+            # the believed information set may offer moves the concrete
+            # node lacks; playing one is an error, not a silent skip
+            if q != 0 and m not in tree.moves[h]:
+                raise InputError(
+                    f"game {game_name}: strategy move {m!r} is "
+                    f"unavailable at node {h!r}")
+            yield m, q
 
-    visit((), ONE)
-    return out
+    return _walk(tree, believed_moves)
 
 
 def outcome_distribution(gwa: GameWithAwareness, game_name,
@@ -354,14 +340,8 @@ def outcome_distribution(gwa: GameWithAwareness, game_name,
 
 
 def _expected_from_rows(gwa, game_name, rows):
-    tree = gwa.game(game_name).tree
-    dist = _outcome_from_rows(gwa, game_name, rows)
-    totals = [ZERO] * len(tree.players)
-    for h, p in dist.items():
-        vec = tree.payoffs[h]
-        for i in range(len(totals)):
-            totals[i] += p * vec[i]
-    return tuple(totals)
+    return _payoff_vector(gwa.game(game_name).tree,
+                          _outcome_from_rows(gwa, game_name, rows))
 
 
 def expected_utilities(gwa: GameWithAwareness, game_name,
@@ -369,13 +349,6 @@ def expected_utilities(gwa: GameWithAwareness, game_name,
     """Exact expected payoff vector of one game under the profile."""
     rows = _profile_rows(gwa, profile)
     return _expected_from_rows(gwa, game_name, rows)
-
-
-def _check_epsilon(epsilon):
-    eps = as_fraction(epsilon, "epsilon")
-    if eps < 0:
-        raise InputError("epsilon must be nonnegative")
-    return eps
 
 
 def is_generalized_nash(gwa: GameWithAwareness, profile: GeneralizedProfile,
@@ -428,13 +401,8 @@ def find_pure_generalized_nash(gwa: GameWithAwareness, epsilon=0,
         tree = gwa.game(game_name).tree
         for label in gwa.active_labels(player, game_name):
             slots.append((player, game_name, label, tree.label_moves(label)))
-    total = 1
-    for slot in slots:
-        total *= len(slot[3])
-    if total > work_bound:
-        raise WorkBoundExceeded(
-            f"{total} pure profiles exceed the bound {work_bound}",
-            required=total, bound=work_bound)
+    bounded_product((len(slot[3]) for slot in slots), work_bound,
+                    "pure profiles")
     found = []
     for combo in itertools.product(*(slot[3] for slot in slots)):
         assignments = {}

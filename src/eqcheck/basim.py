@@ -395,6 +395,40 @@ class SweepReport:
     def all_hold(self):
         return all(verdict.holds for _, _, verdict in self.entries)
 
+    def immunity(self) -> Verdict:
+        """No nonfaulty player's utility drops below its fault-free baseline
+        anywhere in the sweep; the baselines are the sweep's own fault-free
+        entries, so no scenario is run twice."""
+        baselines = {
+            scenario.preference: transcript.utilities
+            for scenario, transcript, _ in self.entries if not scenario.faults
+        }
+        for scenario, transcript, _ in self.entries:
+            if not scenario.faults:
+                continue
+            base = baselines[scenario.preference]
+            for player in scenario.nonfaulty:
+                if transcript.utilities[player] < base[player]:
+                    names = scenario.fault_names()
+                    described = ", ".join(
+                        f"{p} playing {s}" for p, s in sorted(names.items()))
+                    return Verdict(False, Witness(
+                        kind="harmed-player",
+                        description=(
+                            f"player {player} drops from {base[player]} to "
+                            f"{transcript.utilities[player]} under "
+                            f"{described} (preference {scenario.preference})"),
+                        data={
+                            "player": player,
+                            "utility_before": base[player],
+                            "utility_after": transcript.utilities[player],
+                            "preference": scenario.preference,
+                            "faults": names,
+                            "decisions": dict(transcript.decisions),
+                            "timed_out": transcript.timed_out,
+                        }))
+        return Verdict(True)
+
 
 def sweep(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
           preferences=(0, 1), round_cap=None,
@@ -429,39 +463,8 @@ def empirical_immunity(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
     This is the simulation analogue of tolerating t arbitrary deviators,
     restricted to the named adversary library.
     """
-    baselines = {}
-    for preference in preferences:
-        scenario = Scenario(n, preference, faults={},
-                            mediator_present=protocol.requires_mediator)
-        transcript = run(scenario, protocol, round_cap, utility_rule)
-        baselines[preference] = transcript.utilities
-    report = sweep(n, t, protocol, adversaries, preferences, round_cap,
-                   utility_rule)
-    for scenario, transcript, _ in report.entries:
-        if not scenario.faults:
-            continue
-        base = baselines[scenario.preference]
-        for player in scenario.nonfaulty:
-            if transcript.utilities[player] < base[player]:
-                names = scenario.fault_names()
-                described = ", ".join(
-                    f"{p} playing {s}" for p, s in sorted(names.items()))
-                return Verdict(False, Witness(
-                    kind="harmed-player",
-                    description=(
-                        f"player {player} drops from {base[player]} to "
-                        f"{transcript.utilities[player]} under {described} "
-                        f"(preference {scenario.preference})"),
-                    data={
-                        "player": player,
-                        "utility_before": base[player],
-                        "utility_after": transcript.utilities[player],
-                        "preference": scenario.preference,
-                        "faults": names,
-                        "decisions": dict(transcript.decisions),
-                        "timed_out": transcript.timed_out,
-                    }))
-    return Verdict(True)
+    return sweep(n, t, protocol, adversaries, preferences, round_cap,
+                 utility_rule).immunity()
 
 
 def build_adversary_game(n, protocol, adversaries=DEFAULT_ADVERSARIES,

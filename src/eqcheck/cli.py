@@ -16,8 +16,7 @@ import json
 import sys
 
 from .awareness import find_pure_generalized_nash, is_generalized_nash
-from .basim import (DEFAULT_ADVERSARIES, PROTOCOLS, check_ba,
-                    empirical_immunity, run, sweep)
+from .basim import DEFAULT_ADVERSARIES, PROTOCOLS, check_ba, run, sweep
 from .errors import EqcheckError, InputError, ParseError, WorkBoundExceeded
 from .fileformat import (load_document, _generalized_profile_body,
                          _scenario_body)
@@ -318,7 +317,7 @@ def _cmd_simulate_ba(args):
     protocol = PROTOCOLS[args.protocol]
     adversaries = tuple(args.adversaries.split(","))
     report_obj = sweep(args.n, args.t, protocol, adversaries)
-    immunity = empirical_immunity(args.n, args.t, protocol, adversaries)
+    immunity = report_obj.immunity()
     failures = []
     for scenario, transcript, verdict in report_obj.failures():
         failures.append({

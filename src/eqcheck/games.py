@@ -13,8 +13,9 @@ mixed deviation can beat the best pure one.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import InputError, WorkBoundExceeded
 from .rationals import as_fraction
@@ -36,10 +37,13 @@ def _check_names(names, what):
         raise InputError(f"{what}: names must be unique")
 
 
-def _product(sizes):
-    total = 1
-    for s in sizes:
-        total *= s
+def bounded_product(sizes, bound, what):
+    """The product of sizes, the one work-bound guard for exhaustive tables
+    and enumerations: raises WorkBoundExceeded when it is above bound."""
+    total = math.prod(sizes)
+    if total > bound:
+        raise WorkBoundExceeded(f"{total} {what} exceed the bound {bound}",
+                                required=total, bound=bound)
     return total
 
 
@@ -74,11 +78,8 @@ class NormalFormGame:
             fixed_actions.append(tuple(acts))
         self.actions = tuple(fixed_actions)
 
-        entries = _product(len(a) for a in self.actions)
-        if entries > entry_bound:
-            raise WorkBoundExceeded(
-                f"payoff table needs {entries} entries, bound is {entry_bound}",
-                required=entries, bound=entry_bound)
+        entries = bounded_product(
+            (len(a) for a in self.actions), entry_bound, "payoff entries")
         if not isinstance(payoffs, Mapping):
             raise InputError("payoffs: expected a mapping from action profiles")
         if len(payoffs) != entries:
@@ -199,8 +200,14 @@ def _support(profile: MixedProfile):
 def expected_utility(game: NormalFormGame, profile: MixedProfile):
     """Exact expected payoff vector of a mixed profile."""
     _check_profile_shape(game, profile)
+    return _support_utilities(game, _support(profile))
+
+
+def _support_utilities(game: NormalFormGame, support):
+    """Exact expected payoff vector over one (action, weight) row per
+    player, as built by _support."""
     totals = [ZERO] * game.n_players
-    for combo in itertools.product(*_support(profile)):
+    for combo in itertools.product(*support):
         prob = Fraction(1)
         for _, w in combo:
             prob *= w
@@ -214,13 +221,7 @@ def _utility_of_pure_against(game, profile, player_index, action_index):
     """Player's exact utility when they play a pure action against the rest."""
     support = _support(profile)
     support[player_index] = [(action_index, Fraction(1))]
-    total = ZERO
-    for combo in itertools.product(*support):
-        prob = Fraction(1)
-        for _, w in combo:
-            prob *= w
-        total += prob * game.payoffs[tuple(a for a, _ in combo)][player_index]
-    return total
+    return _support_utilities(game, support)[player_index]
 
 
 def best_response_value(game: NormalFormGame, player, profile: MixedProfile):
@@ -295,13 +296,9 @@ class BayesianGame:
             _check_names(self.types[i], f"types of player {self.players[i]}")
             _check_names(self.actions[i], f"actions of player {self.players[i]}")
 
-        type_count = _product(len(t) for t in self.types)
-        act_count = _product(len(a) for a in self.actions)
-        if type_count * act_count > entry_bound:
-            raise WorkBoundExceeded(
-                f"utility table needs {type_count * act_count} entries, "
-                f"bound is {entry_bound}",
-                required=type_count * act_count, bound=entry_bound)
+        entries = bounded_product(
+            [len(t) for t in self.types] + [len(a) for a in self.actions],
+            entry_bound, "utility entries")
 
         fixed_prior = {}
         total = ZERO
@@ -320,10 +317,10 @@ class BayesianGame:
             raise InputError(f"prior: probabilities sum to {total}, not 1")
         self.prior = fixed_prior
 
-        if len(utilities) != type_count * act_count:
+        if len(utilities) != entries:
             raise InputError(
                 f"utilities: table has {len(utilities)} entries, needs "
-                f"{type_count * act_count}")
+                f"{entries}")
         fixed_util = {}
         for key, vec in utilities.items():
             if (not isinstance(key, tuple) or len(key) != 2):

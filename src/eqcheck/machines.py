@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import InputError, WorkBoundExceeded
 from .games import (DEFAULT_ENTRY_BOUND, BayesianGame, NormalFormGame,
-                    _check_epsilon, _trusted)
+                    _check_epsilon, _trusted, bounded_product)
 from .rationals import as_fraction
 from .repeated import (DEFAULT_SPACE, RepeatedGameAutomaton, RepeatedGameSpec,
                        default_stage_game, library_space, run_automata)
@@ -266,13 +266,8 @@ def exhaustive_machine_equilibria(game: ComputationalGame, epsilon=0,
     Each profile's utility is computed once and shared by every deviation
     scan of the enumeration.
     """
-    total = 1
-    for space in game.spaces:
-        total *= len(space)
-    if total > work_bound:
-        raise WorkBoundExceeded(
-            f"{total} machine profiles exceed the bound {work_bound}",
-            required=total, bound=work_bound)
+    bounded_product((len(space) for space in game.spaces), work_bound,
+                    "machine profiles")
     eps = _check_epsilon(epsilon)
     memo = {}
 
@@ -293,13 +288,8 @@ def induced_machine_game(game: ComputationalGame,
                          work_bound=DEFAULT_WORK_BOUND) -> NormalFormGame:
     """The strategic form over machine choices; payoffs are the exact
     machine-profile utilities (complexity charges included)."""
-    total = 1
-    for space in game.spaces:
-        total *= len(space)
-    if total > work_bound:
-        raise WorkBoundExceeded(
-            f"{total} machine profiles exceed the bound {work_bound}",
-            required=total, bound=work_bound)
+    bounded_product((len(space) for space in game.spaces), work_bound,
+                    "machine profiles")
     actions = tuple(tuple(m.id for m in space) for space in game.spaces)
     payoffs = {}
     for key in itertools.product(*(range(len(a)) for a in actions)):

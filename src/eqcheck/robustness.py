@@ -17,16 +17,16 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError, WorkBoundExceeded
-from .games import (DEFAULT_ENTRY_BOUND, MixedProfile, NormalFormGame,
-                    _check_epsilon, _check_profile_shape, expected_utility,
-                    is_nash)
-from .rationals import as_fraction
+from .games import (MixedProfile, NormalFormGame, _check_epsilon,
+                    _check_profile_shape, _support, _support_utilities,
+                    bounded_product, expected_utility)
 from .verdicts import Verdict, Witness
 
 DEFAULT_WORK_BOUND = 10_000_000
+
+ONE = Fraction(1)
 
 
 class ResilienceSemantics(Enum):
@@ -52,15 +52,56 @@ class RobustnessQuery:
         self.semantics = semantics
 
 
+def _is_index(value, size):
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and 0 <= value < size)
+
+
 def utilities_under_joint_deviation(game, profile, deviators, joint):
-    """Utility vector when `deviators` jointly play the pure tuple `joint`
-    and everyone else keeps their profile strategy."""
-    weights = [list(row) for row in profile.weights]
+    """Utility vector when `deviators` (distinct player indices) jointly
+    play the pure action-index tuple `joint` and everyone else keeps their
+    profile strategy."""
+    _check_profile_shape(game, profile)
+    deviators, joint = tuple(deviators), tuple(joint)
+    if len(deviators) != len(joint):
+        raise InputError(
+            f"joint deviation: {len(deviators)} deviators but "
+            f"{len(joint)} actions")
     for i, a in zip(deviators, joint):
-        row = [Fraction(0)] * len(game.actions[i])
-        row[a] = Fraction(1)
-        weights[i] = row
-    return expected_utility(game, MixedProfile(weights))
+        if not _is_index(i, game.n_players):
+            raise InputError(f"joint deviation: bad player index {i!r}")
+        if not _is_index(a, len(game.actions[i])):
+            raise InputError(
+                f"joint deviation: bad action index {a!r} for player "
+                f"{game.players[i]}")
+    if len(set(deviators)) != len(deviators):
+        raise InputError(
+            f"joint deviation: repeated player index in {deviators!r}")
+    support = _support(profile)
+    for i, a in zip(deviators, joint):
+        support[i] = [(a, ONE)]
+    return _support_utilities(game, support)
+
+
+def _groups(n, max_size):
+    """Player-index groups of size 1..max_size, by size, then members."""
+    for size in range(1, max_size + 1):
+        yield from itertools.combinations(range(n), size)
+
+
+def _joint_deviations(game, profile, groups):
+    """(group, joint, utilities) for every joint pure action of every group,
+    joint actions in lexicographic index order: the one deviation scan
+    behind every check and extremum in this module."""
+    for group in groups:
+        ranges = [range(len(game.actions[i])) for i in group]
+        for joint in itertools.product(*ranges):
+            yield group, joint, utilities_under_joint_deviation(
+                game, profile, group, joint)
+
+
+def _deviation_names(game, group, joint):
+    return {game.players[i]: game.actions[i][a] for i, a in zip(group, joint)}
 
 
 def _guard_enumeration(game, max_size, work_bound):
@@ -99,39 +140,30 @@ def check_resilience(game: NormalFormGame, profile: MixedProfile, k,
     _guard_enumeration(game, k, work_bound)
 
     base = expected_utility(game, profile)
-    for size in range(1, k + 1):
-        for coalition in itertools.combinations(range(n), size):
-            ranges = [range(len(game.actions[i])) for i in coalition]
-            for joint in itertools.product(*ranges):
-                after = utilities_under_joint_deviation(
-                    game, profile, coalition, joint)
-                improved = [after[i] > base[i] + eps for i in coalition]
-                failed = any(improved) if semantics is ResilienceSemantics.STRONG \
-                    else all(improved)
-                if failed:
-                    members = tuple(game.players[i] for i in coalition)
-                    deviation = {
-                        game.players[i]: game.actions[i][a]
-                        for i, a in zip(coalition, joint)
-                    }
-                    gains = {
-                        game.players[i]: {
-                            "utility_before": base[i],
-                            "utility_after": after[i],
-                        }
-                        for i in coalition
-                    }
-                    return Verdict(False, Witness(
-                        kind="coalition-deviation",
-                        description=(
-                            f"coalition {{{', '.join(members)}}} profits from "
-                            f"a joint deviation"),
-                        data={
-                            "coalition": members,
-                            "deviation": deviation,
-                            "members": gains,
-                            "semantics": semantics.value,
-                        }))
+    strong = semantics is ResilienceSemantics.STRONG
+    for coalition, joint, after in _joint_deviations(
+            game, profile, _groups(n, k)):
+        improved = [after[i] > base[i] + eps for i in coalition]
+        if any(improved) if strong else all(improved):
+            members = tuple(game.players[i] for i in coalition)
+            gains = {
+                game.players[i]: {
+                    "utility_before": base[i],
+                    "utility_after": after[i],
+                }
+                for i in coalition
+            }
+            return Verdict(False, Witness(
+                kind="coalition-deviation",
+                description=(
+                    f"coalition {{{', '.join(members)}}} profits from "
+                    f"a joint deviation"),
+                data={
+                    "coalition": members,
+                    "deviation": _deviation_names(game, coalition, joint),
+                    "members": gains,
+                    "semantics": semantics.value,
+                }))
     return Verdict(True)
 
 
@@ -149,33 +181,24 @@ def check_immunity(game: NormalFormGame, profile: MixedProfile, t,
     _guard_enumeration(game, t, work_bound)
 
     base = expected_utility(game, profile)
-    for size in range(1, t + 1):
-        for deviators in itertools.combinations(range(n), size):
-            outsiders = [i for i in range(n) if i not in deviators]
-            ranges = [range(len(game.actions[i])) for i in deviators]
-            for joint in itertools.product(*ranges):
-                after = utilities_under_joint_deviation(
-                    game, profile, deviators, joint)
-                for victim in outsiders:
-                    if after[victim] < base[victim] - eps:
-                        names = tuple(game.players[i] for i in deviators)
-                        deviation = {
-                            game.players[i]: game.actions[i][a]
-                            for i, a in zip(deviators, joint)
-                        }
-                        harmed = game.players[victim]
-                        return Verdict(False, Witness(
-                            kind="harmed-by-deviators",
-                            description=(
-                                f"player {harmed} is harmed when "
-                                f"{{{', '.join(names)}}} deviate"),
-                            data={
-                                "deviators": names,
-                                "deviation": deviation,
-                                "harmed": harmed,
-                                "utility_before": base[victim],
-                                "utility_after": after[victim],
-                            }))
+    for deviators, joint, after in _joint_deviations(
+            game, profile, _groups(n, t)):
+        for victim in range(n):
+            if victim not in deviators and after[victim] < base[victim] - eps:
+                names = tuple(game.players[i] for i in deviators)
+                harmed = game.players[victim]
+                return Verdict(False, Witness(
+                    kind="harmed-by-deviators",
+                    description=(
+                        f"player {harmed} is harmed when "
+                        f"{{{', '.join(names)}}} deviate"),
+                    data={
+                        "deviators": names,
+                        "deviation": _deviation_names(game, deviators, joint),
+                        "harmed": harmed,
+                        "utility_before": base[victim],
+                        "utility_after": after[victim],
+                    }))
     return Verdict(True)
 
 
@@ -212,13 +235,8 @@ def enumerate_pure_robust(game: NormalFormGame, query: RobustnessQuery,
     """All pure profiles passing check_robust, in lexicographic action order.
 
     Returns a list of action-name tuples."""
-    total = 1
-    for acts in game.actions:
-        total *= len(acts)
-    if total > work_bound:
-        raise WorkBoundExceeded(
-            f"{total} pure profiles exceed the bound {work_bound}",
-            required=total, bound=work_bound)
+    bounded_product((len(a) for a in game.actions), work_bound,
+                    "pure profiles")
     found = []
     for pure in game.pure_profiles():
         profile = MixedProfile.pure(game, pure)
@@ -227,32 +245,31 @@ def enumerate_pure_robust(game: NormalFormGame, query: RobustnessQuery,
     return found
 
 
+def _player_indices(game, players):
+    return tuple(sorted(game.player_index(p) if isinstance(p, str) else p
+                        for p in players))
+
+
+def _extremum(game, profile, group, scope, pick):
+    """pick (max or min) of each scope player's utility over all joint pure
+    deviations of group."""
+    found = {}
+    for _, _, after in _joint_deviations(game, profile, (group,)):
+        for i in scope:
+            found[i] = pick(found[i], after[i]) if i in found else after[i]
+    return {game.players[i]: v for i, v in found.items()}
+
+
 def best_member_utilities(game, profile, coalition):
     """For each coalition member, the best utility over all joint pure
     deviations of the coalition.  Test-facing extremum helper."""
-    indices = tuple(sorted(game.player_index(p) if isinstance(p, str) else p
-                           for p in coalition))
-    ranges = [range(len(game.actions[i])) for i in indices]
-    best = {}
-    for joint in itertools.product(*ranges):
-        after = utilities_under_joint_deviation(game, profile, indices, joint)
-        for i in indices:
-            if i not in best or after[i] > best[i]:
-                best[i] = after[i]
-    return {game.players[i]: v for i, v in best.items()}
+    indices = _player_indices(game, coalition)
+    return _extremum(game, profile, indices, indices, max)
 
 
 def worst_outsider_utilities(game, profile, deviators):
     """For each outsider, the worst utility over all joint pure deviations
     of the deviator set.  Test-facing extremum helper."""
-    indices = tuple(sorted(game.player_index(p) if isinstance(p, str) else p
-                           for p in deviators))
+    indices = _player_indices(game, deviators)
     outsiders = [i for i in range(game.n_players) if i not in indices]
-    ranges = [range(len(game.actions[i])) for i in indices]
-    worst = {}
-    for joint in itertools.product(*ranges):
-        after = utilities_under_joint_deviation(game, profile, indices, joint)
-        for i in outsiders:
-            if i not in worst or after[i] < worst[i]:
-                worst[i] = after[i]
-    return {game.players[i]: v for i, v in worst.items()}
+    return _extremum(game, profile, indices, outsiders, min)

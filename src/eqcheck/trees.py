@@ -16,8 +16,8 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InputError, WorkBoundExceeded
-from .games import DEFAULT_ENTRY_BOUND, NormalFormGame
+from .errors import InputError
+from .games import DEFAULT_ENTRY_BOUND, NormalFormGame, bounded_product
 from .rationals import as_fraction
 
 NATURE = "nature"
@@ -231,6 +231,54 @@ def _strategy_rows(game: ExtensiveGame, strategy: Mapping):
     return rows
 
 
+def _walk(game: ExtensiveGame, moves_at):
+    """Exact terminal-history distribution of one pass down the tree.
+
+    moves_at(h) gives the (move, weight) pairs played at the player-owned
+    history h; chance histories use the game's own probabilities, and
+    zero-weight moves are not followed.  Nodes are visited depth first in
+    move order, the order of a recursive walk, so terminal histories enter
+    the returned dict in that order.  The walk keeps an explicit stack of
+    child iterators, so tree depth is not limited by Python recursion.
+    moves_at(h) is called when h is reached, and its pairs are drawn one
+    at a time, each just before that move's subtree is walked.
+    """
+    out = {}
+    stack = [iter([((), ONE)])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        h, prob = step
+        if h in game.payoffs:
+            out[h] = prob
+            continue
+        if game.owner[h] == NATURE:
+            dist = game.nature_probs[h]
+            row = [(m, dist.get(m, ZERO)) for m in game.moves[h]]
+        else:
+            row = moves_at(h)
+        stack.append(_children(h, prob, row))
+    return out
+
+
+def _children(h, prob, row):
+    for m, q in row:
+        if q != 0:
+            yield h + (m,), prob * q
+
+
+def _payoff_vector(game: ExtensiveGame, dist):
+    """Exact expected payoff vector of a terminal-history distribution."""
+    totals = [ZERO] * len(game.players)
+    for h, p in dist.items():
+        vec = game.payoffs[h]
+        for i in range(len(totals)):
+            totals[i] += p * vec[i]
+    return tuple(totals)
+
+
 def outcome_distribution(game: ExtensiveGame, strategy: Mapping):
     """Exact terminal-history distribution of a behavioral strategy.
 
@@ -238,36 +286,12 @@ def outcome_distribution(game: ExtensiveGame, strategy: Mapping):
     chance nodes use the game's own probabilities.
     """
     rows = _strategy_rows(game, strategy)
-    out = {}
-
-    def visit(h, prob):
-        if h in game.payoffs:
-            out[h] = out.get(h, ZERO) + prob
-            return
-        if game.owner[h] == NATURE:
-            dist = game.nature_probs[h]
-            for m in game.moves[h]:
-                q = dist.get(m, ZERO)
-                if q != 0:
-                    visit(h + (m,), prob * q)
-            return
-        for m, q in rows[game.infosets[h]]:
-            if q != 0:
-                visit(h + (m,), prob * q)
-
-    visit((), ONE)
-    return out
+    return _walk(game, lambda h: rows[game.infosets[h]])
 
 
 def expected_payoffs(game: ExtensiveGame, strategy: Mapping):
     """Exact expected payoff vector of a behavioral strategy."""
-    dist = outcome_distribution(game, strategy)
-    totals = [ZERO] * len(game.players)
-    for h, p in dist.items():
-        vec = game.payoffs[h]
-        for i in range(len(totals)):
-            totals[i] += p * vec[i]
-    return tuple(totals)
+    return _payoff_vector(game, outcome_distribution(game, strategy))
 
 
 def pure_strategies(game: ExtensiveGame, player):
@@ -290,14 +314,8 @@ def induced_normal_form(game: ExtensiveGame,
                         entry_bound=DEFAULT_ENTRY_BOUND) -> NormalFormGame:
     """The strategic form over pure strategies, chance averaged out."""
     per_player = [pure_strategies(game, p) for p in game.players]
-    entries = 1
-    for strats in per_player:
-        entries *= len(strats)
-    if entries > entry_bound:
-        raise WorkBoundExceeded(
-            f"induced payoff table needs {entries} entries, bound is "
-            f"{entry_bound}",
-            required=entries, bound=entry_bound)
+    bounded_product((len(s) for s in per_player), entry_bound,
+                    "induced payoff entries")
     actions = tuple(tuple(name for name, _ in strats) for strats in per_player)
     payoffs = {}
     for key in itertools.product(*(range(len(s)) for s in per_player)):

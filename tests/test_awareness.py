@@ -234,6 +234,28 @@ def test_believed_move_unavailable_in_place():
     assert outcome_distribution(gwa, "g2", profile) == {("y",): F(1)}
 
 
+def test_walk_names_each_unresolved_belief():
+    """Walking a structure that fails validate() stops at the first node
+    whose move cannot be resolved, with the reason."""
+    tree = ExtensiveGame(("A", "B"), {(): ("x",), ("x",): ("u",)},
+                         {(): "A", ("x",): "B"}, {(): "LA", ("x",): "LB"},
+                         {("x", "u"): (0, 0)})
+    every = frozenset(tree.internal_histories) | frozenset(
+        tree.terminal_histories)
+    g = AugmentedGame("g", tree, {(): every, ("x",): every})
+    profile = GeneralizedProfile.pure({("A", "g"): {"LA": "x"}})
+    missing = GameWithAwareness(
+        (g,), "g", {("g", ()): ("g", "LA")}, underlying=tree)
+    with pytest.raises(InputError, match="no belief entry"):
+        outcome_distribution(missing, "g", profile)
+    # B's node believes A's information set, which no piece of B covers
+    wrong = GameWithAwareness(
+        (g,), "g", {("g", ()): ("g", "LA"), ("g", ("x",)): ("g", "LA")},
+        underlying=tree)
+    with pytest.raises(InputError, match="no profile entry covers"):
+        outcome_distribution(wrong, "g", profile)
+
+
 def test_canonical_representation_is_single_view():
     tree = ExtensiveGame(
         ("A", "B"),

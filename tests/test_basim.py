@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from eqcheck import basim, cli
 from eqcheck.basim import (PROTOCOLS, Scenario, build_adversary_game,
                            check_ba, empirical_immunity, run, sweep)
 from eqcheck.errors import InputError
@@ -104,6 +106,38 @@ def test_echo_first_immunity_witness():
     assert w.data["utility_before"] == 1
     assert w.data["utility_after"] == 0
     assert w.data["decisions"] == {"p0": 0, "p1": 0, "p2": 1, "p3": 1}
+
+
+def test_simulate_ba_runs_each_scenario_once(monkeypatch, capsys):
+    calls = []
+    real_run = basim.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(basim, "run", counting_run)
+    verdict = empirical_immunity(4, 1, ECHO)
+    assert len(calls) == 34
+    # the same witness as the README's failing example, harm scan unchanged
+    assert verdict.witness.description == (
+        "player p1 drops from 1 to 0 under p0 playing equivocate "
+        "(preference 0)")
+    assert verdict.witness.data == {
+        "player": "p1", "utility_before": 1, "utility_after": 0,
+        "preference": 0, "faults": {"p0": "equivocate"},
+        "decisions": {"p0": 0, "p1": 0, "p2": 1, "p3": 1},
+        "timed_out": False,
+    }
+
+    calls.clear()
+    code = cli.main(["simulate", "ba", "--n", "4", "--t", "1",
+                     "--protocol", "echo-first", "--report", "json"])
+    assert code == 1
+    assert len(calls) == 34
+    report = json.loads(capsys.readouterr().out)
+    assert report["immunity"]["witness"]["description"] == (
+        verdict.witness.description)
 
 
 def test_single_player_degenerate_run():

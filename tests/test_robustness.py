@@ -7,7 +7,8 @@ import pytest
 from eqcheck.catalog import (bargaining_game, matching_pennies,
                              prisoners_dilemma, zero_one_game)
 from eqcheck.errors import InputError, WorkBoundExceeded
-from eqcheck.games import MixedProfile, expected_utility, is_nash
+from eqcheck.games import (MixedProfile, NormalFormGame, expected_utility,
+                           is_nash)
 from eqcheck.robustness import (ResilienceSemantics, RobustnessQuery,
                                 best_member_utilities, check_immunity,
                                 check_resilience, check_robust,
@@ -238,3 +239,168 @@ def test_sampled_mixed_deviations_never_beat_pure_extrema():
         for i in range(game.n_players):
             if i not in coalition:
                 assert mixed[i] >= worst[game.players[i]]
+
+
+def test_joint_deviation_rejects_malformed_input():
+    game = prisoners_dilemma()
+    profile = MixedProfile.pure(game, ("C", "C"))
+    assert utilities_under_joint_deviation(game, profile, (0,), (1,)) == (
+        F(5), F(-5))
+    bad = [
+        ((0,), (-1,)),        # negative action index
+        ((0,), (2,)),         # action index past the end
+        ((0, 1), (1,)),       # fewer actions than deviators
+        ((0,), (1, 1)),       # more actions than deviators
+        ((0, 0), (1, 1)),     # repeated deviator
+        ((2,), (0,)),         # player index past the end
+        ((-1,), (0,)),        # negative player index
+        ((True,), (1,)),      # bool player index
+        ((0,), (True,)),      # bool action index
+        ((0,), (1.0,)),       # float action index
+        (("p1",), (1,)),      # player name instead of index
+    ]
+    for deviators, joint in bad:
+        with pytest.raises(InputError):
+            utilities_under_joint_deviation(game, profile, deviators, joint)
+
+
+# Reference scans for the differential test below: one plain loop per check
+# that builds a MixedProfile for every joint deviation and evaluates it with
+# expected_utility.
+
+def _reference_after(game, profile, deviators, joint):
+    weights = [list(row) for row in profile.weights]
+    for i, a in zip(deviators, joint):
+        row = [F(0)] * len(game.actions[i])
+        row[a] = F(1)
+        weights[i] = row
+    return expected_utility(game, MixedProfile(weights))
+
+
+def _reference_joints(game, group):
+    return itertools.product(*[range(len(game.actions[i])) for i in group])
+
+
+def _reference_resilience(game, profile, k, semantics, eps):
+    base = expected_utility(game, profile)
+    for size in range(1, k + 1):
+        for coalition in itertools.combinations(range(game.n_players), size):
+            for joint in _reference_joints(game, coalition):
+                after = _reference_after(game, profile, coalition, joint)
+                improved = [after[i] > base[i] + eps for i in coalition]
+                failed = any(improved) \
+                    if semantics is ResilienceSemantics.STRONG \
+                    else all(improved)
+                if failed:
+                    return coalition, joint, {
+                        i: (base[i], after[i]) for i in coalition}
+    return None
+
+
+def _reference_immunity(game, profile, t, eps):
+    base = expected_utility(game, profile)
+    for size in range(1, t + 1):
+        for deviators in itertools.combinations(range(game.n_players), size):
+            for joint in _reference_joints(game, deviators):
+                after = _reference_after(game, profile, deviators, joint)
+                for victim in range(game.n_players):
+                    if (victim not in deviators
+                            and after[victim] < base[victim] - eps):
+                        return deviators, joint, victim, (
+                            base[victim], after[victim])
+    return None
+
+
+def _reference_extrema(game, profile, group):
+    best, worst = {}, {}
+    for joint in _reference_joints(game, group):
+        after = _reference_after(game, profile, group, joint)
+        for i in range(game.n_players):
+            if i in group:
+                if i not in best or after[i] > best[i]:
+                    best[i] = after[i]
+            elif i not in worst or after[i] < worst[i]:
+                worst[i] = after[i]
+    return ({game.players[i]: v for i, v in best.items()},
+            {game.players[i]: v for i, v in worst.items()})
+
+
+def _random_normal_form(rng):
+    n = rng.randint(2, 4)
+    players = tuple(f"q{i}" for i in range(n))
+    actions = tuple(
+        tuple(f"a{j}" for j in range(rng.randint(1, 3 if n < 4 else 2)))
+        for _ in players)
+    payoffs = {
+        key: tuple(rng.randint(-2, 2) for _ in players)
+        for key in itertools.product(*(range(len(a)) for a in actions))
+    }
+    return NormalFormGame(players, actions, payoffs)
+
+
+def _names(game, group, joint):
+    return ({game.players[i]: game.actions[i][a] for i, a in zip(group, joint)},
+            tuple(game.players[i] for i in group))
+
+
+def test_deviation_scan_matches_reference_loops():
+    rng = random.Random(3)
+    cases = []
+    for game, pure in ((zero_one_game(3), ("0",) * 3),
+                       (bargaining_game(5), ("stay",) * 5)):
+        cases.append((game, MixedProfile.pure(game, pure)))
+        cases.append((game, _random_profile(game, rng)))
+    for _ in range(20):
+        game = _random_normal_form(rng)
+        cases.append((game, _random_profile(game, rng)))
+        pure = tuple(rng.randrange(len(a)) for a in game.actions)
+        cases.append((game, MixedProfile.pure(game, pure)))
+    failures = 0
+    for game, profile in cases:
+        n = game.n_players
+        for eps in (F(0), F(1, 2)):
+            for k in range(1, n + 1):
+                for semantics in ResilienceSemantics:
+                    verdict = check_resilience(
+                        game, profile, k, semantics, eps)
+                    expected = _reference_resilience(
+                        game, profile, k, semantics, eps)
+                    assert verdict.holds == (expected is None)
+                    if expected is None:
+                        continue
+                    failures += 1
+                    coalition, joint, gains = expected
+                    deviation, members = _names(game, coalition, joint)
+                    data = verdict.witness.data
+                    assert data["coalition"] == members
+                    assert list(data["deviation"].items()) == list(
+                        deviation.items())
+                    assert [(p, g["utility_before"], g["utility_after"])
+                            for p, g in data["members"].items()] == [
+                        (game.players[i], *gains[i]) for i in coalition]
+                    assert data["semantics"] == semantics.value
+            for t in range(n):
+                verdict = check_immunity(game, profile, t, eps)
+                expected = _reference_immunity(game, profile, t, eps)
+                assert verdict.holds == (expected is None)
+                if expected is None:
+                    continue
+                failures += 1
+                deviators, joint, victim, (before, after) = expected
+                deviation, names = _names(game, deviators, joint)
+                data = verdict.witness.data
+                assert data["deviators"] == names
+                assert list(data["deviation"].items()) == list(
+                    deviation.items())
+                assert data["harmed"] == game.players[victim]
+                assert (data["utility_before"], data["utility_after"]) == (
+                    before, after)
+        for size in range(1, n + 1):
+            for group in itertools.combinations(range(n), size):
+                best, worst = _reference_extrema(game, profile, group)
+                got_best = best_member_utilities(game, profile, group)
+                got_worst = worst_outsider_utilities(game, profile, group)
+                assert list(got_best.items()) == list(best.items())
+                assert list(got_worst.items()) == list(worst.items())
+    # the cases must exercise failing verdicts, not only passing ones
+    assert failures > 50, failures

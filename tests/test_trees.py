@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from _gen import pure_combo_count, random_extensive_game
+from eqcheck import awareness
 from eqcheck.errors import InputError, WorkBoundExceeded
 from eqcheck.games import MixedProfile, is_nash
 from eqcheck.trees import (NATURE, ExtensiveGame, expected_payoffs,
@@ -151,3 +152,90 @@ def test_random_trees_are_consistent():
         assert sum(dist.values()) == 1
         payoffs = expected_payoffs(game, strategy)
         assert len(payoffs) == len(game.players)
+
+
+def _reference_walk(game, strategy, h=(), prob=F(1), out=None):
+    """The recursive walk: terminal histories in depth-first move order."""
+    if out is None:
+        out = {}
+    if h in game.payoffs:
+        out[h] = prob
+        return out
+    if game.owner[h] == NATURE:
+        dist = game.nature_probs[h]
+    else:
+        dist = strategy[game.infosets[h]]
+    for m in game.moves[h]:
+        q = F(dist.get(m, 0))
+        if q != 0:
+            _reference_walk(game, strategy, h + (m,), prob * q, out)
+    return out
+
+
+def _random_strategy(game, rng):
+    strategy = {}
+    for label in game.labels:
+        moves = game.label_moves(label)
+        weights = [rng.randint(0, 3) for _ in moves]
+        if not any(weights):
+            weights[rng.randrange(len(moves))] = 1
+        strategy[label] = {
+            m: F(w, sum(weights)) for m, w in zip(moves, weights)}
+    return strategy
+
+
+def test_walker_matches_recursive_reference():
+    """Same terminal histories, probabilities and dict order as the
+    recursive walk, through both the tree and the awareness lookups."""
+    rng = random.Random(2026)
+    for _ in range(200):
+        game = random_extensive_game(rng)
+        strategy = _random_strategy(game, rng)
+        expected = list(_reference_walk(game, strategy).items())
+        assert list(outcome_distribution(game, strategy).items()) == expected
+        pieces = {}
+        for label in game.labels:
+            pair = (game.label_owner(label), "modeler")
+            pieces.setdefault(pair, {})[label] = strategy[label]
+        canon = awareness.canonical_representation(game)
+        profile = awareness.GeneralizedProfile(pieces)
+        assert list(awareness.outcome_distribution(
+            canon, "modeler", profile).items()) == expected
+        payoffs = tuple(
+            sum(p * game.payoffs[h][i] for h, p in expected)
+            for i in range(len(game.players)))
+        assert expected_payoffs(game, strategy) == payoffs
+        assert awareness.expected_utilities(
+            canon, "modeler", profile) == payoffs
+
+
+def _deep_chain(depth):
+    """One player: stop (pays 0) or go at the root, then go only, down to
+    a leaf depth moves below the root that pays 1."""
+    moves, owner, infosets = {}, {}, {}
+    h = ()
+    for d in range(depth):
+        moves[h] = ("go", "stop") if d == 0 else ("go",)
+        owner[h] = "P"
+        infosets[h] = f"I{d}"
+        h += ("go",)
+    payoffs = {h: (1,), ("stop",): (0,)}
+    return ExtensiveGame(("P",), moves, owner, infosets, payoffs)
+
+
+def test_deep_tree_walks_past_the_recursion_limit():
+    game = _deep_chain(1500)
+    go = {label: {"go": 1} for label in game.labels}
+    stop = dict(go, I0={"stop": 1})
+    assert expected_payoffs(game, go) == (F(1),)
+    assert expected_payoffs(game, stop) == (F(0),)
+    canon = awareness.canonical_representation(game)
+    moves = {label: "go" for label in game.labels}
+    assert awareness.is_generalized_nash(
+        canon, awareness.GeneralizedProfile.pure({("P", "modeler"): moves})
+    ).holds
+    verdict = awareness.is_generalized_nash(
+        canon, awareness.GeneralizedProfile.pure(
+            {("P", "modeler"): dict(moves, I0="stop")}))
+    assert not verdict.holds
+    assert verdict.witness.data["gain"] == 1
