@@ -363,11 +363,14 @@ def build_roshambo_game(deterministic_cost=1, randomized_cost=2):
     return ComputationalGame("one-shot", (space, space), underlying=under)
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
     """Deterministic primality for 0 <= n < 2**64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -375,8 +378,13 @@ def _is_prime(n):
     while d % 2 == 0:
         d //= 2
         r += 1
-    # exact witness set for the 64-bit range
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    # deterministic witness sets: each bound is the least strong pseudoprime
+    # to the bases used below it (Pomerance, Selfridge and Wagstaff 1980); the
+    # full set covers 64 bits (Jiang and Deng 2014)
+    witnesses = (_SMALL_PRIMES[:2] if n < 1_373_653
+                 else _SMALL_PRIMES[:3] if n < 25_326_001
+                 else _SMALL_PRIMES)
+    for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -501,7 +509,7 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
     cost = as_fraction(memory_cost, "memory_cost")
     if cost < 0:
         raise InputError("memory_cost must be nonnegative")
-    if not isinstance(n_max, int) or n_max < 1:
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise InputError("n_max must be a positive integer")
     if "tit_for_tat" not in space_names:
         raise InputError("the machine space must include tit_for_tat")

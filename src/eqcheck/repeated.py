@@ -5,10 +5,16 @@ and the state advances on the opponent's last action.  A machine's memory
 complexity is its declared state count.  The total reward of a run over N
 rounds with discount d is the exact sum of d^m * stage_payoff(round m) for
 m = 1..N.
+
+run_automata computes that sum in integers.  With d = p/q and D the least
+common denominator of the stage payoffs, q^N * D * total is the integer
+sum of p^m * q^(N-m) * (D * stage_payoff(round m)), so a run adds ints
+round by round and builds one Fraction per player at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .catalog import prisoners_dilemma
@@ -84,28 +90,54 @@ def run_automata(spec: RepeatedGameSpec, first: RepeatedGameAutomaton,
                  second: RepeatedGameAutomaton):
     """Exact discounted payoff pair of one deterministic run.
 
+    With discount p/q, each total is kept as the integer S = q^N * D * total,
+    where D is the least common denominator of the stage payoffs.  Round m
+    updates S <- S * q + p^m * D * payoff (Horner's rule over q), and each
+    player's Fraction(S, q^N * D) is built once, after round N.
+
     Raises InputError if a machine emits an action outside the stage game
-    or lacks a transition for an opponent action it encounters.
+    or lacks a transition for an opponent action it encounters; each error
+    is raised in the round that reaches it, and the transitions out of
+    round N are taken too.
     """
-    acts1, acts2 = spec.stage.actions
+    stage = spec.stage
+    acts1, acts2 = stage.actions
+    p, q = spec.discount.numerator, spec.discount.denominator
+    scale = math.lcm(*[v.denominator for vec in stage.payoffs.values()
+                       for v in vec])
+    # (action 1, action 2) -> the stage payoffs times scale, as ints
+    scaled = {
+        (acts1[i], acts2[j]): (u.numerator * (scale // u.denominator),
+                               w.numerator * (scale // w.denominator))
+        for (i, j), (u, w) in stage.payoffs.items()
+    }
+    out1, out2 = first.output, second.output
+    step1, step2 = first.transition, second.transition
     s1, s2 = first.initial, second.initial
-    totals = [Fraction(0), Fraction(0)]
-    weight = Fraction(1)
+    total1 = total2 = 0
+    weight = 1
     for _ in range(spec.rounds):
-        a1 = first.output[s1]
-        a2 = second.output[s2]
-        if a1 not in acts1:
-            raise InputError(
-                f"automaton {first.id}: action {a1!r} not in the stage game")
-        if a2 not in acts2:
-            raise InputError(
-                f"automaton {second.id}: action {a2!r} not in the stage game")
-        pay = spec.stage.payoffs[(acts1.index(a1), acts2.index(a2))]
-        weight *= spec.discount
-        totals[0] += weight * pay[0]
-        totals[1] += weight * pay[1]
-        s1, s2 = first.step(s1, a2), second.step(s2, a1)
-    return tuple(totals)
+        a1, a2 = out1[s1], out2[s2]
+        try:
+            v1, v2 = scaled[a1, a2]
+        except (KeyError, TypeError):
+            for machine, action, acts in ((first, a1, acts1),
+                                          (second, a2, acts2)):
+                if action not in acts:
+                    raise InputError(
+                        f"automaton {machine.id}: action {action!r} not in "
+                        f"the stage game") from None
+            raise  # equal to stage actions, yet not hashing like them
+        weight *= p
+        total1 = total1 * q + weight * v1
+        total2 = total2 * q + weight * v2
+        try:
+            s1, s2 = step1[s1, a2], step2[s2, a1]
+        except KeyError:
+            # step raises the InputError naming the missing transition
+            s1, s2 = first.step(s1, a2), second.step(s2, a1)
+    den = q ** spec.rounds * scale
+    return Fraction(total1, den), Fraction(total2, den)
 
 
 # The constant and reactive library machines below share a two-state
@@ -157,7 +189,7 @@ def defect_last(rounds):
     Modeled with N+1 states (counter 0..N).  Any strictly increasing state
     count would do; N+1 is the documented choice this package freezes.
     """
-    if not isinstance(rounds, int) or rounds < 1:
+    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
         raise InputError("defect_last needs a positive round count")
     states = tuple(f"r{m}" for m in range(rounds + 1))
     output = {
@@ -180,7 +212,7 @@ def retaliating_defect_last(rounds):
     defect_last counter never retaliates and so cannot anchor the
     one-sided-memory-charge equilibrium.
     """
-    if not isinstance(rounds, int) or rounds < 1:
+    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
         raise InputError("retaliating_defect_last needs a positive round count")
     counting = tuple(f"c{m}" for m in range(1, rounds))
     states = counting + ("punish",)

@@ -7,7 +7,7 @@ import pytest
 from eqcheck import machines
 from eqcheck.errors import InputError, WorkBoundExceeded
 from eqcheck.fileformat import parse_document, serialize_document
-from eqcheck.games import BayesianGame, MixedProfile, is_nash
+from eqcheck.games import BayesianGame, MixedProfile, NormalFormGame, is_nash
 from eqcheck.machines import (ComputationalGame, OneShotMachine,
                               build_primality_game,
                               build_repeated_dilemma_game,
@@ -16,9 +16,10 @@ from eqcheck.machines import (ComputationalGame, OneShotMachine,
                               induced_machine_game, is_machine_nash,
                               machine_action, tit_for_tat_threshold,
                               zeroed_complexity, _is_prime)
-from eqcheck.repeated import (RepeatedGameSpec, all_defect, default_stage_game,
-                              defect_last, retaliating_defect_last,
-                              run_automata, tit_for_tat)
+from eqcheck.repeated import (RepeatedGameAutomaton, RepeatedGameSpec,
+                              all_defect, default_stage_game, defect_last,
+                              retaliating_defect_last, run_automata,
+                              tit_for_tat)
 
 F = Fraction
 DELTA = F(9, 10)
@@ -114,6 +115,8 @@ def test_threshold_validation():
         tit_for_tat_threshold(DELTA, COST, 0)
     with pytest.raises(InputError):
         tit_for_tat_threshold(DELTA, COST, 10, space_names=("all_c", "all_d"))
+    with pytest.raises(InputError):
+        tit_for_tat_threshold(DELTA, COST, True)
 
 
 def test_memory_charge_uses_state_counts():
@@ -149,6 +152,11 @@ def test_automaton_state_counts():
     assert defect_last(7).n_states == 8
     assert retaliating_defect_last(1).n_states == 1
     assert retaliating_defect_last(4).n_states == 4
+    for build in (defect_last, retaliating_defect_last):
+        with pytest.raises(InputError):
+            build(True)
+        with pytest.raises(InputError):
+            build(0)
 
 
 def test_roshambo_has_no_equilibrium_at_stated_costs():
@@ -202,6 +210,50 @@ def test_is_prime_spot_checks():
     assert not _is_prime(1)
     assert not _is_prime(9)
     assert not _is_prime(3215031751)
+
+
+def _strong_probable_prime(n, bases):
+    """Miller-Rabin: True when odd n > 2 passes the strong test to every
+    base."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 1 << 17
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if _is_prime(n)] == [
+        n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_at_the_witness_set_boundaries():
+    # each is a strong pseudoprime to the first k prime bases, so it fools a
+    # witness set that stops one range too early; 8321 = 53 * 157 has no
+    # factor that trial division finds first
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for n, k in ((8321, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+                 (3825123056546413051, 9)):
+        assert _strong_probable_prime(n, small[:k])
+        assert not _is_prime(n)
+    for p in (2 ** 31 - 1, 4294967291, 1000000007, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert _is_prime(p)
+    assert not _is_prime((2 ** 31 - 1) * 4294967291)
 
 
 def test_primality_game_small():
@@ -464,3 +516,144 @@ def test_trusted_primality_build_matches_validated_parse(bit_length):
             assert vars(mine) == vars(theirs)
             assert all(type(c) is Fraction
                        for c in mine.complexity.values())
+
+
+# --- integer kernel for discounted automaton runs ---------------------------
+
+def _reference_run_automata(spec, first, second):
+    """Discounted payoff pair of one run as a plain Fraction loop: each
+    round multiplies the weight by the discount and adds weight * payoff."""
+    acts1, acts2 = spec.stage.actions
+    s1, s2 = first.initial, second.initial
+    totals = [F(0), F(0)]
+    weight = F(1)
+    for _ in range(spec.rounds):
+        a1 = first.output[s1]
+        a2 = second.output[s2]
+        if a1 not in acts1:
+            raise InputError(
+                f"automaton {first.id}: action {a1!r} not in the stage game")
+        if a2 not in acts2:
+            raise InputError(
+                f"automaton {second.id}: action {a2!r} not in the stage game")
+        pay = spec.stage.payoffs[(acts1.index(a1), acts2.index(a2))]
+        weight *= spec.discount
+        totals[0] += weight * pay[0]
+        totals[1] += weight * pay[1]
+        s1, s2 = first.step(s1, a2), second.step(s2, a1)
+    return tuple(totals)
+
+
+def _random_stage(rng):
+    """A 2x2 or 2x3 stage game with negative and fractional payoffs."""
+    shape = rng.choice(((2, 2), (2, 3), (3, 2)))
+    actions = tuple(tuple(f"{side}{k}" for k in range(size))
+                    for side, size in zip("xy", shape))
+    payoffs = {
+        key: tuple(F(rng.randint(-20, 20), rng.randint(1, 9))
+                   for _ in range(2))
+        for key in itertools.product(*(range(size) for size in shape))
+    }
+    return NormalFormGame(("row", "col"), actions, payoffs)
+
+
+def _random_automaton(rng, machine_id, own, other):
+    """2-4 states with a complete transition table over the opponent's
+    actions."""
+    states = tuple(f"q{k}" for k in range(rng.randint(2, 4)))
+    return RepeatedGameAutomaton(
+        machine_id, states, rng.choice(states),
+        {s: rng.choice(own) for s in states},
+        {(s, a): rng.choice(states) for s in states for a in other})
+
+
+def _random_discount(rng):
+    """Small, large and prime denominators."""
+    q = rng.choice((10, 101, 997, 7919, 65536, 10 ** 9 + 7, 10 ** 12,
+                    2 ** 61 - 1))
+    return F(rng.randint(1, q - 1), q)
+
+
+def test_run_automata_kernel_matches_fraction_reference():
+    rng = random.Random(2008)
+    for _ in range(200):
+        stage = _random_stage(rng)
+        acts1, acts2 = stage.actions
+        spec = RepeatedGameSpec(stage, rng.randint(1, 60),
+                                _random_discount(rng), 0)
+        first = _random_automaton(rng, "first", acts1, acts2)
+        second = _random_automaton(rng, "second", acts2, acts1)
+        got = run_automata(spec, first, second)
+        assert got == _reference_run_automata(spec, first, second)
+        assert all(type(v) is Fraction for v in got)
+
+
+def _error_messages(spec, first, second):
+    messages = []
+    for run in (run_automata, _reference_run_automata):
+        with pytest.raises(InputError) as info:
+            run(spec, first, second)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+def test_run_automata_errors_match_the_reference():
+    stage = default_stage_game()
+    tft = tit_for_tat()
+    # cooperates once, then plays an action the stage game lacks
+    for bad in ("X", ["C"]):
+        rogue = RepeatedGameAutomaton(
+            "rogue", ("a", "b"), "a", {"a": "C", "b": bad},
+            {("a", "C"): "b", ("a", "D"): "b", ("b", "C"): "b",
+             ("b", "D"): "b"})
+        assert (run_automata(RepeatedGameSpec(stage, 1, DELTA, 0), rogue, tft)
+                == (DELTA * 3, DELTA * 3))
+        spec = RepeatedGameSpec(stage, 2, DELTA, 0)
+        assert _error_messages(spec, rogue, tft) == (
+            f"automaton rogue: action {bad!r} not in the stage game")
+        assert _error_messages(spec, tft, rogue) == (
+            f"automaton rogue: action {bad!r} not in the stage game")
+    # knows no move on D; the opponent defects from round 2 on, so the
+    # missing transition is reached when leaving round 2, the last round
+    naive = RepeatedGameAutomaton(
+        "naive", ("a",), "a", {"a": "C"}, {("a", "C"): "a"})
+    turn = RepeatedGameAutomaton(
+        "turn", ("x", "y"), "x", {"x": "C", "y": "D"},
+        {("x", "C"): "y", ("x", "D"): "y", ("y", "C"): "y", ("y", "D"): "y"})
+    one = RepeatedGameSpec(stage, 1, DELTA, 0)
+    assert (run_automata(one, naive, turn)
+            == _reference_run_automata(one, naive, turn))
+    two = RepeatedGameSpec(stage, 2, DELTA, 0)
+    want = "automaton naive: no transition from state 'a' on opponent action 'D'"
+    assert _error_messages(two, naive, turn) == want
+    assert _error_messages(two, turn, naive) == want
+
+
+# tit_for_tat_threshold(d / 101, 1 / 10**e, 25) as (symmetric, asymmetric)
+# for e = 1..6, frozen from the Fraction loop
+THRESHOLD_GRID = {
+    55: ((4, 4), (7, 7), (10, 10), (13, 13), (16, 16), (20, 20)),
+    60: ((4, 5), (7, 8), (11, 11), (15, 15), (18, 19), (23, 23)),
+    65: ((5, 5), (8, 8), (12, 13), (17, 17), (21, 22), (None, None)),
+    70: ((5, 6), (9, 10), (14, 14), (20, 20), (25, 25), (None, None)),
+    75: ((6, 6), (11, 11), (17, 17), (23, 24), (None, None), (None, None)),
+    80: ((6, 7), (13, 13), (20, 21), (None, None), (None, None),
+         (None, None)),
+    85: ((7, 8), (16, 16), (None, None), (None, None), (None, None),
+         (None, None)),
+    90: ((9, 10), (21, 21), (None, None), (None, None), (None, None),
+         (None, None)),
+    95: ((12, 12), (None, None), (None, None), (None, None), (None, None),
+         (None, None)),
+}
+
+
+def test_threshold_grid_frozen_values():
+    for d, row in THRESHOLD_GRID.items():
+        for e, want in enumerate(row, start=1):
+            for n_max in (10, 25):
+                report = tit_for_tat_threshold(F(d, 101), F(1, 10 ** e), n_max)
+                # a scan up to n_max finds the same least N when N <= n_max
+                assert (report.symmetric, report.asymmetric) == tuple(
+                    n if n is not None and n <= n_max else None for n in want)
