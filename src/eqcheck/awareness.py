@@ -59,13 +59,18 @@ class AugmentedGame:
                 f"augmented game {name}: awareness must cover exactly the "
                 f"player-owned histories")
         fixed = {}
+        # canonical_representation and crossing_game pass one level object
+        # to many nodes, so each distinct level is type-checked once
+        checked = set()
         for h, level in awareness.items():
             level = frozenset(level)
-            for entry in level:
-                if not isinstance(entry, tuple):
-                    raise InputError(
-                        f"augmented game {name}: awareness at {h!r} must "
-                        f"contain histories (tuples)")
+            if level not in checked:
+                for entry in level:
+                    if not isinstance(entry, tuple):
+                        raise InputError(
+                            f"augmented game {name}: awareness at {h!r} "
+                            f"must contain histories (tuples)")
+                checked.add(level)
             fixed[h] = level
         self.awareness = fixed
         flags = []
@@ -351,6 +356,40 @@ def expected_utilities(gwa: GameWithAwareness, game_name,
     return _expected_from_rows(gwa, game_name, rows)
 
 
+def _pure_row(moves, move):
+    return tuple((m, ONE if m == move else ZERO) for m in moves)
+
+
+def _active_pieces(gwa: GameWithAwareness):
+    """(player, game name, active labels) for every active pair, in active
+    order."""
+    return tuple((player, game_name, gwa.active_labels(player, game_name))
+                 for player, game_name in gwa.active_pairs())
+
+
+def _subjective_deviation(gwa, pieces, expected, eps):
+    """The first pure reassignment of one pair's active information sets
+    that gains the pair's player more than eps in the pair's game, as
+    (pair index, moves, utility before, utility after), or None.
+
+    Pairs are scanned in active order and each pair's reassignments in
+    tree move order.  expected(p, moves) is the expected payoff vector of
+    pair p's game when pair p plays moves at its labels and every other
+    piece is held fixed; moves None stands for the profile itself.
+    """
+    for p, (player, game_name, labels) in enumerate(pieces):
+        tree = gwa.game(game_name).tree
+        pidx = tree.players.index(player)
+        base = expected(p, None)[pidx]
+        bar = base + eps
+        for moves in itertools.product(*(tree.label_moves(l)
+                                         for l in labels)):
+            value = expected(p, moves)[pidx]
+            if value > bar:
+                return p, moves, base, value
+    return None
+
+
 def is_generalized_nash(gwa: GameWithAwareness, profile: GeneralizedProfile,
                         epsilon=0) -> Verdict:
     """Every strategy piece is a best response in its own believed game.
@@ -361,56 +400,90 @@ def is_generalized_nash(gwa: GameWithAwareness, profile: GeneralizedProfile,
     """
     eps = _check_epsilon(epsilon)
     rows = _profile_rows(gwa, profile)
-    for player, game_name in gwa.active_pairs():
-        tree = gwa.game(game_name).tree
-        pidx = tree.players.index(player)
-        labels = gwa.active_labels(player, game_name)
-        base = _expected_from_rows(gwa, game_name, rows)[pidx]
-        for combo in itertools.product(*(tree.label_moves(l) for l in labels)):
+    pieces = _active_pieces(gwa)
+
+    def expected(p, moves):
+        player, game_name, labels = pieces[p]
+        trial = rows
+        if moves is not None:
+            tree = gwa.game(game_name).tree
             trial = dict(rows)
-            for label, move in zip(labels, combo):
-                trial[(player, game_name, label)] = tuple(
-                    (m, ONE if m == move else ZERO)
-                    for m in tree.label_moves(label))
-            value = _expected_from_rows(gwa, game_name, trial)[pidx]
-            if value > base + eps:
-                described = "; ".join(
-                    f"{m} at {l}" for l, m in zip(labels, combo))
-                return Verdict(False, Witness(
-                    kind="subjective-deviation",
-                    description=(
-                        f"player {player} gains in game {game_name} by "
-                        f"playing {described}"),
-                    data={
-                        "player": player,
-                        "game": game_name,
-                        "strategy": dict(zip(labels, combo)),
-                        "utility_before": base,
-                        "utility_after": value,
-                        "gain": value - base,
-                    }))
-    return Verdict(True)
+            for label, move in zip(labels, moves):
+                trial[(player, game_name, label)] = _pure_row(
+                    tree.label_moves(label), move)
+        return _expected_from_rows(gwa, game_name, trial)
+
+    found = _subjective_deviation(gwa, pieces, expected, eps)
+    if found is None:
+        return Verdict(True)
+    p, moves, base, value = found
+    player, game_name, labels = pieces[p]
+    described = "; ".join(f"{m} at {l}" for l, m in zip(labels, moves))
+    return Verdict(False, Witness(
+        kind="subjective-deviation",
+        description=(
+            f"player {player} gains in game {game_name} by "
+            f"playing {described}"),
+        data={
+            "player": player,
+            "game": game_name,
+            "strategy": dict(zip(labels, moves)),
+            "utility_before": base,
+            "utility_after": value,
+            "gain": value - base,
+        }))
 
 
 def find_pure_generalized_nash(gwa: GameWithAwareness, epsilon=0,
                                work_bound=DEFAULT_WORK_BOUND):
     """All pure profiles over the active domain that pass the check, in
-    lexicographic order (pairs in active order, moves in tree order)."""
+    lexicographic order (pairs in active order, moves in tree order).
+
+    One pass over the pure combinations, each run through the deviation
+    scan of is_generalized_nash.  A pair's deviation is just another
+    combination of the same product, so the scan reads every expected
+    payoff vector from a memo keyed (game, combination), kept for this
+    call: each game is walked at most once per combination, in the order
+    of the first use, and nothing is re-validated.
+    """
+    pieces = _active_pieces(gwa)
     slots = []
-    for player, game_name in gwa.active_pairs():
+    spans = []
+    for player, game_name, labels in pieces:
         tree = gwa.game(game_name).tree
-        for label in gwa.active_labels(player, game_name):
+        start = len(slots)
+        for label in labels:
             slots.append((player, game_name, label, tree.label_moves(label)))
+        spans.append((start, len(slots)))
     bounded_product((len(slot[3]) for slot in slots), work_bound,
                     "pure profiles")
+    eps = _check_epsilon(epsilon)
+    pure_rows = [{m: _pure_row(moves, m) for m in moves}
+                 for _, _, _, moves in slots]
+    memo = {}
+
+    def vector(game_name, combo):
+        key = (game_name, combo)
+        if key not in memo:
+            rows = {slot[:3]: pure_rows[s][move]
+                    for s, (slot, move) in enumerate(zip(slots, combo))}
+            memo[key] = _expected_from_rows(gwa, game_name, rows)
+        return memo[key]
+
     found = []
     for combo in itertools.product(*(slot[3] for slot in slots)):
+        def expected(p, moves):
+            if moves is None:
+                return vector(pieces[p][1], combo)
+            start, end = spans[p]
+            return vector(pieces[p][1], combo[:start] + moves + combo[end:])
+
+        if _subjective_deviation(gwa, pieces, expected, eps) is not None:
+            continue
         assignments = {}
         for (player, game_name, label, _), move in zip(slots, combo):
             assignments.setdefault((player, game_name), {})[label] = move
-        candidate = GeneralizedProfile.pure(assignments)
-        if is_generalized_nash(gwa, candidate, epsilon).holds:
-            found.append(candidate)
+        found.append(GeneralizedProfile.pure(assignments))
     return found
 
 

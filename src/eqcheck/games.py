@@ -150,7 +150,10 @@ class MixedProfile:
             raise InputError("pure profile: expected one action per player")
         rows = []
         for i, act in enumerate(actions):
-            ai = act if isinstance(act, int) else game.action_index(i, act)
+            if isinstance(act, int) and not isinstance(act, bool):
+                ai = act
+            else:
+                ai = game.action_index(i, act)
             row = [ZERO] * len(game.actions[i])
             if ai < 0 or ai >= len(row):
                 raise InputError(

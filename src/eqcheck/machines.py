@@ -411,7 +411,8 @@ def build_primality_game(bit_length, cost_per_bit,
     constructors' re-validation and keeps only its own entry_bound guard.
     Documents and user-built objects are still fully validated.
     """
-    if not isinstance(bit_length, int) or bit_length < 1:
+    if (not isinstance(bit_length, int) or isinstance(bit_length, bool)
+            or bit_length < 1):
         raise InputError("bit_length must be a positive integer")
     if bit_length > 64:
         raise InputError("bit_length above 64 is unsupported")

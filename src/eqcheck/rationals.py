@@ -20,7 +20,9 @@ def parse_rational(value, where: str = "value") -> Fraction:
     """Parse an exact rational from a string or integer.
 
     Accepts "3", "-5", "1/3", U+2212 minus signs, and plain ints.  Decimal
-    points, exponents, floats, and booleans are rejected.
+    points, exponents, digit-group underscores, non-ASCII digits, floats,
+    and booleans are rejected, so every accepted string has one canonical
+    form.
     """
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a rational, got a boolean")
@@ -33,7 +35,8 @@ def parse_rational(value, where: str = "value") -> Fraction:
             f"{where}: expected a rational string, got {type(value).__name__}"
         )
     cleaned = value.strip().replace(_MINUS, "-")
-    if not cleaned or "." in cleaned or "e" in cleaned.lower():
+    if (not cleaned or not cleaned.isascii() or "_" in cleaned
+            or "." in cleaned or "e" in cleaned.lower()):
         raise InputError(f"{where}: malformed rational {value!r}")
     try:
         return Fraction(cleaned)

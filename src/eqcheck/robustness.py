@@ -89,15 +89,53 @@ def _groups(n, max_size):
         yield from itertools.combinations(range(n), size)
 
 
-def _joint_deviations(game, profile, groups):
+def _joint_deviations(game, groups, after):
     """(group, joint, utilities) for every joint pure action of every group,
     joint actions in lexicographic index order: the one deviation scan
-    behind every check and extremum in this module."""
+    behind every check, enumeration and extremum in this module.
+    after(group, joint) is the utility vector under that deviation."""
     for group in groups:
         ranges = [range(len(game.actions[i])) for i in group]
         for joint in itertools.product(*ranges):
-            yield group, joint, utilities_under_joint_deviation(
-                game, profile, group, joint)
+            yield group, joint, after(group, joint)
+
+
+def _mixed_after(game, profile):
+    return lambda group, joint: utilities_under_joint_deviation(
+        game, profile, group, joint)
+
+
+def _first_breach(game, groups, after, breach):
+    """The first (group, joint, utilities, hit) of the scan for which
+    hit = breach(group, utilities) is not None, or None."""
+    for group, joint, utilities in _joint_deviations(game, groups, after):
+        hit = breach(group, utilities)
+        if hit is not None:
+            return group, joint, utilities, hit
+    return None
+
+
+def _gainer(base, eps, semantics):
+    """Resilience breach test: True when the coalition deviates."""
+    bar = [b + eps for b in base]
+    pick = any if semantics is ResilienceSemantics.STRONG else all
+
+    def breach(coalition, after):
+        return True if pick([after[i] > bar[i] for i in coalition]) else None
+    return breach
+
+
+def _harmer(base, eps):
+    """Immunity breach test: the first outsider pushed below their base
+    utility minus eps."""
+    bar = [b - eps for b in base]
+
+    def breach(deviators, after):
+        for victim, floor in enumerate(bar):
+            if victim not in deviators and after[victim] < floor:
+                return victim
+        return None
+    return breach
 
 
 def _deviation_names(game, group, joint):
@@ -121,6 +159,23 @@ def _guard_enumeration(game, max_size, work_bound):
                 required=total, bound=work_bound)
 
 
+def _check_k(game, k, semantics, work_bound):
+    n = game.n_players
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > n:
+        raise InputError(f"k out of range: need 1 <= k <= {n}, got {k!r}")
+    if not isinstance(semantics, ResilienceSemantics):
+        raise InputError("semantics must be a ResilienceSemantics value")
+    _guard_enumeration(game, k, work_bound)
+
+
+def _check_t(game, t, work_bound):
+    n = game.n_players
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0 or t >= n:
+        raise InputError(f"t out of range: need 0 <= t < {n}, got {t!r}")
+    if t:
+        _guard_enumeration(game, t, work_bound)
+
+
 def check_resilience(game: NormalFormGame, profile: MixedProfile, k,
                      semantics=ResilienceSemantics.STRONG, epsilon=0,
                      work_bound=DEFAULT_WORK_BOUND) -> Verdict:
@@ -132,39 +187,34 @@ def check_resilience(game: NormalFormGame, profile: MixedProfile, k,
     """
     eps = _check_epsilon(epsilon)
     _check_profile_shape(game, profile)
-    n = game.n_players
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > n:
-        raise InputError(f"k out of range: need 1 <= k <= {n}, got {k!r}")
-    if not isinstance(semantics, ResilienceSemantics):
-        raise InputError("semantics must be a ResilienceSemantics value")
-    _guard_enumeration(game, k, work_bound)
+    _check_k(game, k, semantics, work_bound)
 
     base = expected_utility(game, profile)
-    strong = semantics is ResilienceSemantics.STRONG
-    for coalition, joint, after in _joint_deviations(
-            game, profile, _groups(n, k)):
-        improved = [after[i] > base[i] + eps for i in coalition]
-        if any(improved) if strong else all(improved):
-            members = tuple(game.players[i] for i in coalition)
-            gains = {
-                game.players[i]: {
-                    "utility_before": base[i],
-                    "utility_after": after[i],
-                }
-                for i in coalition
-            }
-            return Verdict(False, Witness(
-                kind="coalition-deviation",
-                description=(
-                    f"coalition {{{', '.join(members)}}} profits from "
-                    f"a joint deviation"),
-                data={
-                    "coalition": members,
-                    "deviation": _deviation_names(game, coalition, joint),
-                    "members": gains,
-                    "semantics": semantics.value,
-                }))
-    return Verdict(True)
+    found = _first_breach(game, _groups(game.n_players, k),
+                          _mixed_after(game, profile),
+                          _gainer(base, eps, semantics))
+    if found is None:
+        return Verdict(True)
+    coalition, joint, after, _ = found
+    members = tuple(game.players[i] for i in coalition)
+    gains = {
+        game.players[i]: {
+            "utility_before": base[i],
+            "utility_after": after[i],
+        }
+        for i in coalition
+    }
+    return Verdict(False, Witness(
+        kind="coalition-deviation",
+        description=(
+            f"coalition {{{', '.join(members)}}} profits from "
+            f"a joint deviation"),
+        data={
+            "coalition": members,
+            "deviation": _deviation_names(game, coalition, joint),
+            "members": gains,
+            "semantics": semantics.value,
+        }))
 
 
 def check_immunity(game: NormalFormGame, profile: MixedProfile, t,
@@ -173,33 +223,36 @@ def check_immunity(game: NormalFormGame, profile: MixedProfile, t,
     profile utility (minus epsilon)."""
     eps = _check_epsilon(epsilon)
     _check_profile_shape(game, profile)
-    n = game.n_players
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0 or t >= n:
-        raise InputError(f"t out of range: need 0 <= t < {n}, got {t!r}")
+    _check_t(game, t, work_bound)
     if t == 0:
         return Verdict(True)
-    _guard_enumeration(game, t, work_bound)
 
     base = expected_utility(game, profile)
-    for deviators, joint, after in _joint_deviations(
-            game, profile, _groups(n, t)):
-        for victim in range(n):
-            if victim not in deviators and after[victim] < base[victim] - eps:
-                names = tuple(game.players[i] for i in deviators)
-                harmed = game.players[victim]
-                return Verdict(False, Witness(
-                    kind="harmed-by-deviators",
-                    description=(
-                        f"player {harmed} is harmed when "
-                        f"{{{', '.join(names)}}} deviate"),
-                    data={
-                        "deviators": names,
-                        "deviation": _deviation_names(game, deviators, joint),
-                        "harmed": harmed,
-                        "utility_before": base[victim],
-                        "utility_after": after[victim],
-                    }))
-    return Verdict(True)
+    found = _first_breach(game, _groups(game.n_players, t),
+                          _mixed_after(game, profile), _harmer(base, eps))
+    if found is None:
+        return Verdict(True)
+    deviators, joint, after, victim = found
+    names = tuple(game.players[i] for i in deviators)
+    harmed = game.players[victim]
+    return Verdict(False, Witness(
+        kind="harmed-by-deviators",
+        description=(
+            f"player {harmed} is harmed when "
+            f"{{{', '.join(names)}}} deviate"),
+        data={
+            "deviators": names,
+            "deviation": _deviation_names(game, deviators, joint),
+            "harmed": harmed,
+            "utility_before": base[victim],
+            "utility_after": after[victim],
+        }))
+
+
+def _check_query_k(game, k):
+    n = game.n_players
+    if k > n:
+        raise InputError(f"k out of range: need k <= {n}, got {k}")
 
 
 def check_robust(game: NormalFormGame, profile: MixedProfile,
@@ -210,9 +263,7 @@ def check_robust(game: NormalFormGame, profile: MixedProfile,
     k = 0 makes the resilience half vacuous.  The verdict carries both
     sub-verdicts; its witness is the first failing sub-check's witness.
     """
-    n = game.n_players
-    if query.k > n:
-        raise InputError(f"k out of range: need k <= {n}, got {query.k}")
+    _check_query_k(game, query.k)
     if query.k == 0:
         resilience = Verdict(True)
     else:
@@ -234,14 +285,39 @@ def enumerate_pure_robust(game: NormalFormGame, query: RobustnessQuery,
                           work_bound=DEFAULT_WORK_BOUND):
     """All pure profiles passing check_robust, in lexicographic action order.
 
-    Returns a list of action-name tuples."""
+    Returns a list of action-name tuples.  One pass over the profiles: the
+    arguments are checked and the work guards run once, in check_robust's
+    order, and each candidate goes through the checks' own deviation scan
+    with its utilities read straight from the payoff table, so no profile
+    object is built and no expected utility is summed.
+    """
     bounded_product((len(a) for a in game.actions), work_bound,
                     "pure profiles")
+    _check_query_k(game, query.k)
+    eps = _check_epsilon(query.epsilon)
+    if query.k:
+        _check_k(game, query.k, query.semantics, work_bound)
+    _check_t(game, query.t, work_bound)
+    # k = 0 or t = 0 gives no groups, and that half of the check passes
+    coalitions = tuple(_groups(game.n_players, query.k))
+    deviators = tuple(_groups(game.n_players, query.t))
+    payoffs = game.payoffs
     found = []
     for pure in game.pure_profiles():
-        profile = MixedProfile.pure(game, pure)
-        if check_robust(game, profile, query, work_bound).holds:
-            found.append(game.profile_names(pure))
+        def after(group, joint):
+            key = list(pure)
+            for i, a in zip(group, joint):
+                key[i] = a
+            return payoffs[tuple(key)]
+
+        base = payoffs[pure]
+        if _first_breach(game, coalitions, after,
+                         _gainer(base, eps, query.semantics)) is not None:
+            continue
+        if _first_breach(game, deviators, after,
+                         _harmer(base, eps)) is not None:
+            continue
+        found.append(game.profile_names(pure))
     return found
 
 
@@ -254,7 +330,8 @@ def _extremum(game, profile, group, scope, pick):
     """pick (max or min) of each scope player's utility over all joint pure
     deviations of group."""
     found = {}
-    for _, _, after in _joint_deviations(game, profile, (group,)):
+    for _, _, after in _joint_deviations(game, (group,),
+                                         _mixed_after(game, profile)):
         for i in scope:
             found[i] = pick(found[i], after[i]) if i in found else after[i]
     return {game.players[i]: v for i, v in found.items()}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from eqcheck.awareness import (AugmentedGame, GameWithAwareness,
                                crossing_game, expected_utilities,
                                find_pure_generalized_nash,
                                is_generalized_nash, outcome_distribution)
+from eqcheck import awareness
 from eqcheck.errors import InputError, WorkBoundExceeded
+from eqcheck.games import bounded_product
 from eqcheck.trees import ExtensiveGame, induced_normal_form
 
 F = Fraction
@@ -281,3 +284,133 @@ def test_canonical_equivalence_on_random_trees():
         nf = induced_normal_form(tree)
         found = find_pure_generalized_nash(canon)
         assert generalized_profile_names(tree, found) == pure_nash_names(nf)
+
+
+# Reference search for the tests below: the profile bound, then the plain
+# loop that runs the full is_generalized_nash check on every combination.
+
+def _reference_find(gwa, epsilon=0, work_bound=10_000_000):
+    slots = []
+    for player, game_name in gwa.active_pairs():
+        tree = gwa.game(game_name).tree
+        for label in gwa.active_labels(player, game_name):
+            slots.append((player, game_name, label, tree.label_moves(label)))
+    bounded_product((len(slot[3]) for slot in slots), work_bound,
+                    "pure profiles")
+    found = []
+    for combo in itertools.product(*(slot[3] for slot in slots)):
+        assignments = {}
+        for (player, game_name, label, _), move in zip(slots, combo):
+            assignments.setdefault((player, game_name), {})[label] = move
+        candidate = GeneralizedProfile.pure(assignments)
+        if is_generalized_nash(gwa, candidate, epsilon).holds:
+            found.append(candidate)
+    return found
+
+
+def _outcome(call):
+    """The strategies of the found profiles, or the error's type and
+    message."""
+    try:
+        return [profile.strategies for profile in call()]
+    except (InputError, WorkBoundExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def test_find_matches_reference_loop():
+    rng = random.Random(20261018)
+    structures = [canonical_representation(random_small_game(rng))
+                  for _ in range(120)]
+    structures += [crossing_game(F(i, 10)) for i in range(11)]
+    found = 0
+    for gwa in structures:
+        for eps in (F(0), F(1, 2)):
+            got = _outcome(lambda: find_pure_generalized_nash(gwa, eps))
+            assert got == _outcome(lambda: _reference_find(gwa, eps))
+            found += len(got)
+    assert found > 200, found
+
+
+def test_find_errors_match_reference_loop():
+    gwa = crossing()      # 4 active pieces of 2, 2, 2 and 1 moves
+    tree = ExtensiveGame(("A", "B"), {(): ("x", "y"), ("x",): ("u", "v")},
+                         {(): "A", ("x",): "B"}, {(): "LA", ("x",): "LB"},
+                         {("y",): (1, 1), ("x", "u"): (0, 0),
+                          ("x", "v"): (2, 2)})
+    every = frozenset(tree.internal_histories) | frozenset(
+        tree.terminal_histories)
+    g = AugmentedGame("g", tree, {(): every, ("x",): every})
+    # B's node believes A's information set, which no piece of B covers;
+    # the walk meets it only once A plays x
+    uncovered = GameWithAwareness(
+        (g,), "g", {("g", ()): ("g", "LA"), ("g", ("x",)): ("g", "LA")},
+        underlying=tree)
+    cases = [
+        (gwa, -1, None, InputError),
+        (gwa, 0.5, None, InputError),
+        (gwa, 0, 7, WorkBoundExceeded),
+        (gwa, -1, 7, WorkBoundExceeded),      # the bound wins
+        (gwa, F(1, 2), 8, None),
+        (uncovered, 0, None, InputError),
+        (uncovered, -1, None, InputError),    # epsilon before the walk
+        # a_view's unaware B borrows the modeler's B piece, whose down_B
+        # it cannot play
+        (_mutated(gwa, {("a_view", ("unaware", "across_A")):
+                        ("modeler", "B")}), 0, None, InputError),
+    ]
+    for structure, eps, bound, kind in cases:
+        bound = 10_000_000 if bound is None else bound
+        got = _outcome(lambda: find_pure_generalized_nash(
+            structure, eps, bound))
+        assert got == _outcome(lambda: _reference_find(structure, eps, bound))
+        if kind is None:
+            assert isinstance(got, list)
+        else:
+            assert got[0] is kind, got
+    assert "no profile entry covers" in _outcome(
+        lambda: find_pure_generalized_nash(uncovered))[1]
+
+
+def test_find_walks_each_game_once_per_combination(monkeypatch):
+    walks = []
+    original = awareness._walk
+
+    def counting(tree, moves_at):
+        walks.append(1)
+        return original(tree, moves_at)
+
+    monkeypatch.setattr(awareness, "_walk", counting)
+    rng = random.Random(7)
+    structures = [crossing_game(F(i, 4)) for i in range(5)]
+    structures += [canonical_representation(random_small_game(rng))
+                   for _ in range(30)]
+    ours = reference = 0
+    for gwa in structures:
+        games = {game_name for _, game_name in gwa.active_pairs()}
+        combos = 1
+        for player, game_name in gwa.active_pairs():
+            tree = gwa.game(game_name).tree
+            for label in gwa.active_labels(player, game_name):
+                combos *= len(tree.label_moves(label))
+        walks.clear()
+        find_pure_generalized_nash(gwa)
+        assert len(walks) <= len(games) * combos
+        ours += len(walks)
+        walks.clear()
+        _reference_find(gwa)
+        reference += len(walks)
+    assert 0 < ours < reference
+
+
+def test_augmented_game_checks_shared_levels():
+    tree = ExtensiveGame(("A",), {(): ("x",), ("x",): ("y",)},
+                         {(): "A", ("x",): "A"}, {(): "L0", ("x",): "L1"},
+                         {("x", "y"): (0,)})
+    good = frozenset({(), ("x",), ("x", "y")})
+    bad = frozenset({(), ("x",), "x"})
+    for levels in ((bad, bad), (good, bad), (bad, good),
+                   ({(), "x"}, {(), "x"})):
+        with pytest.raises(InputError, match="must contain histories"):
+            AugmentedGame("g", tree, dict(zip(((), ("x",)), levels)))
+    shared = AugmentedGame("g", tree, {(): good, ("x",): good})
+    assert shared.awareness == {(): good, ("x",): good}

@@ -37,6 +37,14 @@ def test_mixed_profile_validation():
         expected_utility(game, MixedProfile(((F(1), F(0), F(0)),)))
 
 
+def test_pure_profile_rejects_bool_actions():
+    game = prisoners_dilemma()
+    assert MixedProfile.pure(game, (1, 0)).weights == (
+        (F(0), F(1)), (F(1), F(0)))
+    with pytest.raises(InputError):
+        MixedProfile.pure(game, (True, False))
+
+
 def test_profile_constructors_agree():
     game = prisoners_dilemma()
     by_name = MixedProfile.pure(game, ("C", "D"))

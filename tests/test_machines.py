@@ -286,6 +286,11 @@ def test_primality_validation():
         build_primality_game(16, 1, entry_bound=100)
 
 
+def test_primality_rejects_bool_bit_length():
+    with pytest.raises(InputError):
+        build_primality_game(True, 1)
+
+
 def test_one_shot_machine_validation():
     with pytest.raises(InputError):
         OneShotMachine("m", "deterministic",

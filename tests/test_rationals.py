@@ -51,3 +51,11 @@ def test_as_fraction_accepts_exact_types_only():
         as_fraction("3/4")
     with pytest.raises(InputError):
         as_fraction(0.25)
+
+
+@pytest.mark.parametrize("bad", ["1_000", "1/1_0", "３", "1/３", "１２"])
+def test_parse_rejects_non_canonical_digits(bad):
+    # Fraction itself takes digit-group underscores and any Unicode digit;
+    # neither has a canonical form to serialise back to
+    with pytest.raises(InputError):
+        parse_rational(bad)

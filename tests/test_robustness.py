@@ -7,8 +7,8 @@ import pytest
 from eqcheck.catalog import (bargaining_game, matching_pennies,
                              prisoners_dilemma, zero_one_game)
 from eqcheck.errors import InputError, WorkBoundExceeded
-from eqcheck.games import (MixedProfile, NormalFormGame, expected_utility,
-                           is_nash)
+from eqcheck.games import (MixedProfile, NormalFormGame, bounded_product,
+                           expected_utility, is_nash)
 from eqcheck.robustness import (ResilienceSemantics, RobustnessQuery,
                                 best_member_utilities, check_immunity,
                                 check_resilience, check_robust,
@@ -404,3 +404,98 @@ def test_deviation_scan_matches_reference_loops():
                 assert list(got_worst.items()) == list(worst.items())
     # the cases must exercise failing verdicts, not only passing ones
     assert failures > 50, failures
+
+
+# Reference enumeration for the tests below: the profile bound, then the
+# plain loop that runs the full mixed-profile check on every pure profile.
+
+def _reference_enumeration(game, query, work_bound=10_000_000):
+    bounded_product((len(a) for a in game.actions), work_bound,
+                    "pure profiles")
+    return [game.profile_names(pure) for pure in game.pure_profiles()
+            if check_robust(game, MixedProfile.pure(game, pure), query,
+                            work_bound).holds]
+
+
+def _outcome(call):
+    """The result of call(), or the type and message of its error."""
+    try:
+        return call()
+    except (InputError, WorkBoundExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def test_pure_enumeration_matches_reference_loop():
+    rng = random.Random(11)
+    games = [zero_one_game(3), bargaining_game(3), prisoners_dilemma()]
+    games += [_random_normal_form(rng) for _ in range(16)]
+    found = 0
+    for game in games:
+        n = game.n_players
+        for k in range(n + 1):
+            for t in range(n):
+                for semantics in ResilienceSemantics:
+                    for eps in (F(0), F(1, 2)):
+                        query = RobustnessQuery(k, t, eps, semantics)
+                        got = enumerate_pure_robust(game, query)
+                        assert got == _reference_enumeration(game, query)
+                        found += len(got)
+    assert found > 200, found
+
+
+def _query(k, t, epsilon=0):
+    query = RobustnessQuery(k, t)
+    # epsilon is normally checked by RobustnessQuery; setting it afterwards
+    # reaches the enumeration's own check
+    query.epsilon = epsilon
+    return query
+
+
+def test_pure_enumeration_errors_match_reference_loop():
+    # zero_one_game(3): 8 profiles; the deviation guard counts 6 joint
+    # deviations at size 1 and 18 up to size 2
+    game = zero_one_game(3)
+    bad, over = InputError, WorkBoundExceeded
+    cases = [
+        (_query(4, 0), None, bad),            # k > n
+        (_query(1, 3), None, bad),            # t >= n
+        (_query(4, 3), None, bad),            # both: k wins
+        (_query(1, 0, -1), None, bad),        # bad epsilon
+        (_query(0, 3, -1), None, bad),        # epsilon before t range
+        (_query(4, 0, -1), None, bad),        # k range before epsilon
+        (_query(1, 0), 7, over),              # profile bound
+        (_query(4, 3, -1), 7, over),          # profile bound wins
+        (_query(2, 0), 17, over),             # k guard
+        (_query(2, 3), 17, over),             # k guard before t range
+        (_query(2, 0, -1), 17, bad),          # epsilon before k guard
+        (_query(1, 2), 17, over),             # t guard
+        (_query(0, 2, F(1, 2)), 18, None),    # both guards pass
+        (_query(2, 2), 18, None),
+    ]
+    for query, bound, kind in cases:
+        bound = 10_000_000 if bound is None else bound
+        got = _outcome(lambda: enumerate_pure_robust(game, query, bound))
+        want = _outcome(lambda: _reference_enumeration(game, query, bound))
+        case = (query.k, query.t, query.epsilon, bound)
+        assert got == want, case
+        if kind is None:
+            assert isinstance(got, list), case
+        else:
+            assert got[0] is kind, case
+
+
+def test_pure_enumeration_builds_no_profiles(monkeypatch):
+    built = []
+    original = MixedProfile.__init__
+
+    def counting(self, weights):
+        built.append(1)
+        original(self, weights)
+
+    monkeypatch.setattr(MixedProfile, "__init__", counting)
+    game = zero_one_game(4)
+    for k, t in ((1, 0), (2, 1), (0, 3), (4, 3)):
+        enumerate_pure_robust(game, RobustnessQuery(k, t))
+    assert built == []
+    check_robust(game, all_zero(game), RobustnessQuery(1, 0))
+    assert built, "the counter must see the profiles that are built"
