@@ -22,12 +22,10 @@ import itertools
 from fractions import Fraction
 
 from .errors import InputError
-from .games import _check_epsilon, bounded_product
+from .games import DEFAULT_WORK_BOUND, _check_epsilon, bounded_product
 from .rationals import as_fraction
 from .trees import NATURE, ExtensiveGame, _payoff_vector, _walk
 from .verdicts import Verdict, Witness
-
-DEFAULT_WORK_BOUND = 10_000_000
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

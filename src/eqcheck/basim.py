@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError
 from .games import BayesianGame, NormalFormGame
@@ -319,15 +318,14 @@ def run(scenario: Scenario, protocol, round_cap=None,
     return transcript
 
 
-def check_ba(transcript: Transcript, scenario: Optional[Scenario] = None) -> Verdict:
+def check_ba(transcript: Transcript) -> Verdict:
     """Agreement and validity among the nonfaulty players.
 
     Fails as incomplete when some nonfaulty player never decided; fails
     with a disagreement witness when two nonfaulty decisions differ; fails
     validity when a nonfaulty general's preference was not adopted.
     """
-    if scenario is None:
-        scenario = transcript.scenario
+    scenario = transcript.scenario
     nonfaulty = [p for p in scenario.players if p not in scenario.faults]
     if not nonfaulty:
         # both conditions quantify over nonfaulty players only

@@ -17,7 +17,7 @@ import sys
 
 from .awareness import find_pure_generalized_nash, is_generalized_nash
 from .basim import DEFAULT_ADVERSARIES, PROTOCOLS, check_ba, run, sweep
-from .errors import EqcheckError, InputError, ParseError, WorkBoundExceeded
+from .errors import EqcheckError, InputError, WorkBoundExceeded
 from .fileformat import (load_document, _generalized_profile_body,
                          _scenario_body)
 from .machines import (comp_expected_utility, exhaustive_machine_equilibria,
@@ -48,8 +48,12 @@ def _bound_kwargs(args):
 
 
 def _emit(args, report, lines):
+    """Print the text lines, or the JSON report inside the envelope every
+    subcommand shares: "format" and "command" come first."""
     fmt = getattr(args, "format", None) or getattr(args, "report", "text")
     if fmt == "json":
+        report = {"format": 1, "command": [args.command, args.subcommand],
+                  **report}
         print(json.dumps(to_jsonable(report), indent=2, ensure_ascii=False))
     else:
         for line in lines:
@@ -81,8 +85,6 @@ def _cmd_check_robust(args):
         semantics=ResilienceSemantics[args.semantics.upper()])
     verdict = check_robust(game, profile, query, **_bound_kwargs(args))
     report = {
-        "format": 1,
-        "command": ["check", "robust"],
         "game": args.game,
         "profile": args.profile,
         "k": args.k,
@@ -103,8 +105,6 @@ def _cmd_enumerate_pure_robust(args):
         semantics=ResilienceSemantics[args.semantics.upper()])
     profiles = enumerate_pure_robust(game, query, **_bound_kwargs(args))
     report = {
-        "format": 1,
-        "command": ["enumerate", "pure-robust"],
         "game": args.game,
         "k": args.k,
         "t": args.t,
@@ -126,8 +126,6 @@ def _cmd_compgame_check(args):
     verdict = is_machine_nash(game, ids, epsilon=_epsilon(args))
     utilities = comp_expected_utility(game, ids)
     report = {
-        "format": 1,
-        "command": ["compgame", "check"],
         "game": args.game,
         "machines": list(ids),
         "epsilon": format_rational(_epsilon(args)),
@@ -144,8 +142,6 @@ def _cmd_compgame_enumerate(args):
     found = exhaustive_machine_equilibria(
         game, epsilon=_epsilon(args), **_bound_kwargs(args))
     report = {
-        "format": 1,
-        "command": ["compgame", "enumerate"],
         "game": args.game,
         "epsilon": format_rational(_epsilon(args)),
         "count": len(found),
@@ -165,8 +161,6 @@ def _cmd_repeated_run(args):
     gross = run_automata(doc.spec, machines[0], machines[1])
     net = comp_expected_utility(game, ids)
     report = {
-        "format": 1,
-        "command": ["repeated", "run"],
         "spec": args.spec,
         "machines": list(ids),
         "states": [machines[0].n_states, machines[1].n_states],
@@ -191,8 +185,6 @@ def _cmd_repeated_threshold(args):
         space_names=doc.machine_names, stage=doc.spec.stage,
         epsilon=_epsilon(args))
     report = {
-        "format": 1,
-        "command": ["repeated", "threshold"],
         "spec": args.spec,
         "n_max": args.nmax,
         "discount": format_rational(result.discount),
@@ -216,8 +208,6 @@ def _cmd_aware_validate(args):
     gwa = _load(args.game, "awareness")
     verdict = gwa.validate()
     report = {
-        "format": 1,
-        "command": ["aware", "validate"],
         "game": args.game,
         "verdict": verdict,
     }
@@ -230,8 +220,6 @@ def _cmd_aware_check(args):
     profile = _load(args.profile, "generalized-profile")
     verdict = is_generalized_nash(gwa, profile, epsilon=_epsilon(args))
     report = {
-        "format": 1,
-        "command": ["aware", "check"],
         "game": args.game,
         "profile": args.profile,
         "epsilon": format_rational(_epsilon(args)),
@@ -246,8 +234,6 @@ def _cmd_aware_find(args):
     found = find_pure_generalized_nash(
         gwa, epsilon=_epsilon(args), **_bound_kwargs(args))
     report = {
-        "format": 1,
-        "command": ["aware", "find"],
         "game": args.game,
         "epsilon": format_rational(_epsilon(args)),
         "count": len(found),
@@ -288,10 +274,7 @@ def _cmd_simulate_run(args):
     transcript = run(scenario, protocol)
     verdict = check_ba(transcript)
     report = {
-        "format": 1,
-        "command": ["simulate", "run"],
         "scenario": _scenario_body(scenario),
-        "seed": args.seed,
         "transcript": _transcript_report(transcript),
         "verdict": verdict,
     }
@@ -326,13 +309,10 @@ def _cmd_simulate_ba(args):
             "verdict": verdict,
         })
     report = {
-        "format": 1,
-        "command": ["simulate", "ba"],
         "n": args.n,
         "t": args.t,
         "protocol": args.protocol,
         "adversaries": list(adversaries),
-        "seed": args.seed,
         "scenarios": report_obj.total,
         "failures": failures,
         "all_hold": report_obj.all_hold,
@@ -379,9 +359,6 @@ def _add_simulator_common(parser):
                         default="mediator")
     parser.add_argument("--report", choices=("json", "text"),
                         default="text", help="report style")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="accepted for interface stability; runs are "
-                             "deterministic")
 
 
 def _build_parser():
@@ -516,9 +493,6 @@ def main(argv=None) -> int:
     except WorkBoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EqcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,10 @@ def _check_names(names, what):
         raise InputError(f"{what}: names must be unique")
 
 
+# default cap on the cases one exhaustive search may enumerate
+DEFAULT_WORK_BOUND = 10_000_000
+
+
 def bounded_product(sizes, bound, what):
     """The product of sizes, the one work-bound guard for exhaustive tables
     and enumerations: raises WorkBoundExceeded when it is above bound."""

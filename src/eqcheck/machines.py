@@ -10,25 +10,30 @@ Two modes share one checking interface:
   times the automaton's state count (for players that are charged).
 
 Complexity is always declared data, never measured.
+
+A machine equilibrium is a Nash equilibrium of the induced machine game,
+so exhaustive_machine_equilibria is that game's pure (1, 0) enumeration
+(robustness.enumerate_pure_robust); is_machine_nash scans one profile's
+unilateral machine switches directly.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, WorkBoundExceeded
-from .games import (DEFAULT_ENTRY_BOUND, BayesianGame, NormalFormGame,
-                    _check_epsilon, _trusted, bounded_product)
+from .games import (DEFAULT_ENTRY_BOUND, DEFAULT_WORK_BOUND, BayesianGame,
+                    NormalFormGame, _check_epsilon, _trusted, bounded_product)
 from .rationals import as_fraction
 from .repeated import (DEFAULT_SPACE, RepeatedGameAutomaton, RepeatedGameSpec,
                        default_stage_game, library_space, run_automata)
+from .robustness import RobustnessQuery, enumerate_pure_robust
 from .verdicts import Verdict, Witness
-
-DEFAULT_WORK_BOUND = 10_000_000
 
 ZERO = Fraction(0)
 
@@ -221,19 +226,21 @@ def comp_expected_utility(game: ComputationalGame, machine_ids):
         sum((Fraction(s, d) for d, s in per.items()), ZERO) for per in sums)
 
 
-def _machine_deviation(game: ComputationalGame, ids, utility, eps):
-    """The first switch to another machine that gains its player more than
-    eps, as a witness, or None; utility maps a profile of machine ids to
-    its utility vector."""
-    base = utility(ids)
+def is_machine_nash(game: ComputationalGame, machine_ids, epsilon=0) -> Verdict:
+    """No player gains more than epsilon by switching to another machine in
+    their declared space."""
+    eps = _check_epsilon(epsilon)
+    ids = tuple(machine_ids)
+    base = comp_expected_utility(game, ids)
     for i in range(game.n_players):
         for machine in game.spaces[i]:
             if machine.id == ids[i]:
                 continue
-            value = utility(ids[:i] + (machine.id,) + ids[i + 1:])[i]
+            value = comp_expected_utility(
+                game, ids[:i] + (machine.id,) + ids[i + 1:])[i]
             if value > base[i] + eps:
                 player = game.players[i]
-                return Witness(
+                return Verdict(False, Witness(
                     kind="machine-deviation",
                     description=(
                         f"player {player} gains by switching from "
@@ -245,49 +252,34 @@ def _machine_deviation(game: ComputationalGame, ids, utility, eps):
                         "utility_before": base[i],
                         "utility_after": value,
                         "gain": value - base[i],
-                    })
-    return None
-
-
-def is_machine_nash(game: ComputationalGame, machine_ids, epsilon=0) -> Verdict:
-    """No player gains more than epsilon by switching to another machine in
-    their declared space."""
-    eps = _check_epsilon(epsilon)
-    witness = _machine_deviation(
-        game, tuple(machine_ids),
-        lambda ids: comp_expected_utility(game, ids), eps)
-    return Verdict(witness is None, witness)
+                    }))
+    return Verdict(True)
 
 
 def exhaustive_machine_equilibria(game: ComputationalGame, epsilon=0,
                                   work_bound=DEFAULT_WORK_BOUND):
-    """All machine profiles passing is_machine_nash, in space order.
+    """All machine profiles passing is_machine_nash, in space order: the
+    pure (1, 0)-robust profiles of the induced machine game, whose table
+    evaluates each profile once.
 
-    Each profile's utility is computed once and shared by every deviation
-    scan of the enumeration.
+    work_bound caps the machine profiles only; the enumeration's own guard,
+    which counts deviations, is lifted.
     """
     bounded_product((len(space) for space in game.spaces), work_bound,
                     "machine profiles")
-    eps = _check_epsilon(epsilon)
-    memo = {}
-
-    def utility(ids):
-        if ids not in memo:
-            memo[ids] = comp_expected_utility(game, ids)
-        return memo[ids]
-
-    found = []
-    for combo in itertools.product(*game.spaces):
-        ids = tuple(m.id for m in combo)
-        if _machine_deviation(game, ids, utility, eps) is None:
-            found.append(ids)
-    return found
+    query = RobustnessQuery(1, 0, epsilon)
+    return enumerate_pure_robust(
+        induced_machine_game(game, work_bound), query, work_bound=math.inf)
 
 
 def induced_machine_game(game: ComputationalGame,
                          work_bound=DEFAULT_WORK_BOUND) -> NormalFormGame:
     """The strategic form over machine choices; payoffs are the exact
-    machine-profile utilities (complexity charges included)."""
+    machine-profile utilities (complexity charges included).
+
+    The table is built without re-validation: its names come from the
+    validated machine spaces and its entries are Fractions computed here.
+    """
     bounded_product((len(space) for space in game.spaces), work_bound,
                     "machine profiles")
     actions = tuple(tuple(m.id for m in space) for space in game.spaces)
@@ -295,7 +287,8 @@ def induced_machine_game(game: ComputationalGame,
     for key in itertools.product(*(range(len(a)) for a in actions)):
         ids = tuple(actions[i][a] for i, a in enumerate(key))
         payoffs[key] = comp_expected_utility(game, ids)
-    return NormalFormGame(game.players, actions, payoffs)
+    return _trusted(NormalFormGame, players=game.players, actions=actions,
+                    payoffs=payoffs)
 
 
 def zeroed_complexity(game: ComputationalGame) -> ComputationalGame:

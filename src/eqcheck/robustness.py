@@ -19,12 +19,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InputError, WorkBoundExceeded
-from .games import (MixedProfile, NormalFormGame, _check_epsilon,
-                    _check_profile_shape, _support, _support_utilities,
-                    bounded_product, expected_utility)
+from .games import (DEFAULT_WORK_BOUND, MixedProfile, NormalFormGame,
+                    _check_epsilon, _check_profile_shape, _support,
+                    _support_utilities, bounded_product, expected_utility)
 from .verdicts import Verdict, Witness
-
-DEFAULT_WORK_BOUND = 10_000_000
 
 ONE = Fraction(1)
 

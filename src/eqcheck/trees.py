@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError
-from .games import DEFAULT_ENTRY_BOUND, NormalFormGame, bounded_product
+from .games import (DEFAULT_ENTRY_BOUND, NormalFormGame, _check_names,
+                    bounded_product)
 from .rationals import as_fraction
 
 NATURE = "nature"
@@ -48,14 +49,7 @@ class ExtensiveGame:
 
     def __init__(self, players, moves, owner, infosets, payoffs,
                  nature_probs=None):
-        if not isinstance(players, (list, tuple)) or not players:
-            raise InputError("players: expected a nonempty sequence")
-        for p in players:
-            if not isinstance(p, str) or not p:
-                raise InputError(
-                    f"players: names must be nonempty strings, got {p!r}")
-        if len(set(players)) != len(players):
-            raise InputError("players: names must be unique")
+        _check_names(players, "players")
         if NATURE in players:
             raise InputError(f"players: {NATURE!r} is reserved for chance nodes")
         self.players = tuple(players)

@@ -250,3 +250,40 @@ def test_simulate_rejects_bad_arguments(capsys):
         "--protocol", "mediator")
     assert code == 2
     assert "error:" in err
+    code, out, err = run_cli(
+        capsys, "simulate", "ba", "--n", "4", "--t", "1", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed 1" in err
+
+
+def test_every_json_report_opens_with_format_and_command(capsys):
+    calls = (
+        ("check", "robust", "--game", path("zero_one_3.json"),
+         "--profile", path("all_zero.json"), "--k", "1", "--t", "0"),
+        ("enumerate", "pure-robust", "--game", path("prisoners_dilemma.json"),
+         "--k", "1", "--t", "0"),
+        ("compgame", "check", "--game", path("roshambo.json"),
+         "--machines", "uniform,const0"),
+        ("compgame", "enumerate", "--game", path("roshambo.json")),
+        ("repeated", "run", "--spec", path("frpd.json"),
+         "--m1", "all_d", "--m2", "tit_for_tat"),
+        ("repeated", "threshold", "--spec", path("frpd.json"),
+         "--nmax", "20"),
+        ("aware", "validate", "--game", path("crossing_p3.json")),
+        ("aware", "check", "--game", path("crossing_p3.json"),
+         "--profile", path("crossing_eq.json")),
+        ("aware", "find", "--game", path("crossing_p3.json")),
+        ("simulate", "ba", "--n", "4", "--t", "1"),
+        ("simulate", "run", "--scenario", path("ba_scenario.json")),
+    )
+    for argv in calls:
+        style = "--report" if argv[0] == "simulate" else "--format"
+        code, out, err = run_cli(capsys, *argv, style, "json")
+        assert code in (0, 1)
+        assert err == ""
+        report = json.loads(out)
+        assert list(report)[:2] == ["format", "command"]
+        assert report["format"] == 1
+        assert report["command"] == list(argv[:2])
+        assert "seed" not in report

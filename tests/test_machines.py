@@ -351,8 +351,8 @@ def _reference_comp_utility(game, machine_ids):
     return tuple(totals)
 
 
-def _reference_deviation(game, ids):
-    """The first improving machine switch as (better machine, utility
+def _reference_deviation(game, ids, eps=0):
+    """The first switch gaining more than eps as (better machine, utility
     before, utility after, gain), or None; every utility computed afresh."""
     utility = (_reference_comp_utility if game.mode == "one-shot"
                else comp_expected_utility)
@@ -363,7 +363,7 @@ def _reference_deviation(game, ids):
                 continue
             trial = ids[:i] + (machine.id,) + ids[i + 1:]
             value = utility(game, trial)[i]
-            if value > base[i]:
+            if value > base[i] + eps:
                 return (machine.id, base[i], value, value - base[i])
     return None
 
@@ -501,6 +501,48 @@ def test_enumeration_rejects_bad_epsilon():
         exhaustive_machine_equilibria(build_roshambo_game(), epsilon=-1)
     with pytest.raises(InputError):
         exhaustive_machine_equilibria(build_roshambo_game(), epsilon=0.5)
+
+
+def test_enumeration_matches_reference_scan():
+    rng = random.Random(1998)
+    for _ in range(40):
+        game = _random_one_shot_game(rng)
+        for eps in (0, F(1, 10)):
+            assert exhaustive_machine_equilibria(game, eps) == [
+                ids for ids in _profiles(game)
+                if _reference_deviation(game, ids, eps) is None]
+
+
+def test_enumeration_bound_counts_machine_profiles_only():
+    roshambo = build_roshambo_game()
+    # a (1, 3) space: the profile count is 3, while a coalition guard
+    # over players x largest space would count 6
+    narrow = ComputationalGame(
+        "one-shot", (roshambo.spaces[0][:1], roshambo.spaces[1][:3]),
+        underlying=roshambo.underlying)
+    assert exhaustive_machine_equilibria(narrow, work_bound=3) == [
+        ("const0", "const1")]
+    with pytest.raises(WorkBoundExceeded,
+                       match="^3 machine profiles exceed the bound 2$"):
+        exhaustive_machine_equilibria(narrow, work_bound=2)
+    # the profile bound is checked before epsilon
+    with pytest.raises(WorkBoundExceeded,
+                       match="^16 machine profiles exceed the bound 1$"):
+        exhaustive_machine_equilibria(roshambo, epsilon=-1, work_bound=1)
+
+
+def test_trusted_induced_game_matches_validated_build():
+    rng = random.Random(2010)
+    games = [_random_one_shot_game(rng) for _ in range(10)] + [
+        build_roshambo_game(), build_primality_game(5, F(1, 2)),
+        build_repeated_dilemma_game(6, DELTA, COST, charged=(True, False))]
+    for game in games:
+        induced = induced_machine_game(game)
+        validated = NormalFormGame(
+            induced.players, induced.actions, induced.payoffs)
+        assert vars(induced) == vars(validated)
+        assert all(type(v) is Fraction
+                   for vec in induced.payoffs.values() for v in vec)
 
 
 @pytest.mark.parametrize("bit_length", range(1, 11))
