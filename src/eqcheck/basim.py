@@ -258,10 +258,13 @@ def indicator_utilities(transcript: Transcript):
     return {p: value for p in transcript.scenario.players}
 
 
-def run(scenario: Scenario, protocol, round_cap=None,
-        utility_rule=None) -> Transcript:
+def run(scenario: Scenario, protocol, round_cap=None) -> Transcript:
     """Simulate synchronous rounds until every nonfaulty player has decided
-    or the round cap hits (reported as a timeout, not an error)."""
+    or the round cap hits (reported as a timeout, not an error).
+
+    The round cap defaults to 2n.  Every player's utility is the fixed
+    indicator_utilities rule: 1 when agreement and validity hold among the
+    nonfaulty players, else 0."""
     if protocol.requires_mediator and not scenario.mediator_present:
         raise InputError(
             f"protocol {protocol.name} needs the trusted relay node")
@@ -313,8 +316,7 @@ def run(scenario: Scenario, protocol, round_cap=None,
 
     transcript = Transcript(scenario, protocol.name, tuple(log), decisions,
                             decided_round, timed_out)
-    rule = utility_rule or indicator_utilities
-    transcript.utilities = dict(rule(transcript))
+    transcript.utilities = indicator_utilities(transcript)
     return transcript
 
 
@@ -429,8 +431,7 @@ class SweepReport:
 
 
 def sweep(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
-          preferences=(0, 1), round_cap=None,
-          utility_rule=None) -> SweepReport:
+          preferences=(0, 1)) -> SweepReport:
     """Run every (preference, fault set of size <= t, adversary assignment)
     combination, fault-free first within each preference."""
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
@@ -447,27 +448,24 @@ def sweep(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
             scenario = Scenario(
                 n, preference, faults=faults,
                 mediator_present=protocol.requires_mediator)
-            transcript = run(scenario, protocol, round_cap, utility_rule)
+            transcript = run(scenario, protocol)
             entries.append((scenario, transcript, check_ba(transcript)))
     return SweepReport(entries)
 
 
 def empirical_immunity(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
-                       preferences=(0, 1), round_cap=None,
-                       utility_rule=None) -> Verdict:
+                       preferences=(0, 1)) -> Verdict:
     """No nonfaulty player's utility drops below its fault-free baseline
     anywhere in the sweep.
 
     This is the simulation analogue of tolerating t arbitrary deviators,
     restricted to the named adversary library.
     """
-    return sweep(n, t, protocol, adversaries, preferences, round_cap,
-                 utility_rule).immunity()
+    return sweep(n, t, protocol, adversaries, preferences).immunity()
 
 
 def build_adversary_game(n, protocol, adversaries=DEFAULT_ADVERSARIES,
-                         preference=0, round_cap=None,
-                         utility_rule=None) -> NormalFormGame:
+                         preference=0) -> NormalFormGame:
     """The one-shot game where each player either follows the protocol or
     plays a library adversary; payoffs come from simulating each profile.
 
@@ -483,15 +481,13 @@ def build_adversary_game(n, protocol, adversaries=DEFAULT_ADVERSARIES,
         }
         scenario = Scenario(n, preference, faults=faults,
                             mediator_present=protocol.requires_mediator)
-        transcript = run(scenario, protocol, round_cap, utility_rule)
+        transcript = run(scenario, protocol)
         payoffs[key] = tuple(transcript.utilities[p] for p in players)
     return NormalFormGame(players, actions, payoffs)
 
 
-def build_preference_bayes_game(n, protocol,
-                                adversaries=DEFAULT_ADVERSARIES,
-                                round_cap=None,
-                                utility_rule=None) -> BayesianGame:
+def build_preference_bayes_game(
+        n, protocol, adversaries=DEFAULT_ADVERSARIES) -> BayesianGame:
     """The Bayesian version: the general's type is its preference (uniform
     over 0/1), every other player has one type, and actions are follow or
     a library adversary."""
@@ -509,7 +505,7 @@ def build_preference_bayes_game(n, protocol,
             }
             scenario = Scenario(n, preference, faults=faults,
                                 mediator_present=protocol.requires_mediator)
-            transcript = run(scenario, protocol, round_cap, utility_rule)
+            transcript = run(scenario, protocol)
             utilities[(tkey, akey)] = tuple(
                 transcript.utilities[p] for p in players)
     return BayesianGame(players, types, actions, prior, utilities)

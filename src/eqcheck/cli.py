@@ -18,8 +18,7 @@ import sys
 from .awareness import find_pure_generalized_nash, is_generalized_nash
 from .basim import DEFAULT_ADVERSARIES, PROTOCOLS, check_ba, run, sweep
 from .errors import EqcheckError, InputError, WorkBoundExceeded
-from .fileformat import (load_document, _generalized_profile_body,
-                         _scenario_body)
+from .fileformat import document_body, load_document
 from .machines import (comp_expected_utility, exhaustive_machine_equilibria,
                        is_machine_nash, tit_for_tat_threshold)
 from .rationals import format_rational, parse_rational
@@ -238,7 +237,7 @@ def _cmd_aware_find(args):
         "epsilon": format_rational(_epsilon(args)),
         "count": len(found),
         "equilibria": [
-            _generalized_profile_body(p)["strategies"] for p in found
+            document_body(p)[1]["strategies"] for p in found
         ],
     }
     lines = [f"pure generalized equilibria: {len(found)}"]
@@ -274,7 +273,7 @@ def _cmd_simulate_run(args):
     transcript = run(scenario, protocol)
     verdict = check_ba(transcript)
     report = {
-        "scenario": _scenario_body(scenario),
+        "scenario": document_body(scenario)[1],
         "transcript": _transcript_report(transcript),
         "verdict": verdict,
     }

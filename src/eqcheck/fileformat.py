@@ -1,9 +1,12 @@
 """JSON interchange for games, profiles, and simulator scenarios.
 
 Every document is a JSON object with `format: 1`, a `kind` tag, and a
-kind-specific body.  Rationals travel as strings ("3", "-5", "1/3");
-floats are rejected.  Unknown fields are errors, reported with a `$.path`
-field path; malformed JSON is reported with line and column.
+kind-specific body.  `format` and `kind` appear only at the top level: a
+nested object such as a repeated spec's `stage` or a machine game's
+`underlying` is a bare body, and either field there is an unknown field.
+Rationals travel as strings ("3", "-5", "1/3"); floats are rejected.
+Unknown fields are errors, reported with a `$.path` field path; malformed
+JSON is reported with line and column.
 
 serialize_document writes a canonical form: fixed field order, two-space
 indent, a trailing newline, and deterministic entry orders.  Serializing,
@@ -25,11 +28,6 @@ from .machines import ComputationalGame, OneShotMachine, \
 from .rationals import format_rational, parse_rational
 from .repeated import AUTOMATON_LIBRARY, RepeatedGameSpec
 from .trees import NATURE, ExtensiveGame
-
-KINDS = ("normal-form", "bayesian", "profile", "bayesian-profile",
-         "compgame", "repeated-spec", "awareness", "generalized-profile",
-         "scenario")
-
 
 class GameDocument:
     """A parsed document: its `kind` tag plus the materialized value."""
@@ -163,6 +161,23 @@ def _rational(value, path):
         raise ParseError(path, message) from None
 
 
+def _rational_map(value, path, depth):
+    """A JSON object `depth` levels deep with rationals at the leaves."""
+    obj = _as_object(value, path)
+    if depth == 1:
+        return {key: _rational(q, f"{path}.{key}") for key, q in obj.items()}
+    return {key: _rational_map(sub, f"{path}.{key}", depth - 1)
+            for key, sub in obj.items()}
+
+
+def _rational_map_body(mapping, depth):
+    """The inverse of _rational_map, with keys sorted at every level."""
+    if depth == 1:
+        return {key: format_rational(mapping[key]) for key in sorted(mapping)}
+    return {key: _rational_map_body(mapping[key], depth - 1)
+            for key in sorted(mapping)}
+
+
 def _check_fields(obj, path, required, optional=()):
     for key in obj:
         if key not in required and key not in optional:
@@ -234,8 +249,7 @@ def _payoff_arrays(actions, values_of):
 # normal-form games
 
 def _parse_normal_body(obj, path):
-    _check_fields(obj, path, required=("players", "actions", "payoffs"),
-                  optional=("format", "kind"))
+    _check_fields(obj, path, required=("players", "actions", "payoffs"))
     players = _string_array(obj["players"], f"{path}.players")
     actions = _parse_per_player_names(
         obj["actions"], f"{path}.actions", len(players), "action")
@@ -259,8 +273,7 @@ def _normal_body(game: NormalFormGame):
 def _parse_bayesian_body(obj, path):
     _check_fields(
         obj, path,
-        required=("players", "types", "actions", "prior", "utilities"),
-        optional=("format", "kind"))
+        required=("players", "types", "actions", "prior", "utilities"))
     players = _string_array(obj["players"], f"{path}.players")
     n = len(players)
     types = _parse_per_player_names(obj["types"], f"{path}.types", n, "type")
@@ -323,67 +336,31 @@ def _bayesian_body(game: BayesianGame):
 # profiles
 
 def _parse_profile_body(obj, path):
-    _check_fields(obj, path, required=(),
-                  optional=("format", "kind", "pure", "weights"))
+    _check_fields(obj, path, required=(), optional=("pure", "weights"))
     has_pure = "pure" in obj
     has_weights = "weights" in obj
     if has_pure == has_weights:
         raise ParseError(path, "expected exactly one of 'pure' and 'weights'")
     if has_pure:
         return ProfileDocument(pure=_string_array(obj["pure"], f"{path}.pure"))
-    weights = {}
-    for player, dist in _as_object(obj["weights"], f"{path}.weights").items():
-        ppath = f"{path}.weights.{player}"
-        weights[player] = {
-            action: _rational(q, f"{ppath}.{action}")
-            for action, q in _as_object(dist, ppath).items()
-        }
-    return ProfileDocument(weights=weights)
+    return ProfileDocument(
+        weights=_rational_map(obj["weights"], f"{path}.weights", 2))
 
 
 def _profile_body(doc: ProfileDocument):
     if doc.pure is not None:
         return {"pure": list(doc.pure)}
-    weights = {}
-    for player in sorted(doc.weights):
-        dist = doc.weights[player]
-        weights[player] = {
-            action: format_rational(dist[action]) for action in sorted(dist)
-        }
-    return {"weights": weights}
+    return {"weights": _rational_map_body(doc.weights, 2)}
 
 
 def _parse_bayes_profile_body(obj, path):
-    _check_fields(obj, path, required=("strategies",),
-                  optional=("format", "kind"))
-    strategies = {}
-    root = _as_object(obj["strategies"], f"{path}.strategies")
-    for player, per_type in root.items():
-        ppath = f"{path}.strategies.{player}"
-        rows = {}
-        for tname, dist in _as_object(per_type, ppath).items():
-            tpath = f"{ppath}.{tname}"
-            rows[tname] = {
-                action: _rational(q, f"{tpath}.{action}")
-                for action, q in _as_object(dist, tpath).items()
-            }
-        strategies[player] = rows
-    return BayesProfileDocument(strategies)
+    _check_fields(obj, path, required=("strategies",))
+    return BayesProfileDocument(
+        _rational_map(obj["strategies"], f"{path}.strategies", 3))
 
 
 def _bayes_profile_body(doc: BayesProfileDocument):
-    strategies = {}
-    for player in sorted(doc.strategies):
-        per_type = doc.strategies[player]
-        rows = {}
-        for tname in sorted(per_type):
-            dist = per_type[tname]
-            rows[tname] = {
-                action: format_rational(dist[action])
-                for action in sorted(dist)
-            }
-        strategies[player] = rows
-    return {"strategies": strategies}
+    return {"strategies": _rational_map_body(doc.strategies, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +371,14 @@ def _parse_machine(obj, path):
     _check_fields(obj, path, required=("id", "kind", "act", "complexity"))
     machine_id = _as_string(obj["id"], f"{path}.id")
     kind = _as_string(obj["kind"], f"{path}.kind")
-    act = {}
-    for tname, dist in _as_object(obj["act"], f"{path}.act").items():
-        tpath = f"{path}.act.{tname}"
-        act[tname] = {
-            action: _rational(q, f"{tpath}.{action}")
-            for action, q in _as_object(dist, tpath).items()
-        }
-    complexity = {
-        tname: _rational(c, f"{path}.complexity.{tname}")
-        for tname, c in _as_object(
-            obj["complexity"], f"{path}.complexity").items()
-    }
+    act = _rational_map(obj["act"], f"{path}.act", 2)
+    complexity = _rational_map(obj["complexity"], f"{path}.complexity", 1)
     return _build(path, lambda: OneShotMachine(machine_id, kind, act,
                                                complexity))
 
 
 def _parse_compgame_body(obj, path):
-    _check_fields(obj, path, required=("mode", "underlying", "machines"),
-                  optional=("format", "kind"))
+    _check_fields(obj, path, required=("mode", "underlying", "machines"))
     mode = _as_string(obj["mode"], f"{path}.mode")
     if mode != "one-shot":
         raise ParseError(
@@ -479,7 +445,7 @@ def _parse_repeated_body(obj, path):
     _check_fields(
         obj, path,
         required=("stage", "rounds", "discount", "memory_cost", "machines"),
-        optional=("format", "kind", "charged_players"))
+        optional=("charged_players",))
     stage = _parse_normal_body(
         _as_object(obj["stage"], f"{path}.stage"), f"{path}.stage")
     rounds = _as_int(obj["rounds"], f"{path}.rounds")
@@ -591,8 +557,7 @@ def _parse_augmented_game(obj, path):
 
 
 def _parse_awareness_body(obj, path):
-    _check_fields(obj, path, required=("games", "modeler", "F"),
-                  optional=("format", "kind"))
+    _check_fields(obj, path, required=("games", "modeler", "F"))
     games_arr = _as_array(obj["games"], f"{path}.games")
     if not games_arr:
         raise ParseError(f"{path}.games", "expected at least one game")
@@ -677,8 +642,7 @@ def _awareness_body(gwa: GameWithAwareness):
 
 
 def _parse_generalized_profile_body(obj, path):
-    _check_fields(obj, path, required=("strategies",),
-                  optional=("format", "kind"))
+    _check_fields(obj, path, required=("strategies",))
     strategies = {}
     for i, entry in enumerate(_as_array(obj["strategies"],
                                         f"{path}.strategies")):
@@ -689,30 +653,16 @@ def _parse_generalized_profile_body(obj, path):
                 _as_string(entry["game"], f"{epath}.game"))
         if pair in strategies:
             raise ParseError(epath, "duplicate (player, game) entry")
-        rows = {}
-        for label, dist in _as_object(entry["moves"],
-                                      f"{epath}.moves").items():
-            lpath = f"{epath}.moves.{label}"
-            rows[label] = {
-                move: _rational(q, f"{lpath}.{move}")
-                for move, q in _as_object(dist, lpath).items()
-            }
-        strategies[pair] = rows
+        strategies[pair] = _rational_map(entry["moves"], f"{epath}.moves", 2)
     return _build(path, lambda: GeneralizedProfile(strategies))
 
 
 def _generalized_profile_body(profile: GeneralizedProfile):
-    entries = []
-    for pair in sorted(profile.strategies):
-        per_label = profile.strategies[pair]
-        moves = {}
-        for label in sorted(per_label):
-            dist = per_label[label]
-            moves[label] = {
-                move: format_rational(dist[move]) for move in sorted(dist)
-            }
-        entries.append({"player": pair[0], "game": pair[1], "moves": moves})
-    return {"strategies": entries}
+    return {"strategies": [
+        {"player": pair[0], "game": pair[1],
+         "moves": _rational_map_body(profile.strategies[pair], 2)}
+        for pair in sorted(profile.strategies)
+    ]}
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +670,7 @@ def _generalized_profile_body(profile: GeneralizedProfile):
 
 def _parse_scenario_body(obj, path):
     _check_fields(obj, path, required=("n", "preference"),
-                  optional=("format", "kind", "general", "mediator_present",
-                            "faults"))
+                  optional=("general", "mediator_present", "faults"))
     n = _as_int(obj["n"], f"{path}.n")
     preference = _as_int(obj["preference"], f"{path}.preference")
     general = None
@@ -758,17 +707,24 @@ def _scenario_body(scenario: Scenario):
 # ---------------------------------------------------------------------------
 # entry points
 
-_PARSERS = {
-    "normal-form": _parse_normal_body,
-    "bayesian": _parse_bayesian_body,
-    "profile": _parse_profile_body,
-    "bayesian-profile": _parse_bayes_profile_body,
-    "compgame": _parse_compgame_body,
-    "repeated-spec": _parse_repeated_body,
-    "awareness": _parse_awareness_body,
-    "generalized-profile": _parse_generalized_profile_body,
-    "scenario": _parse_scenario_body,
+# kind -> (value class, body parser, body writer).  document_body gives a
+# value the first kind, in this order, whose class it is an instance of.
+_DOCUMENT_KINDS = {
+    "normal-form": (NormalFormGame, _parse_normal_body, _normal_body),
+    "bayesian": (BayesianGame, _parse_bayesian_body, _bayesian_body),
+    "profile": (ProfileDocument, _parse_profile_body, _profile_body),
+    "bayesian-profile": (BayesProfileDocument, _parse_bayes_profile_body,
+                         _bayes_profile_body),
+    "compgame": (ComputationalGame, _parse_compgame_body, _compgame_body),
+    "repeated-spec": (RepeatedSpecDocument, _parse_repeated_body,
+                      _repeated_body),
+    "awareness": (GameWithAwareness, _parse_awareness_body, _awareness_body),
+    "generalized-profile": (GeneralizedProfile,
+                            _parse_generalized_profile_body,
+                            _generalized_profile_body),
+    "scenario": (Scenario, _parse_scenario_body, _scenario_body),
 }
+KINDS = tuple(_DOCUMENT_KINDS)
 
 
 def parse_document(text: str) -> GameDocument:
@@ -787,9 +743,10 @@ def parse_document(text: str) -> GameDocument:
     if "kind" not in data:
         raise ParseError("$", "missing required field 'kind'")
     kind = data["kind"]
-    if kind not in _PARSERS:
+    if kind not in _DOCUMENT_KINDS:
         raise ParseError("$.kind", f"unknown document kind {kind!r}")
-    return GameDocument(kind, _PARSERS[kind](data, "$"))
+    body = {key: v for key, v in data.items() if key not in ("format", "kind")}
+    return GameDocument(kind, _DOCUMENT_KINDS[kind][1](body, "$"))
 
 
 def load_document(path) -> GameDocument:
@@ -801,30 +758,26 @@ def load_document(path) -> GameDocument:
     return parse_document(text)
 
 
-_SERIALIZERS = (
-    (NormalFormGame, "normal-form", _normal_body),
-    (BayesianGame, "bayesian", _bayesian_body),
-    (ProfileDocument, "profile", _profile_body),
-    (BayesProfileDocument, "bayesian-profile", _bayes_profile_body),
-    (ComputationalGame, "compgame", _compgame_body),
-    (RepeatedSpecDocument, "repeated-spec", _repeated_body),
-    (GameWithAwareness, "awareness", _awareness_body),
-    (GeneralizedProfile, "generalized-profile", _generalized_profile_body),
-    (Scenario, "scenario", _scenario_body),
-)
+def document_body(value):
+    """The kind tag and the JSON-ready body of a supported value's document.
+
+    The body is the document without its `format` and `kind` fields, in
+    canonical field and entry order.
+    """
+    if isinstance(value, GameDocument):
+        value = value.value
+    for kind, (cls, _, body_of) in _DOCUMENT_KINDS.items():
+        if isinstance(value, cls):
+            return kind, body_of(value)
+    raise InputError(
+        f"cannot serialize a {type(value).__name__} as a document")
 
 
 def serialize_document(value) -> str:
     """Canonical JSON text for a supported value; ends with a newline."""
-    if isinstance(value, GameDocument):
-        value = value.value
-    for cls, kind, body_of in _SERIALIZERS:
-        if isinstance(value, cls):
-            doc = {"format": 1, "kind": kind}
-            doc.update(body_of(value))
-            return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-    raise InputError(
-        f"cannot serialize a {type(value).__name__} as a document")
+    kind, body = document_body(value)
+    doc = {"format": 1, "kind": kind, **body}
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def write_document(value, path) -> None:

@@ -140,11 +140,17 @@ class ComputationalGame:
                 raise InputError("repeated mode needs a RepeatedGameSpec")
             if len(self.spaces) != 2:
                 raise InputError("repeated mode is 2-player")
-            for space in self.spaces:
+            for i, space in enumerate(self.spaces):
                 for machine in space:
                     if not isinstance(machine, RepeatedGameAutomaton):
                         raise InputError(
                             "repeated spaces must contain automata")
+                    for state in machine.states:
+                        action = machine.output[state]
+                        if action not in repeated_spec.stage.actions[i]:
+                            raise InputError(
+                                f"automaton {machine.id}: action {action!r} "
+                                f"not in the stage game")
             self.underlying = None
             self.repeated_spec = repeated_spec
             if charged is None:

@@ -46,11 +46,16 @@ class RepeatedGameAutomaton:
                 f"automaton {machine_id}: no output for state {missing[0]!r}")
         self.output = dict(output)
         self.transition = {}
+        known = set(self.states)
         for key, target in transition.items():
             if (not isinstance(key, tuple) or len(key) != 2
-                    or key[0] not in self.states):
+                    or key[0] not in known):
                 raise InputError(f"automaton {machine_id}: bad transition key {key!r}")
-            if target not in self.states:
+            try:
+                unknown = target not in known
+            except TypeError:  # unhashable, so not a state
+                unknown = True
+            if unknown:
                 raise InputError(
                     f"automaton {machine_id}: transition to unknown state {target!r}")
             self.transition[key] = target

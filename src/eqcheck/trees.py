@@ -28,8 +28,11 @@ ONE = Fraction(1)
 
 
 def _check_history(h, what):
-    if not isinstance(h, tuple) or any(
-            not isinstance(m, str) or not m for m in h):
+    # Only the last move: ExtensiveGame requires every history's parent to
+    # be an internal history, so each earlier move is the last move of a
+    # history that is checked on its own.
+    if not isinstance(h, tuple) or (h and (not isinstance(h[-1], str)
+                                           or not h[-1])):
         raise InputError(
             f"{what}: histories must be tuples of move names, got {h!r}")
 

@@ -367,3 +367,73 @@ def test_write_document_round_trips(tmp_path):
 def test_serialize_rejects_unsupported_values():
     with pytest.raises(InputError):
         serialize_document(42)
+
+
+def _bundled_obj(name):
+    with open(data.path(name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_format_and_kind_only_at_the_top_level():
+    obj = _bundled_obj("frpd.json")
+    obj["stage"]["format"] = 99
+    err = _error(obj)
+    assert (err.path, str(err)) == (
+        "$.stage.format", "$.stage.format: unknown field")
+    obj = _bundled_obj("roshambo.json")
+    obj["underlying"]["kind"] = "nonsense"
+    err = _error(obj)
+    assert (err.path, str(err)) == (
+        "$.underlying.kind", "$.underlying.kind: unknown field")
+
+
+_INLINE_DOCS = {
+    "profile": '{"format": 1, "kind": "profile", "weights": '
+               '{"p1": {"0": "1/2", "1": "1/2"}, "p2": {"0": "1"}}}',
+    "bayesian-profile": '{"format": 1, "kind": "bayesian-profile", '
+                        '"strategies": {"p1": {"lo": {"x": "1"}, '
+                        '"hi": {"y": "1"}}}}',
+}
+_NOT_OBJECT = "expected a JSON object"
+_NOT_STRING = "expected a rational written as a string"
+_MALFORMED = "malformed rational '1.5'"
+
+# One malformed inner object and three malformed leaves at each nested
+# rational map: (document, JSON node, replacement, ParseError.path, message)
+_NESTED_MAP_ERRORS = [
+    (doc, node, bad, path, message)
+    for doc, inner, inner_path, leaf, leaf_path in (
+        ("profile", ("weights", "p1"), "$.weights.p1", "0",
+         "$.weights.p1.0"),
+        ("bayesian-profile", ("strategies", "p1", "lo"),
+         "$.strategies.p1.lo", "x", "$.strategies.p1.lo.x"),
+        ("roshambo.json", ("machines", 0, 0, "act", "-"),
+         "$.machines[0][0].act.-", "0", "$.machines[0][0].act.-.0"),
+        ("roshambo.json", ("machines", 0, 0, "complexity"),
+         "$.machines[0][0].complexity", "-",
+         "$.machines[0][0].complexity.-"),
+        ("crossing_eq.json", ("strategies", 1, "moves", "A.3"),
+         "$.strategies[1].moves.A.3", "down_A",
+         "$.strategies[1].moves.A.3.down_A"),
+    )
+    for node, bad, path, message in (
+        (inner, [], inner_path, _NOT_OBJECT),
+        (inner + (leaf,), 1.5, leaf_path, _NOT_STRING),
+        (inner + (leaf,), True, leaf_path, _NOT_STRING),
+        (inner + (leaf,), "1.5", leaf_path, _MALFORMED),
+    )
+]
+
+
+@pytest.mark.parametrize("doc, node, bad, path, message", _NESTED_MAP_ERRORS)
+def test_nested_rational_map_errors(doc, node, bad, path, message):
+    if doc in _INLINE_DOCS:
+        obj = json.loads(_INLINE_DOCS[doc])
+    else:
+        obj = _bundled_obj(doc)
+    parent = obj
+    for key in node[:-1]:
+        parent = parent[key]
+    parent[node[-1]] = bad
+    err = _error(obj)
+    assert (err.path, str(err)) == (path, f"{path}: {message}")

@@ -18,8 +18,8 @@ from eqcheck.machines import (ComputationalGame, OneShotMachine,
                               zeroed_complexity, _is_prime)
 from eqcheck.repeated import (RepeatedGameAutomaton, RepeatedGameSpec,
                               all_defect, default_stage_game, defect_last,
-                              retaliating_defect_last, run_automata,
-                              tit_for_tat)
+                              library_space, retaliating_defect_last,
+                              run_automata, tit_for_tat)
 
 F = Fraction
 DELTA = F(9, 10)
@@ -320,6 +320,25 @@ def test_computational_game_validation():
         comp_expected_utility(roshambo, ("const0",))
     with pytest.raises(InputError):
         is_machine_nash(roshambo, ("const0", "const0"), epsilon=-1)
+
+
+def test_repeated_game_checks_automaton_outputs_when_built():
+    # player 0 has no D: tit_for_tat is the first machine, in space order,
+    # with an output outside its player's stage actions (all_d is next)
+    stage = NormalFormGame(
+        ("row", "col"), (("C", "x"), ("C", "D")),
+        {key: (F(0), F(0)) for key in itertools.product(range(2), repeat=2)})
+    names = ("all_c", "tit_for_tat", "all_d")
+    want = "automaton tit_for_tat: action 'D' not in the stage game"
+    space = library_space(names, 3)
+    with pytest.raises(InputError) as info:
+        ComputationalGame("repeated", (space, space),
+                          repeated_spec=RepeatedGameSpec(stage, 3, DELTA, 0))
+    assert str(info.value) == want
+    with pytest.raises(InputError) as info:
+        build_repeated_dilemma_game(3, DELTA, COST, space_names=names,
+                                    stage=stage)
+    assert str(info.value) == want
 
 
 # --- exact kernel, memoised enumeration and trusted construction ----------

@@ -123,6 +123,11 @@ def test_tree_construction_errors():
     with pytest.raises(InputError):
         ExtensiveGame(
             ("A",), {(): ("x",)}, {(): NATURE}, {}, {("x",): (1,)})
+    # a bad interior move, behind a well-formed last move
+    with pytest.raises(InputError):
+        ExtensiveGame(
+            ("A",), {(): ("x",)}, {(): "A"}, {(): "L"},
+            {("x",): (1,), (("x",), "x"): (0,)})
     # same label, different move lists
     with pytest.raises(InputError):
         ExtensiveGame(
