@@ -743,7 +743,7 @@ def parse_document(text: str) -> GameDocument:
     if "kind" not in data:
         raise ParseError("$", "missing required field 'kind'")
     kind = data["kind"]
-    if kind not in _DOCUMENT_KINDS:
+    if not isinstance(kind, str) or kind not in _DOCUMENT_KINDS:
         raise ParseError("$.kind", f"unknown document kind {kind!r}")
     body = {key: v for key, v in data.items() if key not in ("format", "kind")}
     return GameDocument(kind, _DOCUMENT_KINDS[kind][1](body, "$"))

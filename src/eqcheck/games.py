@@ -1,7 +1,8 @@
 """Finite normal-form and Bayesian games with exact equilibrium checks.
 
-Payoffs and probabilities are fractions.Fraction values throughout, so
-expected utilities are exact and equilibrium verdicts reduce to exact
+Payoffs and probabilities are fractions.Fraction values.  Mixed-profile
+utilities are summed exactly as ints over a common denominator, and every
+result is a Fraction, so equilibrium verdicts reduce to exact
 strict-inequality comparisons.  An epsilon argument widens every check to
 epsilon-equilibrium; epsilon must be a nonnegative rational.
 
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Mapping
 
 from .errors import InputError, WorkBoundExceeded
@@ -198,10 +201,20 @@ def _check_profile_shape(game: NormalFormGame, profile: MixedProfile):
                 f"for {len(game.actions[i])} actions")
 
 
+def _over_lcm(values):
+    """(d, ints): a sequence of rationals as ints over d, their lcm."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _support(profile: MixedProfile):
-    return [
-        [(a, w) for a, w in enumerate(row) if w != 0] for row in profile.weights
-    ]
+    """Each player's (d, actions, weights): nonzero weights as ints over d."""
+    rows = []
+    for row in profile.weights:
+        actions = [a for a, w in enumerate(row) if w]
+        d, weights = _over_lcm([row[a] for a in actions])
+        rows.append((d, actions, weights))
+    return rows
 
 
 def expected_utility(game: NormalFormGame, profile: MixedProfile):
@@ -210,25 +223,52 @@ def expected_utility(game: NormalFormGame, profile: MixedProfile):
     return _support_utilities(game, _support(profile))
 
 
+class _IntPayoffs(dict):
+    """key -> _over_lcm(payoffs[key]), converted when first read."""
+
+    def __missing__(self, key):
+        self[key] = entry = _over_lcm(self.payoffs[key])
+        return entry
+
+
+_INT_TABLES = weakref.WeakKeyDictionary()
+
+
+def _int_sums(game, keys, den, weights):
+    """Exact sum of weight * game.payoffs[key] per player, the weights ints
+    over den: the one utility kernel.  Converted entries are kept per game
+    in _INT_TABLES, outside its attributes, for as long as it lives."""
+    table = _INT_TABLES.get(game)
+    if table is None:
+        table = _INT_TABLES[game] = _IntPayoffs()
+        table.payoffs = game.payoffs
+    ds, rows = zip(*map(table.__getitem__, keys))
+    lcm = math.lcm(*ds)
+    weights = list(map(mul, weights, map(lcm.__floordiv__, ds)))
+    return tuple(
+        Fraction(sum(map(mul, weights, map(itemgetter(i), rows))), den * lcm)
+        for i in range(len(game.players)))
+
+
 def _support_utilities(game: NormalFormGame, support):
-    """Exact expected payoff vector over one (action, weight) row per
-    player, as built by _support."""
-    totals = [ZERO] * game.n_players
-    for combo in itertools.product(*support):
-        prob = Fraction(1)
-        for _, w in combo:
-            prob *= w
-        vec = game.payoffs[tuple(a for a, _ in combo)]
-        for i in range(game.n_players):
-            totals[i] += prob * vec[i]
-    return tuple(totals)
+    """Exact expected payoff vector over _support's rows, one per player."""
+    return _int_sums(
+        game, itertools.product(*(acts for _, acts, _ in support)),
+        math.prod(d for d, _, _ in support),
+        map(math.prod, itertools.product(*(ws for _, _, ws in support))))
 
 
-def _utility_of_pure_against(game, profile, player_index, action_index):
-    """Player's exact utility when they play a pure action against the rest."""
+def _mixed_after(game, profile):
+    """after(group, joint): utilities when group plays joint and the rest
+    keep profile (of the game's shape), whose rows are converted once."""
     support = _support(profile)
-    support[player_index] = [(action_index, Fraction(1))]
-    return _support_utilities(game, support)[player_index]
+
+    def after(group, joint):
+        rows = list(support)
+        for i, a in zip(group, joint):
+            rows[i] = (1, (a,), (1,))
+        return _support_utilities(game, rows)
+    return after
 
 
 def best_response_value(game: NormalFormGame, player, profile: MixedProfile):
@@ -241,9 +281,8 @@ def best_response_value(game: NormalFormGame, player, profile: MixedProfile):
     i = game.player_index(player) if isinstance(player, str) else player
     if not isinstance(i, int) or i < 0 or i >= game.n_players:
         raise InputError(f"unknown player id {player!r}")
-    return max(
-        _utility_of_pure_against(game, profile, i, a)
-        for a in range(len(game.actions[i])))
+    after = _mixed_after(game, profile)
+    return max(after((i,), (a,))[i] for a in range(len(game.actions[i])))
 
 
 def _check_epsilon(epsilon):
@@ -262,9 +301,10 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, epsilon=0) -> Verdict:
     eps = _check_epsilon(epsilon)
     _check_profile_shape(game, profile)
     base = expected_utility(game, profile)
+    after = _mixed_after(game, profile)
     for i in range(game.n_players):
         for a in range(len(game.actions[i])):
-            value = _utility_of_pure_against(game, profile, i, a)
+            value = after((i,), (a,))[i]
             if value > base[i] + eps:
                 player = game.players[i]
                 action = game.actions[i][a]

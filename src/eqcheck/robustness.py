@@ -13,18 +13,16 @@ over joint deviations, a mixed deviation can never beat the best pure one
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from enum import Enum
-from fractions import Fraction
 
 from .errors import InputError, WorkBoundExceeded
 from .games import (DEFAULT_WORK_BOUND, MixedProfile, NormalFormGame,
-                    _check_epsilon, _check_profile_shape, _support,
-                    _support_utilities, bounded_product, expected_utility)
+                    _check_epsilon, _check_profile_shape, _mixed_after,
+                    bounded_product, expected_utility)
 from .verdicts import Verdict, Witness
-
-ONE = Fraction(1)
 
 
 class ResilienceSemantics(Enum):
@@ -75,10 +73,7 @@ def utilities_under_joint_deviation(game, profile, deviators, joint):
     if len(set(deviators)) != len(deviators):
         raise InputError(
             f"joint deviation: repeated player index in {deviators!r}")
-    support = _support(profile)
-    for i, a in zip(deviators, joint):
-        support[i] = [(a, ONE)]
-    return _support_utilities(game, support)
+    return _mixed_after(game, profile)(deviators, joint)
 
 
 def _groups(n, max_size):
@@ -96,11 +91,6 @@ def _joint_deviations(game, groups, after):
         ranges = [range(len(game.actions[i])) for i in group]
         for joint in itertools.product(*ranges):
             yield group, joint, after(group, joint)
-
-
-def _mixed_after(game, profile):
-    return lambda group, joint: utilities_under_joint_deviation(
-        game, profile, group, joint)
 
 
 def _first_breach(game, groups, after, breach):
@@ -328,8 +318,8 @@ def _extremum(game, profile, group, scope, pick):
     """pick (max or min) of each scope player's utility over all joint pure
     deviations of group."""
     found = {}
-    for _, _, after in _joint_deviations(game, (group,),
-                                         _mixed_after(game, profile)):
+    checked = functools.partial(utilities_under_joint_deviation, game, profile)
+    for _, _, after in _joint_deviations(game, (group,), checked):
         for i in scope:
             found[i] = pick(found[i], after[i]) if i in found else after[i]
     return {game.players[i]: v for i, v in found.items()}

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .errors import InputError
 from .games import (DEFAULT_ENTRY_BOUND, NormalFormGame, _check_names,
-                    bounded_product)
+                    _int_sums, _over_lcm, bounded_product)
 from .rationals import as_fraction
 
 NATURE = "nature"
@@ -263,17 +263,12 @@ def _walk(game: ExtensiveGame, moves_at):
 def _children(h, prob, row):
     for m, q in row:
         if q != 0:
-            yield h + (m,), prob * q
+            yield h + (m,), prob if q == 1 else prob * q
 
 
 def _payoff_vector(game: ExtensiveGame, dist):
     """Exact expected payoff vector of a terminal-history distribution."""
-    totals = [ZERO] * len(game.players)
-    for h, p in dist.items():
-        vec = game.payoffs[h]
-        for i in range(len(totals)):
-            totals[i] += p * vec[i]
-    return tuple(totals)
+    return _int_sums(game, dist, *_over_lcm(list(dist.values())))
 
 
 def outcome_distribution(game: ExtensiveGame, strategy: Mapping):

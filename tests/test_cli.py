@@ -113,6 +113,17 @@ def test_wrong_document_kind(capsys):
     assert "expected a normal-form document" in err
 
 
+@pytest.mark.parametrize("kind", [[], {}, {"z": "1"}])
+def test_non_string_kind_exits_2(capsys, tmp_path, kind):
+    with open(path("crossing_p3.json"), encoding="utf-8") as handle:
+        doc = dict(json.load(handle), kind=kind)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "aware", "validate", "--game", str(bad))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "$.kind: unknown document kind" in err
+
+
 def test_bad_usage_and_help(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -387,6 +387,13 @@ def test_format_and_kind_only_at_the_top_level():
         "$.underlying.kind", "$.underlying.kind: unknown field")
 
 
+@pytest.mark.parametrize("kind", [[], {}, {"z": "1"}])
+def test_non_string_kind_is_a_parse_error(kind):
+    err = _error(dict(_bundled_obj("crossing_p3.json"), kind=kind))
+    assert (err.path, str(err)) == (
+        "$.kind", f"$.kind: unknown document kind {kind!r}")
+
+
 _INLINE_DOCS = {
     "profile": '{"format": 1, "kind": "profile", "weights": '
                '{"p1": {"0": "1/2", "1": "1/2"}, "p2": {"0": "1"}}}',

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ from eqcheck.games import (BayesianGame, BayesianStrategyProfile,
                            MixedProfile, NormalFormGame,
                            bayes_expected_utility, best_response_value,
                            expected_utility, is_bayes_nash, is_nash)
+from eqcheck.machines import build_repeated_dilemma_game, induced_machine_game
+from eqcheck.robustness import utilities_under_joint_deviation
 
 F = Fraction
 
@@ -170,3 +174,123 @@ def test_follow_mediator_is_bayes_nash():
     profile = BayesianStrategyProfile.pure(game, choices)
     assert bayes_expected_utility(game, profile) == (1, 1, 1, 1)
     assert is_bayes_nash(game, profile).holds
+
+
+# --- integer utility kernel against the plain Fraction loop ------------------
+
+DENOMINATORS = (1, 2, 3, 7, 1_000_000_007)
+
+
+def _reference_support(profile):
+    return [[(a, w) for a, w in enumerate(row) if w != 0]
+            for row in profile.weights]
+
+
+def _reference_support_utilities(game, support):
+    """Expected payoff vector over (action, weight) rows as a plain
+    Fraction multiply-add loop."""
+    totals = [F(0)] * game.n_players
+    for combo in itertools.product(*support):
+        prob = F(1)
+        for _, w in combo:
+            prob *= w
+        vec = game.payoffs[tuple(a for a, _ in combo)]
+        for i in range(game.n_players):
+            totals[i] += prob * vec[i]
+    return tuple(totals)
+
+
+def _reference_after(game, profile, deviators, joint):
+    support = _reference_support(profile)
+    for i, a in zip(deviators, joint):
+        support[i] = [(a, F(1))]
+    return _reference_support_utilities(game, support)
+
+
+def _reference_nash_data(game, profile):
+    """None, or the witness data of the first improving (player, action)."""
+    base = _reference_support_utilities(game, _reference_support(profile))
+    for i in range(game.n_players):
+        for a in range(len(game.actions[i])):
+            value = _reference_after(game, profile, (i,), (a,))[i]
+            if value > base[i]:
+                return {"player": game.players[i],
+                        "action": game.actions[i][a],
+                        "utility_before": base[i], "utility_after": value,
+                        "gain": value - base[i]}
+    return None
+
+
+def _exact(got, want):
+    assert got == want
+    assert all(type(v) is Fraction for v in got)
+
+
+def _random_payoff_game(rng):
+    n = rng.randint(1, 4)
+    actions = tuple(tuple(f"a{k}" for k in range(rng.randint(1, 3)))
+                    for _ in range(n))
+    payoffs = {
+        key: tuple(F(rng.choice((0, rng.randint(-30, 30))),
+                     rng.choice(DENOMINATORS)) for _ in range(n))
+        for key in itertools.product(*(range(len(a)) for a in actions))}
+    return NormalFormGame(tuple(f"p{i}" for i in range(n)), actions, payoffs)
+
+
+def _random_mixed_profile(game, rng):
+    rows = []
+    for acts in game.actions:
+        parts = [F(rng.choice((0, rng.randint(1, 9))), rng.choice(DENOMINATORS))
+                 for _ in acts]
+        if not any(parts):
+            parts[rng.randrange(len(parts))] = F(1)
+        rows.append(tuple(p / sum(parts) for p in parts))
+    return MixedProfile(rows)
+
+
+def _compare_with_reference(game, profile):
+    _exact(expected_utility(game, profile),
+           _reference_support_utilities(game, _reference_support(profile)))
+    for i in range(game.n_players):
+        want = max(_reference_after(game, profile, (i,), (a,))[i]
+                   for a in range(len(game.actions[i])))
+        got = best_response_value(game, i, profile)
+        _exact((got,), (want,))
+    verdict = is_nash(game, profile)
+    data = _reference_nash_data(game, profile)
+    assert verdict.holds == (data is None)
+    if data is not None:
+        assert verdict.witness.data == data
+        assert all(type(verdict.witness.data[key]) is Fraction
+                   for key in ("utility_before", "utility_after", "gain"))
+    for size in (1, 2):
+        for group in itertools.combinations(range(game.n_players), size):
+            for joint in itertools.product(
+                    *(range(len(game.actions[i])) for i in group)):
+                _exact(utilities_under_joint_deviation(
+                           game, profile, group, joint),
+                       _reference_after(game, profile, group, joint))
+
+
+def test_int_kernel_matches_fraction_loop():
+    """Random 1-4 player games mixing payoff denominators and signs, under
+    profiles with non-uniform, zero and pure rows."""
+    rng = random.Random(8008)
+    for _ in range(60):
+        game = _random_payoff_game(rng)
+        profiles = [_random_mixed_profile(game, rng), MixedProfile.uniform(game),
+                    MixedProfile.pure(game, tuple(
+                        rng.randrange(len(a)) for a in game.actions))]
+        for profile in profiles:
+            _compare_with_reference(game, profile)
+
+
+def test_int_kernel_on_a_trusted_induced_game():
+    """induced_machine_game builds its NormalFormGame without __init__;
+    the discounted payoffs have denominators up to 10**6."""
+    game = induced_machine_game(build_repeated_dilemma_game(
+        6, F(9, 10), F(1, 10), charged=(True, False)))
+    rng = random.Random(77)
+    for profile in (MixedProfile.uniform(game),
+                    _random_mixed_profile(game, rng)):
+        _compare_with_reference(game, profile)

@@ -214,6 +214,74 @@ def test_walker_matches_recursive_reference():
             canon, "modeler", profile) == payoffs
 
 
+DENOMINATORS = (1, 2, 3, 7, 1_000_000_007)
+
+
+def _fractional_tree(rng):
+    """A random tree with fractional leaf payoffs (zeros and both signs)
+    and fractional chance probabilities over mixed denominators."""
+    base = random_extensive_game(rng)
+
+    def fraction():
+        return F(rng.choice((0, rng.randint(-30, 30))), rng.choice(DENOMINATORS))
+
+    payoffs = {h: tuple(fraction() for _ in base.players) for h in base.payoffs}
+    nature = {}
+    for h, dist in base.nature_probs.items():
+        parts = [abs(fraction()) for _ in dist]
+        if not any(parts):
+            parts[0] = F(1)
+        nature[h] = {m: p / sum(parts) for m, p in zip(dist, parts)}
+    return ExtensiveGame(base.players, base.moves, base.owner, base.infosets,
+                         payoffs, nature)
+
+
+def _fractional_strategy(game, rng):
+    strategy = {}
+    for label in game.labels:
+        moves = game.label_moves(label)
+        if rng.random() < 0.4:
+            strategy[label] = {rng.choice(moves): F(1)}
+            continue
+        parts = [F(rng.randint(0, 9), rng.choice(DENOMINATORS)) for _ in moves]
+        if not any(parts):
+            parts[0] = F(1)
+        strategy[label] = {m: p / sum(parts) for m, p in zip(moves, parts)}
+    return strategy
+
+
+def _reference_fold(game, dist):
+    """Expected payoff vector of a terminal distribution as a plain
+    Fraction multiply-add loop."""
+    totals = [F(0)] * len(game.players)
+    for h, p in dist.items():
+        for i, v in enumerate(game.payoffs[h]):
+            totals[i] += p * v
+    return tuple(totals)
+
+
+def test_payoff_fold_matches_fraction_loop_on_fractional_trees():
+    rng = random.Random(8080)
+    for _ in range(200):
+        game = _fractional_tree(rng)
+        strategy = _fractional_strategy(game, rng)
+        reference = _reference_walk(game, strategy)
+        dist = outcome_distribution(game, strategy)
+        assert list(dist.items()) == list(reference.items())
+        assert all(type(p) is Fraction for p in dist.values())
+        want = _reference_fold(game, reference)
+        got = expected_payoffs(game, strategy)
+        assert got == want and all(type(v) is Fraction for v in got)
+        pieces = {}
+        for label in game.labels:
+            pair = (game.label_owner(label), "modeler")
+            pieces.setdefault(pair, {})[label] = strategy[label]
+        lookup = awareness.expected_utilities(
+            awareness.canonical_representation(game), "modeler",
+            awareness.GeneralizedProfile(pieces))
+        assert lookup == want and all(type(v) is Fraction for v in lookup)
+
+
 def _deep_chain(depth):
     """One player: stop (pays 0) or go at the root, then go only, down to
     a leaf depth moves below the root that pays 1."""
