@@ -22,7 +22,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import InputError
-from .games import BayesianGame, NormalFormGame
+from .games import (DEFAULT_ENTRY_BOUND, BayesianGame, NormalFormGame,
+                    bounded_product)
 from .verdicts import Verdict, Witness
 
 MEDIATOR_ID = "mediator"
@@ -474,6 +475,9 @@ def build_adversary_game(n, protocol, adversaries=DEFAULT_ADVERSARIES,
     """
     players = tuple(f"p{i}" for i in range(n))
     actions = tuple(("follow",) + tuple(adversaries) for _ in players)
+    # refuse the table before simulating it, as the constructor would after
+    bounded_product((len(a) for a in actions), DEFAULT_ENTRY_BOUND,
+                    "payoff entries")
     payoffs = {}
     for key in itertools.product(range(1 + len(adversaries)), repeat=n):
         faults = {
@@ -494,6 +498,8 @@ def build_preference_bayes_game(
     players = tuple(f"p{i}" for i in range(n))
     types = tuple(("0", "1") if p == players[0] else ("-",) for p in players)
     actions = tuple(("follow",) + tuple(adversaries) for _ in players)
+    bounded_product([len(t) for t in types] + [len(a) for a in actions],
+                    DEFAULT_ENTRY_BOUND, "utility entries")
     prior = {(t,) + (0,) * (n - 1): Fraction(1, 2) for t in range(2)}
     utilities = {}
     for tkey in prior:

@@ -19,6 +19,7 @@ from .awareness import find_pure_generalized_nash, is_generalized_nash
 from .basim import DEFAULT_ADVERSARIES, PROTOCOLS, check_ba, run, sweep
 from .errors import EqcheckError, InputError, WorkBoundExceeded
 from .fileformat import document_body, load_document
+from .games import DEFAULT_WORK_BOUND
 from .machines import (comp_expected_utility, exhaustive_machine_equilibria,
                        is_machine_nash, tit_for_tat_threshold)
 from .rationals import format_rational, parse_rational
@@ -40,17 +41,16 @@ def _epsilon(args):
     return parse_rational(args.epsilon, "--epsilon")
 
 
-def _bound_kwargs(args):
-    if getattr(args, "work_bound", None) is None:
-        return {}
-    return {"work_bound": args.work_bound}
+def _query(args):
+    return RobustnessQuery(
+        args.k, args.t, epsilon=_epsilon(args),
+        semantics=ResilienceSemantics[args.semantics.upper()])
 
 
 def _emit(args, report, lines):
     """Print the text lines, or the JSON report inside the envelope every
     subcommand shares: "format" and "command" come first."""
-    fmt = getattr(args, "format", None) or getattr(args, "report", "text")
-    if fmt == "json":
+    if args.format == "json":
         report = {"format": 1, "command": [args.command, args.subcommand],
                   **report}
         print(json.dumps(to_jsonable(report), indent=2, ensure_ascii=False))
@@ -79,10 +79,8 @@ def _verdict_lines(label, verdict):
 def _cmd_check_robust(args):
     game = _load(args.game, "normal-form")
     profile = _load(args.profile, "profile").bind(game)
-    query = RobustnessQuery(
-        args.k, args.t, epsilon=_epsilon(args),
-        semantics=ResilienceSemantics[args.semantics.upper()])
-    verdict = check_robust(game, profile, query, **_bound_kwargs(args))
+    verdict = check_robust(game, profile, _query(args),
+                           work_bound=args.work_bound)
     report = {
         "game": args.game,
         "profile": args.profile,
@@ -99,10 +97,8 @@ def _cmd_check_robust(args):
 
 def _cmd_enumerate_pure_robust(args):
     game = _load(args.game, "normal-form")
-    query = RobustnessQuery(
-        args.k, args.t, epsilon=_epsilon(args),
-        semantics=ResilienceSemantics[args.semantics.upper()])
-    profiles = enumerate_pure_robust(game, query, **_bound_kwargs(args))
+    profiles = enumerate_pure_robust(game, _query(args),
+                                     work_bound=args.work_bound)
     report = {
         "game": args.game,
         "k": args.k,
@@ -139,7 +135,7 @@ def _cmd_compgame_check(args):
 def _cmd_compgame_enumerate(args):
     game = _load(args.game, "compgame")
     found = exhaustive_machine_equilibria(
-        game, epsilon=_epsilon(args), **_bound_kwargs(args))
+        game, epsilon=_epsilon(args), work_bound=args.work_bound)
     report = {
         "game": args.game,
         "epsilon": format_rational(_epsilon(args)),
@@ -231,7 +227,7 @@ def _cmd_aware_check(args):
 def _cmd_aware_find(args):
     gwa = _load(args.game, "awareness")
     found = find_pure_generalized_nash(
-        gwa, epsilon=_epsilon(args), **_bound_kwargs(args))
+        gwa, epsilon=_epsilon(args), work_bound=args.work_bound)
     report = {
         "game": args.game,
         "epsilon": format_rational(_epsilon(args)),
@@ -336,28 +332,78 @@ def _cmd_simulate_ba(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each flag means the same on every subcommand that takes it
 
-def _add_format(parser):
-    parser.add_argument("--format", choices=("json", "text"),
-                        default="text", help="report style")
+_FLAGS = {
+    "--game": dict(required=True),
+    "--profile": dict(required=True),
+    "--k": dict(type=int, required=True,
+                help="largest coalition that must not gain"),
+    "--t": dict(type=int, required=True,
+                help="deviator count the rest must tolerate"),
+    "--semantics": dict(choices=("strong", "weak"), default="strong"),
+    "--epsilon": dict(default="0",
+                      help="slack as an exact rational, e.g. 1/100"),
+    "--work-bound": dict(type=int, default=DEFAULT_WORK_BOUND,
+                         help="cap on enumerated cases before giving up"),
+    "--format": dict(choices=("json", "text"), default="text",
+                     help="report style"),
+    "--machines": dict(required=True,
+                       help="comma-separated machine ids, one per player"),
+    "--spec": dict(required=True),
+    "--m1": dict(required=True),
+    "--m2": dict(required=True),
+    "--nmax": dict(type=int, required=True),
+    "--n": dict(type=int, required=True),
+    "--adversaries": dict(default=",".join(DEFAULT_ADVERSARIES),
+                          help="comma-separated adversary names"),
+    "--scenario": dict(required=True),
+    "--protocol": dict(choices=sorted(PROTOCOLS), default="mediator"),
+    "--report": dict(dest="format", choices=("json", "text"),
+                     default="text", help="report style"),
+}
 
-
-def _add_epsilon(parser):
-    parser.add_argument("--epsilon", default="0",
-                        help="slack as an exact rational, e.g. 1/100")
-
-
-def _add_work_bound(parser):
-    parser.add_argument("--work-bound", type=int, default=None,
-                        help="cap on enumerated cases before giving up")
-
-
-def _add_simulator_common(parser):
-    parser.add_argument("--protocol", choices=sorted(PROTOCOLS),
-                        default="mediator")
-    parser.add_argument("--report", choices=("json", "text"),
-                        default="text", help="report style")
+# command: (help, {subcommand: (help, handler, flags in help order)})
+_COMMANDS = {
+    "check": ("verify a profile against a game", {
+        "robust": ("joint resilience and immunity check", _cmd_check_robust,
+                   "--game --profile --k --t --semantics --epsilon "
+                   "--work-bound --format"),
+    }),
+    "enumerate": ("search a game exhaustively", {
+        "pure-robust": ("all pure profiles passing the robust check",
+                        _cmd_enumerate_pure_robust,
+                        "--game --k --t --semantics --epsilon --work-bound "
+                        "--format"),
+    }),
+    "compgame": ("machine-choice games with complexity costs", {
+        "check": ("is one machine profile stable", _cmd_compgame_check,
+                  "--game --machines --epsilon --format"),
+        "enumerate": ("all stable machine profiles", _cmd_compgame_enumerate,
+                      "--game --epsilon --work-bound --format"),
+    }),
+    "repeated": ("finitely repeated play between automata", {
+        "run": ("play two machines against each other", _cmd_repeated_run,
+                "--spec --m1 --m2 --format"),
+        "threshold": ("least horizon making mutual tit_for_tat stable",
+                      _cmd_repeated_threshold,
+                      "--spec --nmax --epsilon --format"),
+    }),
+    "aware": ("games where players may be unaware of moves", {
+        "validate": ("check the belief map's consistency conditions",
+                     _cmd_aware_validate, "--game --format"),
+        "check": ("is a generalized profile an equilibrium", _cmd_aware_check,
+                  "--game --profile --epsilon --format"),
+        "find": ("enumerate pure generalized equilibria", _cmd_aware_find,
+                 "--game --epsilon --work-bound --format"),
+    }),
+    "simulate": ("synchronous broadcast agreement runs", {
+        "ba": ("sweep fault assignments and check immunity",
+               _cmd_simulate_ba, "--n --t --adversaries --protocol --report"),
+        "run": ("replay one scenario file", _cmd_simulate_run,
+                "--scenario --protocol --report"),
+    }),
+}
 
 
 def _build_parser():
@@ -367,124 +413,24 @@ def _build_parser():
                     "machine-choice games, games with unawareness, and a "
                     "synchronous agreement simulator.")
     top = parser.add_subparsers(dest="command", required=True)
-
-    check = top.add_parser("check", help="verify a profile against a game")
-    check_sub = check.add_subparsers(dest="subcommand", required=True)
-    robust = check_sub.add_parser(
-        "robust", help="joint resilience and immunity check")
-    robust.add_argument("--game", required=True)
-    robust.add_argument("--profile", required=True)
-    robust.add_argument("--k", type=int, required=True,
-                        help="largest coalition that must not gain")
-    robust.add_argument("--t", type=int, required=True,
-                        help="deviator count the rest must tolerate")
-    robust.add_argument("--semantics", choices=("strong", "weak"),
-                        default="strong")
-    _add_epsilon(robust)
-    _add_work_bound(robust)
-    _add_format(robust)
-    robust.set_defaults(handler=_cmd_check_robust)
-
-    enum = top.add_parser("enumerate", help="search a game exhaustively")
-    enum_sub = enum.add_subparsers(dest="subcommand", required=True)
-    pure = enum_sub.add_parser(
-        "pure-robust", help="all pure profiles passing the robust check")
-    pure.add_argument("--game", required=True)
-    pure.add_argument("--k", type=int, required=True)
-    pure.add_argument("--t", type=int, required=True)
-    pure.add_argument("--semantics", choices=("strong", "weak"),
-                      default="strong")
-    _add_epsilon(pure)
-    _add_work_bound(pure)
-    _add_format(pure)
-    pure.set_defaults(handler=_cmd_enumerate_pure_robust)
-
-    comp = top.add_parser("compgame",
-                          help="machine-choice games with complexity costs")
-    comp_sub = comp.add_subparsers(dest="subcommand", required=True)
-    comp_check = comp_sub.add_parser(
-        "check", help="is one machine profile stable")
-    comp_check.add_argument("--game", required=True)
-    comp_check.add_argument("--machines", required=True,
-                            help="comma-separated machine ids, one per "
-                                 "player")
-    _add_epsilon(comp_check)
-    _add_format(comp_check)
-    comp_check.set_defaults(handler=_cmd_compgame_check)
-    comp_enum = comp_sub.add_parser(
-        "enumerate", help="all stable machine profiles")
-    comp_enum.add_argument("--game", required=True)
-    _add_epsilon(comp_enum)
-    _add_work_bound(comp_enum)
-    _add_format(comp_enum)
-    comp_enum.set_defaults(handler=_cmd_compgame_enumerate)
-
-    rep = top.add_parser("repeated",
-                         help="finitely repeated play between automata")
-    rep_sub = rep.add_subparsers(dest="subcommand", required=True)
-    rep_run = rep_sub.add_parser("run", help="play two machines against "
-                                             "each other")
-    rep_run.add_argument("--spec", required=True)
-    rep_run.add_argument("--m1", required=True)
-    rep_run.add_argument("--m2", required=True)
-    _add_format(rep_run)
-    rep_run.set_defaults(handler=_cmd_repeated_run)
-    rep_thr = rep_sub.add_parser(
-        "threshold",
-        help="least horizon making mutual tit_for_tat stable")
-    rep_thr.add_argument("--spec", required=True)
-    rep_thr.add_argument("--nmax", type=int, required=True)
-    _add_epsilon(rep_thr)
-    _add_format(rep_thr)
-    rep_thr.set_defaults(handler=_cmd_repeated_threshold)
-
-    aware = top.add_parser("aware",
-                           help="games where players may be unaware of moves")
-    aware_sub = aware.add_subparsers(dest="subcommand", required=True)
-    aware_val = aware_sub.add_parser(
-        "validate", help="check the belief map's consistency conditions")
-    aware_val.add_argument("--game", required=True)
-    _add_format(aware_val)
-    aware_val.set_defaults(handler=_cmd_aware_validate)
-    aware_check = aware_sub.add_parser(
-        "check", help="is a generalized profile an equilibrium")
-    aware_check.add_argument("--game", required=True)
-    aware_check.add_argument("--profile", required=True)
-    _add_epsilon(aware_check)
-    _add_format(aware_check)
-    aware_check.set_defaults(handler=_cmd_aware_check)
-    aware_find = aware_sub.add_parser(
-        "find", help="enumerate pure generalized equilibria")
-    aware_find.add_argument("--game", required=True)
-    _add_epsilon(aware_find)
-    _add_work_bound(aware_find)
-    _add_format(aware_find)
-    aware_find.set_defaults(handler=_cmd_aware_find)
-
-    sim = top.add_parser("simulate",
-                         help="synchronous broadcast agreement runs")
-    sim_sub = sim.add_subparsers(dest="subcommand", required=True)
-    sim_ba = sim_sub.add_parser(
-        "ba", help="sweep fault assignments and check immunity")
-    sim_ba.add_argument("--n", type=int, required=True)
-    sim_ba.add_argument("--t", type=int, required=True)
-    sim_ba.add_argument("--adversaries",
-                        default=",".join(DEFAULT_ADVERSARIES),
-                        help="comma-separated adversary names")
-    _add_simulator_common(sim_ba)
-    sim_ba.set_defaults(handler=_cmd_simulate_ba)
-    sim_run = sim_sub.add_parser("run", help="replay one scenario file")
-    sim_run.add_argument("--scenario", required=True)
-    _add_simulator_common(sim_run)
-    sim_run.set_defaults(handler=_cmd_simulate_run)
-
+    for command, (help_text, subcommands) in _COMMANDS.items():
+        sub = top.add_parser(command, help=help_text).add_subparsers(
+            dest="subcommand", required=True)
+        for name, (sub_help, handler, flags) in subcommands.items():
+            leaf = sub.add_parser(name, help=sub_help)
+            for flag in flags.split():
+                leaf.add_argument(flag, **_FLAGS[flag])
+            leaf.set_defaults(handler=handler)
     return parser
 
 
+# built once: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

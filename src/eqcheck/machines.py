@@ -26,7 +26,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, WorkBoundExceeded
+from .errors import InputError
 from .games import (DEFAULT_ENTRY_BOUND, DEFAULT_WORK_BOUND, BayesianGame,
                     NormalFormGame, _check_epsilon, _trusted, bounded_product)
 from .rationals import as_fraction
@@ -421,11 +421,7 @@ def build_primality_game(bit_length, cost_per_bit,
     lo = 1 if bit_length == 1 else 1 << (bit_length - 1)
     hi = 1 << bit_length
     count = hi - lo
-    if count * 3 > entry_bound:
-        raise WorkBoundExceeded(
-            f"{count} types need {count * 3} utility entries, bound is "
-            f"{entry_bound}",
-            required=count * 3, bound=entry_bound)
+    bounded_product((count, 3), entry_bound, "utility entries")
 
     types = tuple(str(x) for x in range(lo, hi))
     actions = ("guess-prime", "guess-composite", "safe")
@@ -516,24 +512,19 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
     if stage is None:
         stage = default_stage_game()
 
-    symmetric = None
-    for rounds in range(1, n_max + 1):
-        game = build_repeated_dilemma_game(
-            rounds, delta, cost, space_names, (True, True), stage)
-        if is_machine_nash(game, ("tit_for_tat", "tit_for_tat"), epsilon).holds:
-            symmetric = rounds
-            break
+    def least_rounds(names, charged, profile):
+        for rounds in range(1, n_max + 1):
+            game = build_repeated_dilemma_game(
+                rounds, delta, cost, names, charged, stage)
+            if is_machine_nash(game, profile, epsilon).holds:
+                return rounds
+        return None
 
+    symmetric = least_rounds(space_names, (True, True),
+                             ("tit_for_tat", "tit_for_tat"))
     asym_names = tuple(space_names)
     if "retaliating_defect_last" not in asym_names:
         asym_names += ("retaliating_defect_last",)
-    asymmetric = None
-    for rounds in range(1, n_max + 1):
-        game = build_repeated_dilemma_game(
-            rounds, delta, cost, asym_names, (True, False), stage)
-        profile = ("tit_for_tat", "retaliating_defect_last")
-        if is_machine_nash(game, profile, epsilon).holds:
-            asymmetric = rounds
-            break
-
+    asymmetric = least_rounds(asym_names, (True, False),
+                              ("tit_for_tat", "retaliating_defect_last"))
     return ThresholdReport(symmetric, asymmetric, n_max, delta, cost)

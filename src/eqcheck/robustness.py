@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from enum import Enum
 
-from .errors import InputError, WorkBoundExceeded
+from .errors import InputError
 from .games import (DEFAULT_WORK_BOUND, MixedProfile, NormalFormGame,
                     _check_epsilon, _check_profile_shape, _mixed_after,
                     bounded_product, expected_utility)
@@ -137,14 +136,11 @@ def _guard_enumeration(game, max_size, work_bound):
     """
     n = game.n_players
     biggest = max(len(a) for a in game.actions)
-    total = 0
+    term, total = 1, 0
     for s in range(1, max_size + 1):
-        total += math.comb(n, s) * biggest ** s
-        if total > work_bound:
-            raise WorkBoundExceeded(
-                f"deviation enumeration needs up to {total} evaluations, "
-                f"bound is {work_bound}",
-                required=total, bound=work_bound)
+        term = term * (n - s + 1) * biggest // s  # C(n, s) * biggest^s
+        total += term
+    bounded_product((total,), work_bound, "deviation evaluations")
 
 
 def _check_k(game, k, semantics, work_bound):

@@ -1,12 +1,14 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from eqcheck import basim, cli
 from eqcheck.basim import (PROTOCOLS, Scenario, build_adversary_game,
-                           check_ba, empirical_immunity, run, sweep)
-from eqcheck.errors import InputError
+                           build_preference_bayes_game, check_ba,
+                           empirical_immunity, run, sweep)
+from eqcheck.errors import InputError, WorkBoundExceeded
 from eqcheck.games import MixedProfile
 from eqcheck.robustness import check_immunity
 
@@ -235,3 +237,16 @@ def test_adversary_game_matches_empirical_immunity():
         induced = check_immunity(game, profile, 1)
         empirical = empirical_immunity(3, 1, protocol, preferences=(0,))
         assert induced.holds == empirical.holds
+
+
+@pytest.mark.parametrize("build, n, message", [
+    (build_adversary_game, 11,
+     "48828125 payoff entries exceed the bound 10000000"),
+    (build_preference_bayes_game, 10,
+     "19531250 utility entries exceed the bound 10000000"),
+])
+def test_adversary_builders_refuse_before_simulating(build, n, message):
+    start = time.perf_counter()
+    with pytest.raises(WorkBoundExceeded, match=f"^{message}$"):
+        build(n, MEDIATOR)
+    assert time.perf_counter() - start < 1

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 import eqcheck.data as data
+from eqcheck import cli
 from eqcheck.cli import main
 
 
@@ -298,3 +300,78 @@ def test_every_json_report_opens_with_format_and_command(capsys):
         assert report["format"] == 1
         assert report["command"] == list(argv[:2])
         assert "seed" not in report
+
+
+def test_main_builds_no_parser_after_import(capsys, monkeypatch):
+    built = []
+    original = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: built.append(1) or original())
+    for argv in (("--help",), ("check", "robust", "--k", "1"),
+                 ("aware", "validate", "--game", path("crossing_p3.json")),
+                 ("simulate", "ba", "--n", "3", "--t", "0")):
+        main(list(argv))
+    capsys.readouterr()
+    assert built == []
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    robust = ("check", "robust", "--game", path("zero_one_3.json"),
+              "--profile", path("all_zero.json"), "--k", "1", "--t", "0")
+    ba = ("simulate", "ba", "--n", "4", "--t", "1", "--report", "json")
+
+    def report(*argv):
+        return json.loads(run_cli(capsys, *argv)[1])
+
+    assert report(*robust, "--epsilon", "1/3", "--format", "json")[
+        "epsilon"] == "1/3"
+    assert report(*robust, "--format", "json")["epsilon"] == "0"
+    assert report(*robust, "--semantics", "weak", "--format", "json")[
+        "semantics"] == "weak"
+    assert report(*robust, "--format", "json")["semantics"] == "strong"
+    assert run_cli(capsys, *robust, "--work-bound", "1")[0] == 3
+    assert run_cli(capsys, *robust)[0] == 0
+    assert report(*ba, "--protocol", "echo-first")["protocol"] == "echo-first"
+    assert report(*ba)["protocol"] == "mediator"
+    assert report(*robust, "--format", "json")["format"] == 1
+    assert run_cli(capsys, *robust)[:2] == (
+        0, "robust(k=1, t=0, strong): holds\n")
+
+
+# each subcommand's long flags in --help order, required flags first;
+# frozen, so a row that loses, gains or reorders a flag fails
+SUBCOMMAND_FLAGS = {
+    ("check", "robust"): ("--game --profile --k --t",
+                          "--semantics --epsilon --work-bound --format"),
+    ("enumerate", "pure-robust"): ("--game --k --t",
+                                   "--semantics --epsilon --work-bound "
+                                   "--format"),
+    ("compgame", "check"): ("--game --machines", "--epsilon --format"),
+    ("compgame", "enumerate"): ("--game", "--epsilon --work-bound --format"),
+    ("repeated", "run"): ("--spec --m1 --m2", "--format"),
+    ("repeated", "threshold"): ("--spec --nmax", "--epsilon --format"),
+    ("aware", "validate"): ("--game", "--format"),
+    ("aware", "check"): ("--game --profile", "--epsilon --format"),
+    ("aware", "find"): ("--game", "--epsilon --work-bound --format"),
+    ("simulate", "ba"): ("--n --t", "--adversaries --protocol --report"),
+    ("simulate", "run"): ("--scenario", "--protocol --report"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS), ids="-".join)
+def test_every_subcommand_is_wired(capsys, command):
+    required, optional = (f.split() for f in SUBCOMMAND_FLAGS[command])
+    code, out, _ = run_cli(capsys, *command, "--help")
+    assert code == 0
+    options = out.split("options:\n", 1)[1]
+    listed = re.findall(r"^ +(?:-h, )?(--[\w-]+)", options, re.M)
+    assert listed == ["--help"] + required + optional
+    for missing in required:
+        argv = list(command)
+        for flag in required:
+            if flag != missing:
+                argv += [flag, "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"the following arguments are required: {missing}\n")

@@ -286,6 +286,12 @@ def test_primality_validation():
         build_primality_game(16, 1, entry_bound=100)
 
 
+def test_primality_guard_counts_utility_entries():
+    with pytest.raises(WorkBoundExceeded,
+                       match="^98304 utility entries exceed the bound 100$"):
+        build_primality_game(16, 1, entry_bound=100)
+
+
 def test_primality_rejects_bool_bit_length():
     with pytest.raises(InputError):
         build_primality_game(True, 1)

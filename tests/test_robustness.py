@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -122,6 +123,23 @@ def test_work_bound_raises():
     assert exc.value.required > 10
     with pytest.raises(WorkBoundExceeded):
         enumerate_pure_robust(game, RobustnessQuery(1, 0), work_bound=3)
+
+
+def test_deviation_guard_reports_the_full_count():
+    game = zero_one_game(3)
+    profile = MixedProfile.pure(game, ("0",) * 3)
+    with pytest.raises(WorkBoundExceeded,
+                       match="^26 deviation evaluations exceed the bound 5$"):
+        check_resilience(game, profile, 3, work_bound=5)
+    for n in range(2, 6):
+        game = zero_one_game(n)
+        profile = MixedProfile.pure(game, ("0",) * n)
+        for k in range(1, n + 1):
+            full = sum(math.comb(n, s) * 2 ** s for s in range(1, k + 1))
+            with pytest.raises(WorkBoundExceeded) as exc:
+                check_resilience(game, profile, k, work_bound=full - 1)
+            assert (exc.value.required, exc.value.bound) == (full, full - 1)
+            check_resilience(game, profile, k, work_bound=full)
 
 
 def test_strong_failure_set_contains_weak():
