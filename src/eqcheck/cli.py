@@ -12,13 +12,12 @@ runs on identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .awareness import find_pure_generalized_nash, is_generalized_nash
 from .basim import DEFAULT_ADVERSARIES, PROTOCOLS, check_ba, run, sweep
 from .errors import EqcheckError, InputError, WorkBoundExceeded
-from .fileformat import document_body, load_document
+from .fileformat import document_body, json_text, load_document
 from .games import DEFAULT_WORK_BOUND
 from .machines import (comp_expected_utility, exhaustive_machine_equilibria,
                        is_machine_nash, tit_for_tat_threshold)
@@ -53,7 +52,7 @@ def _emit(args, report, lines):
     if args.format == "json":
         report = {"format": 1, "command": [args.command, args.subcommand],
                   **report}
-        print(json.dumps(to_jsonable(report), indent=2, ensure_ascii=False))
+        print(json_text(to_jsonable(report)))
     else:
         for line in lines:
             print(line)

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .awareness import AugmentedGame, GameWithAwareness, GeneralizedProfile
 from .basim import Scenario
 from .errors import InputError, ParseError
-from .games import (BayesianGame, BayesianStrategyProfile, MixedProfile,
-                    NormalFormGame)
+from .games import (DEFAULT_ENTRY_BOUND, BayesianGame,
+                    BayesianStrategyProfile, MixedProfile, NormalFormGame,
+                    _bayesian_frame, _fixed_prior, _normal_frame, _trusted)
 from .machines import ComputationalGame, OneShotMachine, \
     build_repeated_dilemma_game
 from .rationals import format_rational, parse_rational
@@ -118,21 +120,28 @@ class RepeatedSpecDocument:
 # ---------------------------------------------------------------------------
 # parsing helpers
 
-def _as_object(value, path):
+def _at(path, *keys):
+    """path extended by member names (.key) and indices ([i]): the parsers
+    pass a parent path and keys, and build a full path only for an error."""
+    return path + "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)
+
+
+def _as_object(value, path, *keys):
     if not isinstance(value, dict):
-        raise ParseError(path, "expected a JSON object")
+        raise ParseError(_at(path, *keys), "expected a JSON object")
     return value
 
 
-def _as_array(value, path):
+def _as_array(value, path, *keys):
     if not isinstance(value, list):
-        raise ParseError(path, "expected a JSON array")
+        raise ParseError(_at(path, *keys), "expected a JSON array")
     return value
 
 
-def _as_string(value, path):
+def _as_string(value, path, *keys):
     if not isinstance(value, str) or not value:
-        raise ParseError(path, "expected a nonempty string")
+        raise ParseError(_at(path, *keys), "expected a nonempty string")
     return value
 
 
@@ -142,31 +151,30 @@ def _as_int(value, path):
     return value
 
 
-def _as_bool(value, path):
+def _as_bool(value, path, *keys):
     if not isinstance(value, bool):
-        raise ParseError(path, "expected a boolean")
+        raise ParseError(_at(path, *keys), "expected a boolean")
     return value
 
 
-def _rational(value, path):
+def _rational(value, path, *keys):
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ParseError(path, "expected a rational written as a string")
+        raise ParseError(_at(path, *keys),
+                         "expected a rational written as a string")
     try:
-        return parse_rational(value, path)
+        return parse_rational(value)
     except InputError as exc:
-        message = str(exc)
-        prefix = f"{path}: "
-        if message.startswith(prefix):
-            message = message[len(prefix):]
-        raise ParseError(path, message) from None
+        # the message without parse_rational's own "value: " prefix
+        raise ParseError(_at(path, *keys),
+                         str(exc).partition(": ")[2]) from None
 
 
-def _rational_map(value, path, depth):
+def _rational_map(value, depth, path, *keys):
     """A JSON object `depth` levels deep with rationals at the leaves."""
-    obj = _as_object(value, path)
+    obj = _as_object(value, path, *keys)
     if depth == 1:
-        return {key: _rational(q, f"{path}.{key}") for key, q in obj.items()}
-    return {key: _rational_map(sub, f"{path}.{key}", depth - 1)
+        return {key: _rational(q, path, *keys, key) for key, q in obj.items()}
+    return {key: _rational_map(sub, depth - 1, path, *keys, key)
             for key, sub in obj.items()}
 
 
@@ -187,9 +195,10 @@ def _check_fields(obj, path, required, optional=()):
             raise ParseError(path, f"missing required field {key!r}")
 
 
-def _string_array(value, path):
-    return tuple(
-        _as_string(v, f"{path}[{i}]") for i, v in enumerate(_as_array(value, path)))
+def _string_array(value, path, *keys):
+    for i, v in enumerate(_as_array(value, path, *keys)):
+        _as_string(v, path, *keys, i)
+    return tuple(value)
 
 
 def _build(path, factory):
@@ -208,30 +217,32 @@ def _parse_per_player_names(value, path, n, what):
     arr = _as_array(value, path)
     if len(arr) != n:
         raise ParseError(path, f"expected one {what} list per player")
-    return tuple(_string_array(row, f"{path}[{i}]") for i, row in enumerate(arr))
+    return tuple(_string_array(row, path, i) for i, row in enumerate(arr))
 
 
 def _parse_payoff_table(value, path, actions, n_values):
     """Nested payoff arrays, one dimension per entry of `actions`, with a
-    vector of n_values rationals innermost."""
+    vector of n_values rationals innermost.  A node's key, its index
+    tuple, also spells its path below `path`."""
     table = {}
 
-    def walk(node, depth, prefix, node_path):
-        arr = _as_array(node, node_path)
+    def walk(node, key):
+        _as_array(node, path, *key)
+        depth = len(key)
         if depth == len(actions):
-            if len(arr) != n_values:
-                raise ParseError(node_path, f"expected {n_values} payoffs")
-            table[tuple(prefix)] = tuple(
-                _rational(v, f"{node_path}[{i}]") for i, v in enumerate(arr))
+            if len(node) != n_values:
+                raise ParseError(_at(path, *key), f"expected {n_values} payoffs")
+            table[key] = tuple(
+                _rational(v, path, *key, i) for i, v in enumerate(node))
             return
-        if len(arr) != len(actions[depth]):
+        if len(node) != len(actions[depth]):
             raise ParseError(
-                node_path,
+                _at(path, *key),
                 f"expected {len(actions[depth])} entries at depth {depth}")
-        for i, sub in enumerate(arr):
-            walk(sub, depth + 1, prefix + (i,), f"{node_path}[{i}]")
+        for i, sub in enumerate(node):
+            walk(sub, key + (i,))
 
-    walk(value, 0, (), path)
+    walk(value, ())
     return table
 
 
@@ -255,7 +266,9 @@ def _parse_normal_body(obj, path):
         obj["actions"], f"{path}.actions", len(players), "action")
     payoffs = _parse_payoff_table(
         obj["payoffs"], f"{path}.payoffs", actions, len(players))
-    return _build(path, lambda: NormalFormGame(players, actions, payoffs))
+    _build(path, lambda: _normal_frame(players, actions, DEFAULT_ENTRY_BOUND))
+    return _trusted(NormalFormGame, players=players, actions=actions,
+                    payoffs=payoffs)
 
 
 def _normal_body(game: NormalFormGame):
@@ -280,25 +293,27 @@ def _parse_bayesian_body(obj, path):
     actions = _parse_per_player_names(
         obj["actions"], f"{path}.actions", n, "action")
 
+    # a repeated name keeps its last index; _bayesian_frame refuses it
+    index = [{name: k for k, name in enumerate(names)} for names in types]
     prior = {}
     for i, entry in enumerate(_as_array(obj["prior"], f"{path}.prior")):
         epath = f"{path}.prior[{i}]"
         entry = _as_object(entry, epath)
         _check_fields(entry, epath, required=("types", "prob"))
-        names = _string_array(entry["types"], f"{epath}.types")
+        names = _string_array(entry["types"], epath, "types")
         if len(names) != n:
             raise ParseError(f"{epath}.types", "expected one type per player")
         key = []
         for j, tname in enumerate(names):
-            if tname not in types[j]:
+            if tname not in index[j]:
                 raise ParseError(
                     f"{epath}.types[{j}]",
                     f"unknown type {tname!r} for player {players[j]}")
-            key.append(types[j].index(tname))
+            key.append(index[j][tname])
         key = tuple(key)
         if key in prior:
             raise ParseError(epath, "duplicate type profile")
-        prior[key] = _rational(entry["prob"], f"{epath}.prob")
+        prior[key] = _rational(entry["prob"], epath, "prob")
 
     type_dims = types + actions
     flat = _parse_payoff_table(
@@ -306,8 +321,11 @@ def _parse_bayesian_body(obj, path):
     utilities = {
         (key[:n], key[n:]): vec for key, vec in flat.items()
     }
-    return _build(path, lambda: BayesianGame(
-        players, types, actions, prior, utilities))
+    _build(path, lambda: _bayesian_frame(
+        players, types, actions, DEFAULT_ENTRY_BOUND))
+    return _trusted(BayesianGame, players=players, types=types,
+                    actions=actions, utilities=utilities,
+                    prior=_build(path, lambda: _fixed_prior(prior, types)))
 
 
 def _bayesian_body(game: BayesianGame):
@@ -344,7 +362,7 @@ def _parse_profile_body(obj, path):
     if has_pure:
         return ProfileDocument(pure=_string_array(obj["pure"], f"{path}.pure"))
     return ProfileDocument(
-        weights=_rational_map(obj["weights"], f"{path}.weights", 2))
+        weights=_rational_map(obj["weights"], 2, f"{path}.weights"))
 
 
 def _profile_body(doc: ProfileDocument):
@@ -356,7 +374,7 @@ def _profile_body(doc: ProfileDocument):
 def _parse_bayes_profile_body(obj, path):
     _check_fields(obj, path, required=("strategies",))
     return BayesProfileDocument(
-        _rational_map(obj["strategies"], f"{path}.strategies", 3))
+        _rational_map(obj["strategies"], 3, f"{path}.strategies"))
 
 
 def _bayes_profile_body(doc: BayesProfileDocument):
@@ -371,8 +389,8 @@ def _parse_machine(obj, path):
     _check_fields(obj, path, required=("id", "kind", "act", "complexity"))
     machine_id = _as_string(obj["id"], f"{path}.id")
     kind = _as_string(obj["kind"], f"{path}.kind")
-    act = _rational_map(obj["act"], f"{path}.act", 2)
-    complexity = _rational_map(obj["complexity"], f"{path}.complexity", 1)
+    act = _rational_map(obj["act"], 2, f"{path}.act")
+    complexity = _rational_map(obj["complexity"], 1, f"{path}.complexity")
     return _build(path, lambda: OneShotMachine(machine_id, kind, act,
                                                complexity))
 
@@ -489,50 +507,45 @@ def _parse_tree_node(obj, path, history, acc, n_players):
     obj = _as_object(obj, path)
     if "payoffs" in obj:
         _check_fields(obj, path, required=("payoffs",))
-        arr = _as_array(obj["payoffs"], f"{path}.payoffs")
+        arr = _as_array(obj["payoffs"], path, "payoffs")
         if len(arr) != n_players:
             raise ParseError(f"{path}.payoffs",
                              f"expected {n_players} payoffs")
         acc["payoffs"][history] = tuple(
-            _rational(v, f"{path}.payoffs[{i}]") for i, v in enumerate(arr))
+            _rational(v, path, "payoffs", i) for i, v in enumerate(arr))
         return
     if "owner" not in obj:
         raise ParseError(path, "expected either 'payoffs' or 'owner'")
-    owner = _as_string(obj["owner"], f"{path}.owner")
+    owner = _as_string(obj["owner"], path, "owner")
     if owner == NATURE:
         _check_fields(obj, path, required=("owner", "moves"))
     else:
         _check_fields(obj, path,
                       required=("owner", "infoset", "awareness", "moves"))
         acc["infosets"][history] = _as_string(
-            obj["infoset"], f"{path}.infoset")
-        level = []
-        for i, hist in enumerate(
-                _as_array(obj["awareness"], f"{path}.awareness")):
-            level.append(_string_array(hist, f"{path}.awareness[{i}]"))
-        acc["awareness"][history] = frozenset(level)
+            obj["infoset"], path, "infoset")
+        acc["awareness"][history] = frozenset(
+            _string_array(hist, path, "awareness", i)
+            for i, hist in enumerate(
+                _as_array(obj["awareness"], path, "awareness")))
     acc["owner"][history] = owner
 
     moves = []
     probs = {}
-    edges = _as_array(obj["moves"], f"{path}.moves")
+    edges = _as_array(obj["moves"], path, "moves")
     if not edges:
         raise ParseError(f"{path}.moves", "expected at least one move")
     for i, edge in enumerate(edges):
         epath = f"{path}.moves[{i}]"
         edge = _as_object(edge, epath)
-        if owner == NATURE:
-            _check_fields(edge, epath, required=("move", "child"),
-                          optional=("prob",))
-        else:
-            _check_fields(edge, epath, required=("move", "child"),
-                          optional=("virtual",))
-        move = _as_string(edge["move"], f"{epath}.move")
+        _check_fields(edge, epath, required=("move", "child"),
+                      optional=("prob",) if owner == NATURE else ("virtual",))
+        move = _as_string(edge["move"], epath, "move")
         moves.append(move)
         if "prob" in edge:
-            probs[move] = _rational(edge["prob"], f"{epath}.prob")
+            probs[move] = _rational(edge["prob"], epath, "prob")
         if edge.get("virtual") is not None:
-            if _as_bool(edge["virtual"], f"{epath}.virtual"):
+            if _as_bool(edge["virtual"], epath, "virtual"):
                 acc["virtual"].append((history, move))
         _parse_tree_node(edge["child"], f"{epath}.child", history + (move,),
                          acc, n_players)
@@ -572,12 +585,12 @@ def _parse_awareness_body(obj, path):
         entry = _as_object(entry, epath)
         _check_fields(entry, epath,
                       required=("game", "node", "target_game", "target_set"))
-        key = (_as_string(entry["game"], f"{epath}.game"),
-               _string_array(entry["node"], f"{epath}.node"))
+        key = (_as_string(entry["game"], epath, "game"),
+               _string_array(entry["node"], epath, "node"))
         if key in views:
             raise ParseError(epath, "duplicate belief entry")
-        views[key] = (_as_string(entry["target_game"], f"{epath}.target_game"),
-                      _as_string(entry["target_set"], f"{epath}.target_set"))
+        views[key] = (_as_string(entry["target_game"], epath, "target_game"),
+                      _as_string(entry["target_set"], epath, "target_set"))
 
     by_name = {ag.name: ag for ag in games}
     if modeler not in by_name:
@@ -653,7 +666,7 @@ def _parse_generalized_profile_body(obj, path):
                 _as_string(entry["game"], f"{epath}.game"))
         if pair in strategies:
             raise ParseError(epath, "duplicate (player, game) entry")
-        strategies[pair] = _rational_map(entry["moves"], f"{epath}.moves", 2)
+        strategies[pair] = _rational_map(entry["moves"], 2, f"{epath}.moves")
     return _build(path, lambda: GeneralizedProfile(strategies))
 
 
@@ -776,8 +789,49 @@ def document_body(value):
 def serialize_document(value) -> str:
     """Canonical JSON text for a supported value; ends with a newline."""
     kind, body = document_body(value)
-    doc = {"format": 1, "kind": kind, **body}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return json_text({"format": 1, "kind": kind, **body}) + "\n"
+
+
+def json_text(value) -> str:
+    """The text of json.dumps(value, indent=2, ensure_ascii=False).
+
+    Up to Python 3.13 json.dumps lays out indented text with its
+    pure-Python encoder; this lays out lists and string-keyed objects in
+    one recursive pass and leaves every other value to json.dumps.
+    """
+    chunks = []
+    _write_json(value, "\n", chunks)
+    return "".join(chunks)
+
+
+def _write_json(value, newline, chunks):
+    """Append value's text to chunks; newline starts each of its lines."""
+    if isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        chunks.append("[")
+        for item in value:
+            if isinstance(item, str):
+                chunks += (inner, encode_basestring(item), ",")
+            else:
+                chunks.append(inner)
+                _write_json(item, inner, chunks)
+                chunks.append(",")
+        chunks[-1] = newline + "]"
+    elif (isinstance(value, dict) and value
+          and all(isinstance(key, str) for key in value)):
+        inner = newline + "  "
+        chunks.append("{")
+        for key, item in value.items():
+            chunks += (inner, encode_basestring(key), ": ")
+            if isinstance(item, str):
+                chunks.append(encode_basestring(item))
+            else:
+                _write_json(item, inner, chunks)
+            chunks.append(",")
+        chunks[-1] = newline + "}"
+    else:
+        chunks.append(json.dumps(value, indent=2, ensure_ascii=False)
+                      .replace("\n", newline))
 
 
 def write_document(value, path) -> None:

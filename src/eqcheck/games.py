@@ -66,6 +66,19 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _normal_frame(players, actions, entry_bound):
+    """(players, actions, entry count) after the checks every normal-form
+    game needs, whoever built its table: its names and entry bound."""
+    _check_names(players, "players")
+    if not isinstance(actions, (list, tuple)) or len(actions) != len(players):
+        raise InputError("actions: expected one action list per player")
+    for player, acts in zip(players, actions):
+        _check_names(acts, f"actions of player {player}")
+    entries = bounded_product(
+        (len(a) for a in actions), entry_bound, "payoff entries")
+    return tuple(players), tuple(map(tuple, actions)), entries
+
+
 class NormalFormGame:
     """A finite strategic-form game with a total, exact payoff table.
 
@@ -74,19 +87,9 @@ class NormalFormGame:
     """
 
     def __init__(self, players, actions, payoffs, entry_bound=DEFAULT_ENTRY_BOUND):
-        _check_names(players, "players")
-        self.players = tuple(players)
+        self.players, self.actions, entries = _normal_frame(
+            players, actions, entry_bound)
         n = len(self.players)
-        if not isinstance(actions, (list, tuple)) or len(actions) != n:
-            raise InputError("actions: expected one action list per player")
-        fixed_actions = []
-        for i, acts in enumerate(actions):
-            _check_names(acts, f"actions of player {self.players[i]}")
-            fixed_actions.append(tuple(acts))
-        self.actions = tuple(fixed_actions)
-
-        entries = bounded_product(
-            (len(a) for a in self.actions), entry_bound, "payoff entries")
         if not isinstance(payoffs, Mapping):
             raise InputError("payoffs: expected a mapping from action profiles")
         if len(payoffs) != entries:
@@ -322,6 +325,45 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, epsilon=0) -> Verdict:
     return Verdict(True)
 
 
+def _bayesian_frame(players, types, actions, entry_bound):
+    """(players, types, actions, entry count) after the checks every
+    Bayesian game needs, whoever built its tables: names and entry bound."""
+    _check_names(players, "players")
+    for seq, what in ((types, "types"), (actions, "actions")):
+        if not isinstance(seq, (list, tuple)) or len(seq) != len(players):
+            raise InputError(f"{what}: expected one list per player")
+    types = tuple(tuple(t) for t in types)
+    actions = tuple(tuple(a) for a in actions)
+    for player, names, acts in zip(players, types, actions):
+        _check_names(names, f"types of player {player}")
+        _check_names(acts, f"actions of player {player}")
+    entries = bounded_product(
+        [len(t) for t in types] + [len(a) for a in actions], entry_bound,
+        "utility entries")
+    return tuple(players), types, actions, entries
+
+
+def _fixed_prior(prior, types):
+    """prior without its zero entries, after checking its keys against
+    types and that its probabilities are nonnegative and sum to 1."""
+    fixed = {}
+    for key, q in prior.items():
+        if (not isinstance(key, tuple) or len(key) != len(types)
+                or any(not isinstance(t, int) or t < 0 or t >= len(types[i])
+                       for i, t in enumerate(key))):
+            raise InputError(f"prior: bad type profile key {key!r}")
+        q = as_fraction(q, f"prior[{key}]")
+        if q < 0:
+            raise InputError(f"prior[{key}]: negative probability")
+        if q != 0:
+            fixed[key] = q
+    d, nums = _over_lcm(list(fixed.values()))
+    total = Fraction(sum(nums), d)
+    if total != 1:
+        raise InputError(f"prior: probabilities sum to {total}, not 1")
+    return fixed
+
+
 class BayesianGame:
     """A finite Bayesian game with a common prior over type profiles.
 
@@ -331,38 +373,10 @@ class BayesianGame:
 
     def __init__(self, players, types, actions, prior, utilities,
                  entry_bound=DEFAULT_ENTRY_BOUND):
-        _check_names(players, "players")
-        self.players = tuple(players)
+        self.players, self.types, self.actions, entries = _bayesian_frame(
+            players, types, actions, entry_bound)
         n = len(self.players)
-        for seq, what in ((types, "types"), (actions, "actions")):
-            if not isinstance(seq, (list, tuple)) or len(seq) != n:
-                raise InputError(f"{what}: expected one list per player")
-        self.types = tuple(tuple(t) for t in types)
-        self.actions = tuple(tuple(a) for a in actions)
-        for i in range(n):
-            _check_names(self.types[i], f"types of player {self.players[i]}")
-            _check_names(self.actions[i], f"actions of player {self.players[i]}")
-
-        entries = bounded_product(
-            [len(t) for t in self.types] + [len(a) for a in self.actions],
-            entry_bound, "utility entries")
-
-        fixed_prior = {}
-        total = ZERO
-        for key, q in prior.items():
-            if (not isinstance(key, tuple) or len(key) != n
-                    or any(not isinstance(t, int) or t < 0 or t >= len(self.types[i])
-                           for i, t in enumerate(key))):
-                raise InputError(f"prior: bad type profile key {key!r}")
-            q = as_fraction(q, f"prior[{key}]")
-            if q < 0:
-                raise InputError(f"prior[{key}]: negative probability")
-            total += q
-            if q != 0:
-                fixed_prior[key] = q
-        if total != 1:
-            raise InputError(f"prior: probabilities sum to {total}, not 1")
-        self.prior = fixed_prior
+        self.prior = _fixed_prior(prior, self.types)
 
         if len(utilities) != entries:
             raise InputError(

@@ -28,7 +28,8 @@ from typing import Sequence
 
 from .errors import InputError
 from .games import (DEFAULT_ENTRY_BOUND, DEFAULT_WORK_BOUND, BayesianGame,
-                    NormalFormGame, _check_epsilon, _trusted, bounded_product)
+                    NormalFormGame, _check_epsilon, _over_lcm, _trusted,
+                    bounded_product)
 from .rationals import as_fraction
 from .repeated import (DEFAULT_SPACE, RepeatedGameAutomaton, RepeatedGameSpec,
                        default_stage_game, library_space, run_automata)
@@ -60,12 +61,13 @@ class OneShotMachine:
                 a: as_fraction(q, f"machine {machine_id}, type {t}, action {a}")
                 for a, q in dist.items()
             }
-            if any(q < 0 for q in fixed.values()) or sum(fixed.values()) != 1:
+            d, weights = _over_lcm(list(fixed.values()))
+            if any(w < 0 for w in weights) or sum(weights) != d:
                 raise InputError(
                     f"machine {machine_id}: action weights for type {t!r} "
                     f"must be nonnegative and sum to 1")
             if kind == "deterministic" and any(
-                    q not in (0, 1) for q in fixed.values()):
+                    w not in (0, d) for w in weights):
                 raise InputError(
                     f"machine {machine_id}: deterministic machines need a "
                     f"degenerate distribution for type {t!r}")

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .errors import InputError
 from .games import (DEFAULT_ENTRY_BOUND, NormalFormGame, _check_names,
-                    _int_sums, _over_lcm, bounded_product)
+                    _int_sums, _over_lcm, _trusted, bounded_product)
 from .rationals import as_fraction
 
 NATURE = "nature"
@@ -313,8 +313,8 @@ def induced_normal_form(game: ExtensiveGame,
     for key in itertools.product(*(range(len(s)) for s in per_player)):
         strategy = {}
         for i, si in enumerate(key):
-            for label, move in per_player[i][si][1].items():
-                strategy[label] = {move: ONE}
-        payoffs[key] = expected_payoffs(game, strategy)
-    return NormalFormGame(game.players, actions, payoffs,
-                          entry_bound=entry_bound)
+            strategy.update(per_player[i][si][1])
+        payoffs[key] = _payoff_vector(game, _walk(
+            game, lambda h: ((strategy[game.infosets[h]], ONE),)))
+    return _trusted(NormalFormGame, players=game.players, actions=actions,
+                    payoffs=payoffs)

@@ -375,3 +375,33 @@ def test_every_subcommand_is_wired(capsys, command):
         assert (code, out) == (2, "")
         assert err.endswith(
             f"the following arguments are required: {missing}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "robust", "--game", "zero_one_3.json", "--profile",
+     "all_zero.json", "--k", "1", "--t", "0", "--format"),
+    ("enumerate", "pure-robust", "--game", "prisoners_dilemma.json",
+     "--k", "1", "--t", "0", "--format"),
+    ("compgame", "check", "--game", "roshambo_zero_cost.json",
+     "--machines", "uniform,uniform", "--format"),
+    ("compgame", "enumerate", "--game", "roshambo.json", "--format"),
+    ("repeated", "run", "--spec", "frpd.json", "--m1", "all_d",
+     "--m2", "tit_for_tat", "--format"),
+    ("repeated", "threshold", "--spec", "frpd.json", "--nmax", "100",
+     "--format"),
+    ("aware", "validate", "--game", "crossing_p3.json", "--format"),
+    ("aware", "check", "--game", "crossing_p3.json",
+     "--profile", "crossing_eq.json", "--format"),
+    ("aware", "find", "--game", "crossing_p3.json", "--format"),
+    ("simulate", "ba", "--n", "4", "--t", "1", "--protocol", "mediator",
+     "--report"),
+    ("simulate", "run", "--scenario", "ba_scenario.json", "--report"),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_json_reports_are_json_dumps_text(capsys, argv):
+    """The README tour's JSON reports, byte for byte as json.dumps lays
+    them out."""
+    argv = [path(a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "json")
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), indent=2,
+                             ensure_ascii=False) + "\n"

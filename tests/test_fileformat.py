@@ -1,20 +1,27 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 import eqcheck.data as data
-from eqcheck.awareness import GeneralizedProfile, crossing_game
+from _gen import random_extensive_game
+from eqcheck.awareness import (GeneralizedProfile, canonical_representation,
+                               crossing_game)
 from eqcheck.basim import Scenario
 from eqcheck.catalog import prisoners_dilemma, zero_one_game
 from eqcheck.errors import InputError, ParseError
 from eqcheck.fileformat import (BayesProfileDocument, GameDocument,
                                 ProfileDocument, RepeatedSpecDocument,
-                                load_document, parse_document,
-                                serialize_document, write_document)
-from eqcheck.games import (BayesianGame, bayes_expected_utility,
-                           expected_utility, is_bayes_nash)
-from eqcheck.machines import build_roshambo_game, comp_expected_utility
+                                document_body, json_text, load_document,
+                                parse_document, serialize_document,
+                                write_document)
+from eqcheck.games import (BayesianGame, NormalFormGame,
+                           bayes_expected_utility, expected_utility,
+                           is_bayes_nash)
+from eqcheck.machines import (build_primality_game, build_roshambo_game,
+                              comp_expected_utility)
 
 F = Fraction
 
@@ -444,3 +451,122 @@ def test_nested_rational_map_errors(doc, node, bad, path, message):
     parent[node[-1]] = bad
     err = _error(obj)
     assert (err.path, str(err)) == (path, f"{path}: {message}")
+
+
+_BAYESIAN_DOC = (
+    '{"format": 1, "kind": "bayesian", "players": ["p1", "p2"], '
+    '"types": [["lo", "hi"], ["-"]], "actions": [["x", "y"], ["x", "y"]], '
+    '"prior": [{"types": ["lo", "-"], "prob": "1/2"}, '
+    '{"types": ["hi", "-"], "prob": "1/2"}], '
+    '"utilities": [[[[["0", "0"], ["0", "1"]], [["1", "-1"], ["1", "0"]]]], '
+    '[[[["1", "0"], ["1", "1"]], [["2", "-1"], ["2", "0"]]]]]}')
+_CHANCE_DOC = (
+    '{"format": 1, "kind": "awareness", "modeler": "m", "F": [], "games": '
+    '[{"name": "m", "players": ["P"], "root": {"owner": "nature", "moves": '
+    '[{"move": "h", "prob": "1/2", "child": {"payoffs": ["1"]}}, '
+    '{"move": "t", "prob": "1/2", "child": {"payoffs": ["0"]}}]}}]}')
+_LEAF_DOCS = {"bayesian": _BAYESIAN_DOC, "chance": _CHANCE_DOC}
+
+# A bad leaf at each rational site outside the nested maps: (document,
+# JSON node, ParseError.path).  The paths are frozen as the parser
+# reported them when it built every path before parsing the leaf.
+_RATIONAL_SITES = [
+    ("prisoners_dilemma.json", ("payoffs", 1, 0, 1), "$.payoffs[1][0][1]"),
+    ("bayesian", ("prior", 1, "prob"), "$.prior[1].prob"),
+    ("bayesian", ("utilities", 1, 0, 1, 0, 1), "$.utilities[1][0][1][0][1]"),
+    ("roshambo.json", ("underlying", "utilities", 0, 0, 2, 1, 0),
+     "$.underlying.utilities[0][0][2][1][0]"),
+    ("crossing_p3.json",
+     ("games", 0, "root", "moves", 1, "child", "moves", 0, "child",
+      "payoffs", 1),
+     "$.games[0].root.moves[1].child.moves[0].child.payoffs[1]"),
+    ("chance", ("games", 0, "root", "moves", 1, "prob"),
+     "$.games[0].root.moves[1].prob"),
+    ("frpd.json", ("discount",), "$.discount"),
+    ("frpd.json", ("memory_cost",), "$.memory_cost"),
+    ("frpd.json", ("stage", "payoffs", 0, 1, 0), "$.stage.payoffs[0][1][0]"),
+]
+_BAD_LEAVES = [(1.5, _NOT_STRING), (True, _NOT_STRING), ("1.5", _MALFORMED),
+               ("x", "malformed rational 'x'"), (None, _NOT_STRING)]
+
+
+@pytest.mark.parametrize("doc, node, path", _RATIONAL_SITES)
+@pytest.mark.parametrize("bad, message", _BAD_LEAVES)
+def test_bad_rational_leaves_name_their_path(doc, node, path, bad, message):
+    for good_or_bad in (None, bad):
+        obj = (json.loads(_LEAF_DOCS[doc]) if doc in _LEAF_DOCS
+               else _bundled_obj(doc))
+        if good_or_bad is None:
+            _parse_obj(obj)  # the unmutated document parses
+            continue
+        parent = obj
+        for key in node[:-1]:
+            parent = parent[key]
+        parent[node[-1]] = bad
+        err = _error(obj)
+        assert (err.path, str(err)) == (path, f"{path}: {message}")
+
+
+def _json_dumps_document(value):
+    """serialize_document's text as the standard library writes it."""
+    kind, body = document_body(value)
+    return json.dumps({"format": 1, "kind": kind, **body}, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+def _odd_names(rng, count):
+    pieces = ['"', "\\", "\x00", "\x1f", "\t", "\n", " ", "é", "名",
+              "ß", "x", "/", "\x7f", "\U0001f600"]
+    names = set()
+    while len(names) < count:
+        names.add("".join(rng.choice(pieces) for _ in range(rng.randint(1, 4))))
+    return sorted(names)
+
+
+def test_writer_matches_json_dumps_on_documents():
+    values = [load_document(data.path(name)) for name in data.names()]
+    rng = random.Random(404)
+    for shape in ((2, 2), (3, 2), (2, 2, 2), (4, 3), (1, 5)):
+        names = _odd_names(rng, len(shape) + sum(shape))
+        players, rest = names[:len(shape)], names[len(shape):]
+        actions = []
+        for m in shape:
+            actions.append(rest[:m])
+            rest = rest[m:]
+        payoffs = {
+            key: tuple(F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+                       for _ in shape)
+            for key in itertools.product(*(range(m) for m in shape))}
+        values.append(NormalFormGame(players, actions, payoffs))
+        values.append(ProfileDocument(
+            weights={p: {a[0]: F(1)} for p, a in zip(players, actions)}))
+    for bits in range(6, 10):
+        values.append(build_primality_game(bits, F(rng.randint(1, 34), 2 * bits)))
+    for _ in range(30):
+        values.append(canonical_representation(random_extensive_game(rng)))
+    values += [ProfileDocument(weights={}), BayesProfileDocument({}),
+               GeneralizedProfile({}), Scenario(3, 0)]
+    for value in values:
+        assert serialize_document(value) == _json_dumps_document(value)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], {"a": {}}, [[], {}, ()], "x", 0, -7, True, None, 2.5,
+    [1, True, False, None, 2.5, "x", 10 ** 30], ("t", ("u", ()), []),
+    {"k": {3: {"z": [1]}, "j": [{"a": None}]}},
+    {1: "a", None: [], 2.5: {"b": ()}, True: {}, False: [[]]},
+    {" \"\\": ["\x00é", {"名": "\n"}]},
+    [{"deep": [[[{"deeper": [["x"]]}]]]}],
+])
+def test_json_text_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [[F(1, 2)], {"a": {"b": object()}},
+                                   {(1, 2): "tuple key"}])
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2, ensure_ascii=False)
+    with pytest.raises(TypeError) as got:
+        json_text(value)
+    assert str(got.value) == str(want.value)

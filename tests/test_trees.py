@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from _gen import pure_combo_count, random_extensive_game
 from eqcheck import awareness
 from eqcheck.errors import InputError, WorkBoundExceeded
-from eqcheck.games import MixedProfile, is_nash
+from eqcheck.games import MixedProfile, NormalFormGame, is_nash
 from eqcheck.trees import (NATURE, ExtensiveGame, expected_payoffs,
                            induced_normal_form, outcome_distribution,
                            pure_strategies)
@@ -312,3 +313,32 @@ def test_deep_tree_walks_past_the_recursion_limit():
             {("P", "modeler"): dict(moves, I0="stop")}))
     assert not verdict.holds
     assert verdict.witness.data["gain"] == 1
+
+
+def _reference_induced_normal_form(game):
+    """The strategic form through the public expected_payoffs: one
+    validated {label: {move: 1}} strategy per pure profile."""
+    per_player = [pure_strategies(game, p) for p in game.players]
+    actions = tuple(tuple(name for name, _ in strats) for strats in per_player)
+    payoffs = {}
+    for key in itertools.product(*(range(len(s)) for s in per_player)):
+        strategy = {}
+        for i, si in enumerate(key):
+            for label, move in per_player[i][si][1].items():
+                strategy[label] = {move: F(1)}
+        payoffs[key] = expected_payoffs(game, strategy)
+    return NormalFormGame(game.players, actions, payoffs)
+
+
+def test_induced_normal_form_matches_expected_payoffs_reference():
+    rng = random.Random(4242)
+    for trial in range(200):
+        game = (_fractional_tree(rng) if trial % 2
+                else random_extensive_game(rng))
+        got = induced_normal_form(game)
+        want = _reference_induced_normal_form(game)
+        assert type(got) is NormalFormGame
+        assert (got.players, got.actions) == (want.players, want.actions)
+        assert list(got.payoffs.items()) == list(want.payoffs.items())
+        assert all(type(v) is Fraction
+                   for vec in got.payoffs.values() for v in vec)
