@@ -177,7 +177,7 @@ def _cmd_repeated_threshold(args):
     result = tit_for_tat_threshold(
         doc.spec.discount, doc.spec.memory_cost, args.nmax,
         space_names=doc.machine_names, stage=doc.spec.stage,
-        epsilon=_epsilon(args))
+        epsilon=_epsilon(args), work_bound=args.work_bound)
     report = {
         "spec": args.spec,
         "n_max": args.nmax,
@@ -386,7 +386,7 @@ _COMMANDS = {
                 "--spec --m1 --m2 --format"),
         "threshold": ("least horizon making mutual tit_for_tat stable",
                       _cmd_repeated_threshold,
-                      "--spec --nmax --epsilon --format"),
+                      "--spec --nmax --epsilon --work-bound --format"),
     }),
     "aware": ("games where players may be unaware of moves", {
         "validate": ("check the belief map's consistency conditions",

@@ -14,12 +14,12 @@ round by round and builds one Fraction per player at the end.
 
 from __future__ import annotations
 
-import math
+import weakref
 from fractions import Fraction
 
 from .catalog import prisoners_dilemma
 from .errors import InputError
-from .games import NormalFormGame
+from .games import NormalFormGame, _over_lcm
 from .rationals import as_fraction
 
 
@@ -91,6 +91,23 @@ class RepeatedGameSpec:
             raise InputError("memory_cost must be nonnegative")
 
 
+_STAGE_TABLES = weakref.WeakKeyDictionary()
+
+
+def _stage_table(stage):
+    """(D, {(action 1, action 2): the stage payoffs times D, as ints}), D
+    their lcm; kept in _STAGE_TABLES for as long as the stage lives."""
+    table = _STAGE_TABLES.get(stage)
+    if table is None:
+        acts1, acts2 = stage.actions
+        scale, flat = _over_lcm([v for vec in stage.payoffs.values()
+                                 for v in vec])
+        table = _STAGE_TABLES[stage] = scale, {
+            (acts1[i], acts2[j]): (flat[2 * k], flat[2 * k + 1])
+            for k, (i, j) in enumerate(stage.payoffs)}
+    return table
+
+
 def run_automata(spec: RepeatedGameSpec, first: RepeatedGameAutomaton,
                  second: RepeatedGameAutomaton):
     """Exact discounted payoff pair of one deterministic run.
@@ -105,17 +122,16 @@ def run_automata(spec: RepeatedGameSpec, first: RepeatedGameAutomaton,
     is raised in the round that reaches it, and the transitions out of
     round N are taken too.
     """
-    stage = spec.stage
-    acts1, acts2 = stage.actions
+    total1, total2, den = _run_totals(spec, first, second)
+    return Fraction(total1, den), Fraction(total2, den)
+
+
+def _run_totals(spec, first, second):
+    """(S1, S2, q^N * D): run_automata's payoff pair as ints over one
+    denominator, the same for every run under spec."""
+    acts1, acts2 = spec.stage.actions
     p, q = spec.discount.numerator, spec.discount.denominator
-    scale = math.lcm(*[v.denominator for vec in stage.payoffs.values()
-                       for v in vec])
-    # (action 1, action 2) -> the stage payoffs times scale, as ints
-    scaled = {
-        (acts1[i], acts2[j]): (u.numerator * (scale // u.denominator),
-                               w.numerator * (scale // w.denominator))
-        for (i, j), (u, w) in stage.payoffs.items()
-    }
+    scale, scaled = _stage_table(spec.stage)
     out1, out2 = first.output, second.output
     step1, step2 = first.transition, second.transition
     s1, s2 = first.initial, second.initial
@@ -141,8 +157,7 @@ def run_automata(spec: RepeatedGameSpec, first: RepeatedGameAutomaton,
         except KeyError:
             # step raises the InputError naming the missing transition
             s1, s2 = first.step(s1, a2), second.step(s2, a1)
-    den = q ** spec.rounds * scale
-    return Fraction(total1, den), Fraction(total2, den)
+    return total1, total2, q ** spec.rounds * scale
 
 
 # The constant and reactive library machines below share a two-state
@@ -244,6 +259,7 @@ AUTOMATON_LIBRARY = {
     "defect_last": defect_last,
     "retaliating_defect_last": retaliating_defect_last,
 }
+ROUND_COUNTERS = ("defect_last", "retaliating_defect_last")
 
 DEFAULT_SPACE = ("all_c", "all_d", "tit_for_tat", "grim", "defect_last")
 

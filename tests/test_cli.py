@@ -185,6 +185,25 @@ def test_repeated_threshold(capsys):
     assert "9" in out and "10" in out
 
 
+def test_repeated_threshold_work_bound(capsys):
+    # frpd.json's scans run 1 + 2 * 4 and 1 + 2 * 5 profiles per horizon
+    code, out, err = run_cli(
+        capsys, "repeated", "threshold", "--spec", path("frpd.json"),
+        "--nmax", "1000000")
+    assert (code, out) == (3, "")
+    assert err == ("error: 10000010000000 simulated rounds exceed the "
+                   "bound 10000000\n")
+    code, out, _ = run_cli(
+        capsys, "repeated", "threshold", "--spec", path("frpd.json"),
+        "--nmax", "12", "--work-bound", "1560")
+    assert code == 0 and out.endswith(": 10\n")
+    code, _, err = run_cli(
+        capsys, "repeated", "threshold", "--spec", path("frpd.json"),
+        "--nmax", "12", "--work-bound", "1559")
+    assert code == 3
+    assert err == "error: 1560 simulated rounds exceed the bound 1559\n"
+
+
 def test_aware_commands(capsys):
     code, out, _ = run_cli(
         capsys, "aware", "validate", "--game", path("crossing_p3.json"))
@@ -349,7 +368,8 @@ SUBCOMMAND_FLAGS = {
     ("compgame", "check"): ("--game --machines", "--epsilon --format"),
     ("compgame", "enumerate"): ("--game", "--epsilon --work-bound --format"),
     ("repeated", "run"): ("--spec --m1 --m2", "--format"),
-    ("repeated", "threshold"): ("--spec --nmax", "--epsilon --format"),
+    ("repeated", "threshold"): ("--spec --nmax",
+                                "--epsilon --work-bound --format"),
     ("aware", "validate"): ("--game", "--format"),
     ("aware", "check"): ("--game --profile", "--epsilon --format"),
     ("aware", "find"): ("--game", "--epsilon --work-bound --format"),

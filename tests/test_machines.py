@@ -1,10 +1,11 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from eqcheck import machines
+from eqcheck import machines, repeated
 from eqcheck.errors import InputError, WorkBoundExceeded
 from eqcheck.fileformat import parse_document, serialize_document
 from eqcheck.games import BayesianGame, MixedProfile, NormalFormGame, is_nash
@@ -22,6 +23,7 @@ from eqcheck.repeated import (RepeatedGameAutomaton, RepeatedGameSpec,
                               run_automata, tit_for_tat)
 
 F = Fraction
+DEFAULT_NAMES = machines.DEFAULT_SPACE
 DELTA = F(9, 10)
 COST = F(1, 10)
 
@@ -376,11 +378,22 @@ def _reference_comp_utility(game, machine_ids):
     return tuple(totals)
 
 
+def _reference_repeated_utility(game, machine_ids):
+    """Repeated-mode machine-profile utility: the Fraction reference run
+    minus memory_cost * n_states for each charged player."""
+    spec = game.repeated_spec
+    profile = game.profile(machine_ids)
+    gross = _reference_run_automata(spec, *profile)
+    return tuple(
+        value - (spec.memory_cost * machine.n_states if charged else 0)
+        for value, machine, charged in zip(gross, profile, game.charged))
+
+
 def _reference_deviation(game, ids, eps=0):
     """The first switch gaining more than eps as (better machine, utility
     before, utility after, gain), or None; every utility computed afresh."""
     utility = (_reference_comp_utility if game.mode == "one-shot"
-               else comp_expected_utility)
+               else _reference_repeated_utility)
     base = utility(game, ids)
     for i in range(game.n_players):
         for machine in game.spaces[i]:
@@ -536,6 +549,14 @@ def test_enumeration_matches_reference_scan():
             assert exhaustive_machine_equilibria(game, eps) == [
                 ids for ids in _profiles(game)
                 if _reference_deviation(game, ids, eps) is None]
+            for ids in _profiles(game):
+                verdict = is_machine_nash(game, ids, eps)
+                deviation = _reference_deviation(game, ids, eps)
+                assert verdict.holds == (deviation is None)
+                if deviation is not None:
+                    data = verdict.witness.data
+                    assert (data["better_machine"], data["utility_before"],
+                            data["utility_after"], data["gain"]) == deviation
 
 
 def test_enumeration_bound_counts_machine_profiles_only():
@@ -729,3 +750,164 @@ def test_threshold_grid_frozen_values():
                 # a scan up to n_max finds the same least N when N <= n_max
                 assert (report.symmetric, report.asymmetric) == tuple(
                     n if n is not None and n <= n_max else None for n in want)
+
+
+# --- repeated mode in integers, and the one-validation threshold scan -------
+
+def _random_repeated_game(rng, charged):
+    """A random stage and discount, a fractional (sometimes zero) memory
+    cost, and 1-3 random automata per player."""
+    stage = _random_stage(rng)
+    acts1, acts2 = stage.actions
+    cost = rng.choice((0, F(rng.randint(1, 9), rng.randint(1, 7))))
+    spec = RepeatedGameSpec(stage, rng.randint(1, 25), _random_discount(rng),
+                            cost)
+    spaces = tuple(
+        tuple(_random_automaton(rng, f"m{k}", own, other)
+              for k in range(rng.randint(1, 3)))
+        for own, other in ((acts1, acts2), (acts2, acts1)))
+    return ComputationalGame("repeated", spaces, repeated_spec=spec,
+                             charged=charged)
+
+
+def test_repeated_utilities_and_switches_match_fraction_reference():
+    rng = random.Random(1985)
+    outcomes = set()
+    for _ in range(40):
+        for charged in ((True, True), (True, False)):
+            game = _random_repeated_game(rng, charged)
+            for ids in _profiles(game):
+                got = comp_expected_utility(game, ids)
+                assert got == _reference_repeated_utility(game, ids)
+                assert all(type(v) is Fraction for v in got)
+                for eps in (0, F(1, 7)):
+                    verdict = is_machine_nash(game, ids, eps)
+                    deviation = _reference_deviation(game, ids, eps)
+                    outcomes.add(deviation is None)
+                    if deviation is None:
+                        assert verdict.holds
+                        continue
+                    data = verdict.witness.data
+                    assert (data["better_machine"], data["utility_before"],
+                            data["utility_after"], data["gain"]) == deviation
+                    assert all(type(data[k]) is Fraction for k in
+                               ("utility_before", "utility_after", "gain"))
+    assert outcomes == {True, False}
+
+
+def _naive_threshold(delta, cost, n_max, names, stage, eps):
+    """Both least horizons from a validated game at every N, checked with
+    the Fraction reference."""
+    asym = tuple(names)
+    if "retaliating_defect_last" not in asym:
+        asym += ("retaliating_defect_last",)
+
+    def least(names, charged, profile):
+        for rounds in range(1, n_max + 1):
+            game = build_repeated_dilemma_game(
+                rounds, delta, cost, names, charged, stage)
+            if _reference_deviation(game, profile, eps) is None:
+                return rounds
+        return None
+
+    return (least(names, (True, True), ("tit_for_tat", "tit_for_tat")),
+            least(asym, (True, False),
+                  ("tit_for_tat", "retaliating_defect_last")))
+
+
+def _random_dilemma_stage(rng):
+    """A C/D stage: the dilemma's payoffs moved by random fractions, or
+    entirely random fractional payoffs."""
+    base = {(0, 0): (3, 3), (0, 1): (-5, 5), (1, 0): (5, -5), (1, 1): (-3, -3)}
+    spread = rng.choice((1, 20))
+    payoffs = {
+        key: tuple(v * (spread == 1) + F(rng.randint(-spread, spread),
+                                         rng.randint(1, 9)) for v in vec)
+        for key, vec in base.items()
+    }
+    return NormalFormGame(("p1", "p2"), (("C", "D"), ("C", "D")), payoffs)
+
+
+def test_threshold_scan_matches_naive_scan():
+    rng = random.Random(1986)
+    others = ("all_c", "all_d", "grim", "defect_last")
+    found = set()
+    for k in range(48):
+        names = list(rng.sample(others, rng.randint(0, 4)))
+        if k % 2:
+            names.append("retaliating_defect_last")
+        names.insert(rng.randint(0, len(names)), "tit_for_tat")
+        stage = _random_dilemma_stage(rng)
+        delta = F(rng.randint(51, 99), 101)
+        cost = rng.choice((0, F(1, 10), F(rng.randint(1, 9), 1000)))
+        eps = rng.choice((0, 0, F(1, 7), F(1, 50)))
+        n_max = rng.randint(1, 12)
+        report = tit_for_tat_threshold(delta, cost, n_max, tuple(names),
+                                       stage, eps)
+        want = _naive_threshold(delta, cost, n_max, names, stage, eps)
+        assert (report.symmetric, report.asymmetric) == want
+        found.update(n is not None and n > 1 for n in want)
+    assert found == {True, False}
+
+
+def _stage(actions, players=("p1", "p2")):
+    return NormalFormGame(players, actions, {
+        key: (F(1),) * len(players)
+        for key in itertools.product(*(range(len(a)) for a in actions))})
+
+
+@pytest.mark.parametrize("stage, names, epsilon, want", [
+    (_stage((("C", "X"), ("C", "X"))), DEFAULT_NAMES, 0,
+     "automaton all_d: action 'D' not in the stage game"),
+    (_stage((("C", "X"), ("C", "X"))), ("tit_for_tat", "defect_last"), -1,
+     "automaton tit_for_tat: action 'D' not in the stage game"),
+    (_stage((("C", "D"), ("C", "X"))), DEFAULT_NAMES, 0,
+     "automaton all_d: action 'D' not in the stage game"),
+    (_stage((("C", "D"),) * 3, ("a", "b", "c")), DEFAULT_NAMES, 0,
+     "repeated play needs a 2-player stage game"),
+    (_stage((("C", "D"), ("C", "D"))), ("tit_for_tat", "bogus"), 0,
+     "unknown library automaton 'bogus'"),
+    (_stage((("C", "D"), ("C", "D"))), ("tit_for_tat", "tit_for_tat"), 0,
+     "player index 0: duplicate machine ids in space"),
+    (_stage((("C", "D"), ("C", "D"))), DEFAULT_NAMES, -1,
+     "epsilon must be nonnegative"),
+])
+def test_threshold_scan_refuses_what_its_first_horizon_refuses(
+        stage, names, epsilon, want):
+    """The scan validates once; its messages and their order are those of
+    the validating constructors at N = 1 followed by the epsilon check."""
+    with pytest.raises(InputError) as info:
+        tit_for_tat_threshold(DELTA, COST, 5, names, stage, epsilon)
+    assert str(info.value) == want
+    with pytest.raises(InputError) as info:
+        game = build_repeated_dilemma_game(1, DELTA, COST, names,
+                                           stage=stage)
+        is_machine_nash(game, ("tit_for_tat", "tit_for_tat"), epsilon)
+    assert str(info.value) == want
+
+
+def test_threshold_scan_work_bound():
+    # 55 horizon rounds times (1 + 2 * 4) + (1 + 2 * 5) profiles
+    report = tit_for_tat_threshold(DELTA, COST, 10, work_bound=1100)
+    assert (report.symmetric, report.asymmetric) == (9, 10)
+    with pytest.raises(WorkBoundExceeded,
+                       match="^1100 simulated rounds exceed the bound 1099$"):
+        tit_for_tat_threshold(DELTA, COST, 10, work_bound=1099)
+    # under the default bound n_max = 300 is allowed and 1000 is not
+    report = tit_for_tat_threshold(DELTA, COST, 300)
+    assert (report.symmetric, report.asymmetric) == (9, 10)
+    with pytest.raises(WorkBoundExceeded) as info:
+        tit_for_tat_threshold(DELTA, COST, 1000)
+    assert (info.value.required, info.value.bound) == (10_010_000, 10_000_000)
+
+
+def test_stage_tables_live_only_as_long_as_their_stage():
+    gc.collect()
+    stage = default_stage_game()
+    assert stage is not default_stage_game()
+    tit_for_tat_threshold(DELTA, COST, 12, stage=stage)
+    assert stage in repeated._STAGE_TABLES
+    del stage
+    tit_for_tat_threshold(DELTA, COST, 12)
+    gc.collect()
+    assert len(repeated._STAGE_TABLES) == 0
