@@ -13,7 +13,8 @@ it.  A faulty node whose honest outbox is empty therefore stays silent;
 the library does not inject arbitrary traffic.
 
 Everything is deterministic: identical scenarios yield identical
-transcripts.
+transcripts.  sweep and the adversary-game builders check their arguments
+once and build their scenarios trusted, sharing one strategy per name.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import InputError
-from .games import (DEFAULT_ENTRY_BOUND, BayesianGame, NormalFormGame,
+from .games import (DEFAULT_ENTRY_BOUND, DEFAULT_WORK_BOUND, BayesianGame,
+                    NormalFormGame, _bayesian_frame, _normal_frame, _trusted,
                     bounded_product)
 from .verdicts import Verdict, Witness
 
@@ -60,9 +62,7 @@ def flip_adversary():
     """Negates every 0/1 payload it would honestly send."""
 
     def transform(outbox, round_no, node, scenario):
-        return {
-            rcpt: (1 - v if v in (0, 1) else v) for rcpt, v in outbox.items()
-        }
+        return {r: (1 - v if v in (0, 1) else v) for r, v in outbox.items()}
 
     return AdversaryStrategy("flip", transform)
 
@@ -77,20 +77,13 @@ def equivocate_adversary():
     """
 
     def transform(outbox, round_no, node, scenario):
-        if len(outbox) < 2:
-            return dict(outbox)
-        values = set(outbox.values())
-        if len(values) != 1:
+        if (len(outbox) < 2 or len(values := set(outbox.values())) != 1
+                or not values <= {0, 1}):
             return dict(outbox)
         v = values.pop()
-        if v not in (0, 1):
-            return dict(outbox)
         recipients = sorted(outbox)
         keep = len(recipients) // 2
-        return {
-            rcpt: (v if i < keep else 1 - v)
-            for i, rcpt in enumerate(recipients)
-        }
+        return {r: (v if i < keep else 1 - v) for i, r in enumerate(recipients)}
 
     return AdversaryStrategy("equivocate", transform)
 
@@ -168,7 +161,8 @@ class Transcript:
     rounds[r-1] holds the messages sent in round r as sorted
     (sender, recipient, payload) triples; decisions maps every player to
     its decided value or None; decided_round records when each decision
-    landed (the round whose step emitted it).
+    landed (the round whose step emitted it).  run sets utilities and
+    verdict, the run's check_ba.
     """
 
     def __init__(self, scenario, protocol_name, rounds, decisions,
@@ -180,6 +174,7 @@ class Transcript:
         self.decided_round = decided_round
         self.timed_out = timed_out
         self.utilities = {}
+        self.verdict = None
 
 
 class MediatorRelayProtocol:
@@ -201,10 +196,8 @@ class MediatorRelayProtocol:
             if round_no == 2:
                 heard = inbox.get(scenario.general)
                 value = heard if heard in (0, 1) else 0
-                soldiers = [
-                    p for p in scenario.players if p != scenario.general
-                ]
-                return {p: value for p in soldiers}, state, None
+                return {p: value for p in scenario.players
+                        if p != scenario.general}, state, None
             return {}, state, None
         if node == scenario.general:
             if round_no == 1:
@@ -278,18 +271,13 @@ def run(scenario: Scenario, protocol, round_cap=None) -> Transcript:
     if scenario.mediator_present:
         nodes.append(MEDIATOR_ID)
     states = {node: protocol.initial_state(node, scenario) for node in nodes}
-    decisions = {p: None for p in scenario.players}
+    decisions = dict.fromkeys(scenario.players)
     decided_round = {}
+    waiting = set(scenario.nonfaulty)
     pending = {node: {} for node in nodes}
     log = []
-    timed_out = False
     round_no = 0
-    while True:
-        if all(decisions[p] is not None for p in scenario.nonfaulty):
-            break
-        if round_no >= round_cap:
-            timed_out = True
-            break
+    while waiting and round_no < round_cap:
         round_no += 1
         inboxes = pending
         pending = {node: {} for node in nodes}
@@ -297,27 +285,29 @@ def run(scenario: Scenario, protocol, round_cap=None) -> Transcript:
         for node in nodes:
             outbox, states[node], decision = protocol.step(
                 node, round_no, states[node], inboxes[node], scenario)
-            outbox = dict(outbox)
             if node in scenario.faults:
                 outbox = scenario.faults[node].corrupt(
-                    outbox, round_no, node, scenario)
-            for recipient in sorted(outbox):
+                    dict(outbox), round_no, node, scenario)
+            for recipient, payload in outbox.items():
                 if recipient not in pending:
                     raise InputError(
                         f"protocol {protocol.name}: message to unknown node "
-                        f"{recipient!r}")
-                pending[recipient][node] = outbox[recipient]
-                sent.append((node, recipient, outbox[recipient]))
+                        f"{min(r for r in outbox if r not in pending)!r}")
+                pending[recipient][node] = payload
+                sent.append((node, recipient, payload))
             if (decision is not None and node in decisions
                     and decisions[node] is None):
                 decisions[node] = decision
                 decided_round[node] = round_no
+                waiting.discard(node)
         sent.sort()
         log.append(tuple(sent))
 
     transcript = Transcript(scenario, protocol.name, tuple(log), decisions,
-                            decided_round, timed_out)
-    transcript.utilities = indicator_utilities(transcript)
+                            decided_round, bool(waiting))
+    transcript.verdict = check_ba(transcript)
+    transcript.utilities = dict.fromkeys(
+        scenario.players, ONE if transcript.verdict.holds else ZERO)
     return transcript
 
 
@@ -371,12 +361,30 @@ def check_ba(transcript: Transcript) -> Verdict:
     return Verdict(True)
 
 
-def _fault_assignments(players, t, adversaries):
+def _fault_assignments(players, t, strategies):
     yield {}
     for size in range(1, t + 1):
         for members in itertools.combinations(players, size):
-            for names in itertools.product(adversaries, repeat=size):
-                yield dict(zip(members, names))
+            for chosen in itertools.product(strategies, repeat=size):
+                yield dict(zip(members, chosen))
+
+
+def _checked(n, protocol, adversaries, preferences, where):
+    """One strategy per adversary name, in adversaries' order, and the
+    shared scenario fields, after the checks Scenario would make."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InputError("n must be a positive integer")
+    for name in adversaries:
+        if not isinstance(name, str) or name not in ADVERSARY_LIBRARY:
+            raise InputError(
+                f"{where.format(n - 1)}unknown adversary {name!r}")
+    if any(preference not in (0, 1) for preference in preferences):
+        raise InputError("preference must be 0 or 1")
+    made = {name: ADVERSARY_LIBRARY[name]() for name in adversaries}
+    players = tuple(f"p{i}" for i in range(n))
+    return tuple(made[name] for name in adversaries), dict(
+        n=n, players=players, general=players[0],
+        mediator_present=protocol.requires_mediator)
 
 
 class SweepReport:
@@ -432,37 +440,58 @@ class SweepReport:
 
 
 def sweep(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
-          preferences=(0, 1)) -> SweepReport:
+          preferences=(0, 1), work_bound=DEFAULT_WORK_BOUND) -> SweepReport:
     """Run every (preference, fault set of size <= t, adversary assignment)
-    combination, fault-free first within each preference."""
+    combination, fault-free first within each preference; work_bound caps
+    the runs, counted before the first."""
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise InputError("t must be a nonnegative integer")
     if not isinstance(n, int) or isinstance(n, bool) or t >= n:
         raise InputError("need n > t (some player must stay honest)")
-    for name in adversaries:
-        if name not in ADVERSARY_LIBRARY:
-            raise InputError(f"unknown adversary {name!r}")
-    players = tuple(f"p{i}" for i in range(n))
+    term = per_preference = 1
+    for size in range(1, t + 1):
+        term = term * (n + 1 - size) * len(adversaries) // size
+        per_preference += term
+    bounded_product((len(preferences), per_preference), work_bound,
+                    "simulations")
+    strategies, fields = _checked(n, protocol, adversaries, preferences, "")
     entries = []
     for preference in preferences:
-        for faults in _fault_assignments(players, t, adversaries):
-            scenario = Scenario(
-                n, preference, faults=faults,
-                mediator_present=protocol.requires_mediator)
+        for faults in _fault_assignments(fields["players"], t, strategies):
+            scenario = _trusted(Scenario, preference=preference,
+                                faults=faults, **fields)
             transcript = run(scenario, protocol)
-            entries.append((scenario, transcript, check_ba(transcript)))
+            entries.append((scenario, transcript, transcript.verdict))
     return SweepReport(entries)
 
 
 def empirical_immunity(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
-                       preferences=(0, 1)) -> Verdict:
+                       preferences=(0, 1),
+                       work_bound=DEFAULT_WORK_BOUND) -> Verdict:
     """No nonfaulty player's utility drops below its fault-free baseline
     anywhere in the sweep.
 
     This is the simulation analogue of tolerating t arbitrary deviators,
     restricted to the named adversary library.
     """
-    return sweep(n, t, protocol, adversaries, preferences).immunity()
+    return sweep(n, t, protocol, adversaries, preferences,
+                 work_bound).immunity()
+
+
+def _fault_table(protocol, strategies, fields, preference):
+    """Utilities of every profile where each player follows (action 0) or
+    plays strategies[a - 1] (action a), one run each: the table of both
+    adversary-game builders."""
+    players = fields["players"]
+    table = {}
+    for key in itertools.product(range(1 + len(strategies)),
+                                 repeat=len(players)):
+        faults = {players[i]: strategies[a - 1]
+                  for i, a in enumerate(key) if a}
+        transcript = run(_trusted(Scenario, preference=preference,
+                                  faults=faults, **fields), protocol)
+        table[key] = tuple(transcript.utilities[p] for p in players)
+    return table
 
 
 def build_adversary_game(n, protocol, adversaries=DEFAULT_ADVERSARIES,
@@ -473,21 +502,14 @@ def build_adversary_game(n, protocol, adversaries=DEFAULT_ADVERSARIES,
     Immunity checks on this game agree with empirical_immunity restricted
     to the same library (the cross-check used at small n).
     """
-    players = tuple(f"p{i}" for i in range(n))
-    actions = tuple(("follow",) + tuple(adversaries) for _ in players)
-    # refuse the table before simulating it, as the constructor would after
-    bounded_product((len(a) for a in actions), DEFAULT_ENTRY_BOUND,
-                    "payoff entries")
-    payoffs = {}
-    for key in itertools.product(range(1 + len(adversaries)), repeat=n):
-        faults = {
-            players[i]: adversaries[a - 1] for i, a in enumerate(key) if a > 0
-        }
-        scenario = Scenario(n, preference, faults=faults,
-                            mediator_present=protocol.requires_mediator)
-        transcript = run(scenario, protocol)
-        payoffs[key] = tuple(transcript.utilities[p] for p in players)
-    return NormalFormGame(players, actions, payoffs)
+    strategies, fields = _checked(n, protocol, adversaries, (preference,),
+                                  "faults[p{}]: ")
+    players, actions, _ = _normal_frame(
+        fields["players"], (("follow",) + tuple(adversaries),) * n,
+        DEFAULT_ENTRY_BOUND)
+    return _trusted(NormalFormGame, players=players, actions=actions,
+                    payoffs=_fault_table(protocol, strategies, fields,
+                                         preference))
 
 
 def build_preference_bayes_game(
@@ -495,23 +517,15 @@ def build_preference_bayes_game(
     """The Bayesian version: the general's type is its preference (uniform
     over 0/1), every other player has one type, and actions are follow or
     a library adversary."""
-    players = tuple(f"p{i}" for i in range(n))
-    types = tuple(("0", "1") if p == players[0] else ("-",) for p in players)
-    actions = tuple(("follow",) + tuple(adversaries) for _ in players)
-    bounded_product([len(t) for t in types] + [len(a) for a in actions],
-                    DEFAULT_ENTRY_BOUND, "utility entries")
+    strategies, fields = _checked(n, protocol, adversaries, (),
+                                  "faults[p{}]: ")
+    players, types, actions, _ = _bayesian_frame(
+        fields["players"], (("0", "1"),) + (("-",),) * (n - 1),
+        (("follow",) + tuple(adversaries),) * n, DEFAULT_ENTRY_BOUND)
     prior = {(t,) + (0,) * (n - 1): Fraction(1, 2) for t in range(2)}
-    utilities = {}
-    for tkey in prior:
-        preference = int(types[0][tkey[0]])
-        for akey in itertools.product(range(1 + len(adversaries)), repeat=n):
-            faults = {
-                players[i]: adversaries[a - 1]
-                for i, a in enumerate(akey) if a > 0
-            }
-            scenario = Scenario(n, preference, faults=faults,
-                                mediator_present=protocol.requires_mediator)
-            transcript = run(scenario, protocol)
-            utilities[(tkey, akey)] = tuple(
-                transcript.utilities[p] for p in players)
-    return BayesianGame(players, types, actions, prior, utilities)
+    utilities = {
+        (tkey, akey): payoffs for tkey in prior
+        for akey, payoffs in _fault_table(
+            protocol, strategies, fields, tkey[0]).items()}
+    return _trusted(BayesianGame, players=players, types=types,
+                    actions=actions, prior=prior, utilities=utilities)

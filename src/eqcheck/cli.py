@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .awareness import find_pure_generalized_nash, is_generalized_nash
-from .basim import DEFAULT_ADVERSARIES, PROTOCOLS, check_ba, run, sweep
+from .basim import DEFAULT_ADVERSARIES, PROTOCOLS, run, sweep
 from .errors import EqcheckError, InputError, WorkBoundExceeded
 from .fileformat import document_body, json_text, load_document
 from .games import DEFAULT_WORK_BOUND
@@ -266,7 +266,7 @@ def _cmd_simulate_run(args):
     scenario = _load(args.scenario, "scenario")
     protocol = PROTOCOLS[args.protocol]
     transcript = run(scenario, protocol)
-    verdict = check_ba(transcript)
+    verdict = transcript.verdict
     report = {
         "scenario": document_body(scenario)[1],
         "transcript": _transcript_report(transcript),
@@ -293,7 +293,8 @@ def _cmd_simulate_run(args):
 def _cmd_simulate_ba(args):
     protocol = PROTOCOLS[args.protocol]
     adversaries = tuple(args.adversaries.split(","))
-    report_obj = sweep(args.n, args.t, protocol, adversaries)
+    report_obj = sweep(args.n, args.t, protocol, adversaries,
+                       work_bound=args.work_bound)
     immunity = report_obj.immunity()
     failures = []
     for scenario, transcript, verdict in report_obj.failures():
@@ -398,7 +399,8 @@ _COMMANDS = {
     }),
     "simulate": ("synchronous broadcast agreement runs", {
         "ba": ("sweep fault assignments and check immunity",
-               _cmd_simulate_ba, "--n --t --adversaries --protocol --report"),
+               _cmd_simulate_ba,
+               "--n --t --adversaries --protocol --work-bound --report"),
         "run": ("replay one scenario file", _cmd_simulate_run,
                 "--scenario --protocol --report"),
     }),

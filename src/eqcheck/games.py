@@ -49,7 +49,10 @@ def bounded_product(sizes, bound, what):
     and enumerations: raises WorkBoundExceeded when it is above bound."""
     total = math.prod(sizes)
     if total > bound:
-        raise WorkBoundExceeded(f"{total} {what} exceed the bound {bound}",
+        # str() refuses ints past 4300 digits (sys.get_int_max_str_digits)
+        shown = (total if total.bit_length() < 14_000
+                 else f"over 2^{total.bit_length() - 1}")
+        raise WorkBoundExceeded(f"{shown} {what} exceed the bound {bound}",
                                 required=total, bound=bound)
     return total
 

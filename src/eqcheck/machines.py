@@ -544,22 +544,29 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
                                         (True, True), stage)
     eps = _check_epsilon(epsilon)
     fixed = {m.id: m for m in first.spaces[0] if m.id not in ROUND_COUNTERS}
-
-    def least_rounds(names, charged, profile):
-        for rounds in range(1, n_max + 1):
-            space = tuple(fixed.get(name) or AUTOMATON_LIBRARY[name](rounds)
-                          for name in names)
-            spec = _trusted(RepeatedGameSpec, stage=stage, rounds=rounds,
-                            discount=delta, memory_cost=cost)
+    scans = {"symmetric": (space_names, (True, True),
+                           ("tit_for_tat", "tit_for_tat")),
+             "asymmetric": (asym_names, (True, False),
+                            ("tit_for_tat", "retaliating_defect_last"))}
+    least = dict.fromkeys(scans)
+    for rounds in range(1, n_max + 1):
+        # both scans share this horizon's machines: each counter built once
+        machines = dict(fixed)
+        spec = _trusted(RepeatedGameSpec, stage=stage, rounds=rounds,
+                        discount=delta, memory_cost=cost)
+        for scan, (names, charged, profile) in scans.items():
+            if least[scan] is not None:
+                continue
+            for name in names:
+                if name not in machines:
+                    machines[name] = AUTOMATON_LIBRARY[name](rounds)
+            space = tuple(machines[name] for name in names)
             game = _trusted(
                 ComputationalGame, mode="repeated", spaces=(space, space),
                 underlying=None, repeated_spec=spec, charged=charged)
             if is_machine_nash(game, profile, eps).holds:
-                return rounds
-        return None
-
-    symmetric = least_rounds(space_names, (True, True),
-                             ("tit_for_tat", "tit_for_tat"))
-    asymmetric = least_rounds(asym_names, (True, False),
-                              ("tit_for_tat", "retaliating_defect_last"))
-    return ThresholdReport(symmetric, asymmetric, n_max, delta, cost)
+                least[scan] = rounds
+        if None not in least.values():
+            break
+    return ThresholdReport(least["symmetric"], least["asymmetric"], n_max,
+                           delta, cost)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -110,7 +111,7 @@ def test_echo_first_immunity_witness():
     assert w.data["decisions"] == {"p0": 0, "p1": 0, "p2": 1, "p3": 1}
 
 
-def test_simulate_ba_runs_each_scenario_once(monkeypatch, capsys):
+def _count_runs(monkeypatch):
     calls = []
     real_run = basim.run
 
@@ -119,6 +120,11 @@ def test_simulate_ba_runs_each_scenario_once(monkeypatch, capsys):
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(basim, "run", counting_run)
+    return calls
+
+
+def test_simulate_ba_runs_each_scenario_once(monkeypatch, capsys):
+    calls = _count_runs(monkeypatch)
     verdict = empirical_immunity(4, 1, ECHO)
     assert len(calls) == 34
     # the same witness as the README's failing example, harm scan unchanged
@@ -250,3 +256,254 @@ def test_adversary_builders_refuse_before_simulating(build, n, message):
     with pytest.raises(WorkBoundExceeded, match=f"^{message}$"):
         build(n, MEDIATOR)
     assert time.perf_counter() - start < 1
+
+
+# --- differential test against the pre-optimisation run loop --------------
+
+def _reference_run(scenario, protocol, round_cap=None):
+    """The run loop as it was before sweeps built trusted scenarios: every
+    outbox copied and sorted, the nonfaulty set rescanned every round."""
+    if protocol.requires_mediator and not scenario.mediator_present:
+        raise InputError(
+            f"protocol {protocol.name} needs the trusted relay node")
+    if round_cap is None:
+        round_cap = 2 * scenario.n
+    if not isinstance(round_cap, int) or round_cap < 1:
+        raise InputError("round_cap must be a positive integer")
+
+    nodes = list(scenario.players)
+    if scenario.mediator_present:
+        nodes.append(basim.MEDIATOR_ID)
+    states = {node: protocol.initial_state(node, scenario) for node in nodes}
+    decisions = {p: None for p in scenario.players}
+    decided_round = {}
+    pending = {node: {} for node in nodes}
+    log = []
+    timed_out = False
+    round_no = 0
+    while True:
+        if all(decisions[p] is not None for p in scenario.nonfaulty):
+            break
+        if round_no >= round_cap:
+            timed_out = True
+            break
+        round_no += 1
+        inboxes = pending
+        pending = {node: {} for node in nodes}
+        sent = []
+        for node in nodes:
+            outbox, states[node], decision = protocol.step(
+                node, round_no, states[node], inboxes[node], scenario)
+            outbox = dict(outbox)
+            if node in scenario.faults:
+                outbox = scenario.faults[node].corrupt(
+                    outbox, round_no, node, scenario)
+            for recipient in sorted(outbox):
+                if recipient not in pending:
+                    raise InputError(
+                        f"protocol {protocol.name}: message to unknown node "
+                        f"{recipient!r}")
+                pending[recipient][node] = outbox[recipient]
+                sent.append((node, recipient, outbox[recipient]))
+            if (decision is not None and node in decisions
+                    and decisions[node] is None):
+                decisions[node] = decision
+                decided_round[node] = round_no
+        sent.sort()
+        log.append(tuple(sent))
+
+    transcript = basim.Transcript(scenario, protocol.name, tuple(log),
+                                  decisions, decided_round, timed_out)
+    transcript.utilities = basim.indicator_utilities(transcript)
+    return transcript
+
+
+def _reference_flip(outbox, round_no, node, scenario):
+    return {
+        rcpt: (1 - v if v in (0, 1) else v) for rcpt, v in outbox.items()
+    }
+
+
+def _reference_equivocate(outbox, round_no, node, scenario):
+    if len(outbox) < 2:
+        return dict(outbox)
+    values = set(outbox.values())
+    if len(values) != 1:
+        return dict(outbox)
+    v = values.pop()
+    if v not in (0, 1):
+        return dict(outbox)
+    recipients = sorted(outbox)
+    keep = len(recipients) // 2
+    return {
+        rcpt: (v if i < keep else 1 - v)
+        for i, rcpt in enumerate(recipients)
+    }
+
+
+_REFERENCE_ADVERSARIES = {
+    "crash": basim.crash_adversary,
+    "flip": lambda: basim.AdversaryStrategy("flip", _reference_flip),
+    "equivocate": lambda: basim.AdversaryStrategy(
+        "equivocate", _reference_equivocate),
+    "silent": basim.silent_adversary,
+}
+
+
+def _reference_scenario(n, preference, names, protocol):
+    """A validated scenario with fresh reference strategies."""
+    faults = {p: _REFERENCE_ADVERSARIES[name]() for p, name in names.items()}
+    return Scenario(n, preference, faults=faults,
+                    mediator_present=protocol.requires_mediator)
+
+
+def _reference_assignments(n, t, adversaries):
+    players = [f"p{i}" for i in range(n)]
+    yield {}
+    for size in range(1, t + 1):
+        for members in itertools.combinations(players, size):
+            for names in itertools.product(adversaries, repeat=size):
+                yield dict(zip(members, names))
+
+
+def _same_transcript(got, want):
+    assert got.protocol_name == want.protocol_name
+    assert got.rounds == want.rounds
+    assert got.decisions == want.decisions
+    assert got.decided_round == want.decided_round
+    assert got.timed_out == want.timed_out
+    assert got.utilities == want.utilities
+
+
+@pytest.mark.parametrize("protocol", [MEDIATOR, ECHO], ids=lambda p: p.name)
+def test_sweeps_match_the_reference_run(protocol):
+    """Every scenario with n <= 5 and t <= 2, in the reference order, gives
+    the reference transcript and check_ba verdict."""
+    adversaries = basim.DEFAULT_ADVERSARIES
+    for n in range(1, 6):
+        for t in range(min(2, n - 1) + 1):
+            report = sweep(n, t, protocol)
+            expected = [
+                (preference, names) for preference in (0, 1)
+                for names in _reference_assignments(n, t, adversaries)]
+            assert report.total == len(expected)
+            for (scenario, transcript, verdict), (preference, names) in zip(
+                    report.entries, expected):
+                assert scenario.preference == preference
+                assert scenario.fault_names() == names
+                assert transcript.scenario is scenario
+                want = _reference_run(
+                    _reference_scenario(n, preference, names, protocol),
+                    protocol)
+                _same_transcript(transcript, want)
+                assert verdict == check_ba(want)
+                assert transcript.verdict == verdict
+                # a run of the sweep's own scenario repeats it
+                _same_transcript(run(scenario, protocol), want)
+
+
+@pytest.mark.parametrize("protocol", [MEDIATOR, ECHO], ids=lambda p: p.name)
+def test_round_caps_match_the_reference_run(protocol):
+    for scenario, _, _ in sweep(4, 1, protocol).entries:
+        names = scenario.fault_names()
+        for cap in (1, 2, 3):
+            want = _reference_run(_reference_scenario(
+                4, scenario.preference, names, protocol), protocol, cap)
+            got = run(scenario, protocol, cap)
+            _same_transcript(got, want)
+            assert got.verdict == check_ba(want)
+
+
+def _reference_table(n, protocol, preference):
+    players = [f"p{i}" for i in range(n)]
+    choices = ("follow",) + basim.DEFAULT_ADVERSARIES
+    table = {}
+    for key in itertools.product(range(len(choices)), repeat=n):
+        names = {players[i]: choices[a] for i, a in enumerate(key) if a}
+        transcript = _reference_run(
+            _reference_scenario(n, preference, names, protocol), protocol)
+        table[key] = tuple(transcript.utilities[p] for p in players)
+    return table
+
+
+@pytest.mark.parametrize("protocol", [MEDIATOR, ECHO], ids=lambda p: p.name)
+@pytest.mark.parametrize("n", [3, 4])
+def test_builders_match_the_reference_table(protocol, n):
+    tables = {p: _reference_table(n, protocol, p) for p in (0, 1)}
+    players = tuple(f"p{i}" for i in range(n))
+    actions = (("follow",) + basim.DEFAULT_ADVERSARIES,) * n
+    for preference in (0, 1):
+        game = build_adversary_game(n, protocol, preference=preference)
+        assert (game.players, game.actions) == (players, actions)
+        assert list(game.payoffs.items()) == list(
+            tables[preference].items())
+    bayes = build_preference_bayes_game(n, protocol)
+    assert (bayes.players, bayes.actions) == (players, actions)
+    assert bayes.types == (("0", "1"),) + (("-",),) * (n - 1)
+    assert bayes.prior == {(t,) + (0,) * (n - 1): F(1, 2) for t in (0, 1)}
+    assert list(bayes.utilities.items()) == [
+        (((t,) + (0,) * (n - 1), key), payoffs)
+        for t in (0, 1) for key, payoffs in tables[t].items()]
+
+
+class _GhostProtocol:
+    """The general messages a known node and two unknown ones."""
+
+    name = "ghost"
+    requires_mediator = False
+
+    def initial_state(self, node, scenario):
+        return None
+
+    def step(self, node, round_no, state, inbox, scenario):
+        if node == scenario.general:
+            return {"zeta": 1, "p1": 0, "alpha": 0}, state, 0
+        return {}, state, None
+
+
+def test_unknown_recipient_named_in_sorted_order():
+    scenario = Scenario(3, 0, mediator_present=False)
+    for simulate in (run, _reference_run):
+        with pytest.raises(InputError, match=(
+                "^protocol ghost: message to unknown node 'alpha'$")):
+            simulate(scenario, _GhostProtocol())
+
+
+def test_sweep_work_bound(monkeypatch):
+    calls = _count_runs(monkeypatch)
+    with pytest.raises(WorkBoundExceeded,
+                       match="^34 simulations exceed the bound 33$"):
+        sweep(4, 1, MEDIATOR, work_bound=33)
+    with pytest.raises(WorkBoundExceeded,
+                       match="^17 simulations exceed the bound 16$"):
+        empirical_immunity(4, 1, ECHO, preferences=(0,), work_bound=16)
+    assert calls == []
+    assert sweep(4, 1, MEDIATOR, work_bound=34).total == 34
+    assert len(calls) == 34
+
+
+@pytest.mark.parametrize("build", [build_adversary_game,
+                                   build_preference_bayes_game])
+@pytest.mark.parametrize("n, adversaries, message", [
+    (0, ("flip",), "n must be a positive integer"),
+    (-1, ("flip",), "n must be a positive integer"),
+    (2.5, ("flip",), "n must be a positive integer"),
+    ("3", ("flip",), "n must be a positive integer"),
+    (3, ("flip", "gremlin"), "faults[p2]: unknown adversary 'gremlin'"),
+    (3, ("flip", "flip", "gremlin"),
+     "faults[p2]: unknown adversary 'gremlin'"),
+    (3, ("flip", "flip"), "actions of player p0: names must be unique"),
+])
+def test_builder_input_errors(build, n, adversaries, message):
+    with pytest.raises(InputError) as info:
+        build(n, MEDIATOR, adversaries)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [build_adversary_game,
+                                   build_preference_bayes_game])
+def test_builders_refuse_duplicates_before_simulating(build, monkeypatch):
+    calls = _count_runs(monkeypatch)
+    with pytest.raises(InputError):
+        build(3, MEDIATOR, ("flip", "flip"))
+    assert calls == []

@@ -204,6 +204,23 @@ def test_repeated_threshold_work_bound(capsys):
     assert err == "error: 1560 simulated rounds exceed the bound 1559\n"
 
 
+def test_simulate_ba_work_bound(capsys):
+    # 2 preferences x (1 + C(60, 1) 4 + ... + C(60, 4) 4^4) runs
+    code, out, err = run_cli(capsys, "simulate", "ba", "--n", "60",
+                             "--t", "4", "--protocol", "mediator")
+    assert (code, out) == (3, "")
+    assert err == ("error: 254106402 simulations exceed the bound "
+                   "10000000\n")
+    code, out, err = run_cli(capsys, "simulate", "ba", "--n", "4",
+                             "--t", "1", "--work-bound", "34")
+    assert (code, err) == (0, "")
+    assert "sweep: 34 scenarios," in out
+    code, out, err = run_cli(capsys, "simulate", "ba", "--n", "4",
+                             "--t", "1", "--work-bound", "33")
+    assert (code, out) == (3, "")
+    assert err == "error: 34 simulations exceed the bound 33\n"
+
+
 def test_aware_commands(capsys):
     code, out, _ = run_cli(
         capsys, "aware", "validate", "--game", path("crossing_p3.json"))
@@ -373,7 +390,8 @@ SUBCOMMAND_FLAGS = {
     ("aware", "validate"): ("--game", "--format"),
     ("aware", "check"): ("--game --profile", "--epsilon --format"),
     ("aware", "find"): ("--game", "--epsilon --work-bound --format"),
-    ("simulate", "ba"): ("--n --t", "--adversaries --protocol --report"),
+    ("simulate", "ba"): ("--n --t",
+                         "--adversaries --protocol --work-bound --report"),
     ("simulate", "run"): ("--scenario", "--protocol --report"),
 }
 
@@ -425,3 +443,17 @@ def test_json_reports_are_json_dumps_text(capsys, argv):
     assert code == 0 and err == ""
     assert out == json.dumps(json.loads(out), indent=2,
                              ensure_ascii=False) + "\n"
+
+
+def test_work_bound_counts_past_printable_ints(capsys):
+    """Counts too long for str() (4300 digits) still end in exit 3."""
+    code, out, err = run_cli(capsys, "simulate", "ba", "--n", "7000",
+                             "--t", "6999")
+    assert (code, out) == (3, "")
+    assert err == ("error: over 2^16254 simulations exceed the bound "
+                   "10000000\n")
+    code, out, err = run_cli(
+        capsys, "repeated", "threshold", "--spec", path("frpd.json"),
+        "--nmax", "1" + "0" * 2200)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: over 2^") and err.count("\n") == 1
