@@ -1,10 +1,12 @@
 """Finite normal-form and Bayesian games with exact equilibrium checks.
 
-Payoffs and probabilities are fractions.Fraction values.  Mixed-profile
-utilities are summed exactly as ints over a common denominator, and every
-result is a Fraction, so equilibrium verdicts reduce to exact
-strict-inequality comparisons.  An epsilon argument widens every check to
-epsilon-equilibrium; epsilon must be a nonnegative rational.
+Payoffs and probabilities are fractions.Fraction values.  Utilities are
+summed exactly as ints over common denominators: by _int_sums for mixed
+profiles and tree folds, by _prior_sums for Bayesian ex-ante and one-shot
+machine utilities.  Every result is a Fraction, so equilibrium verdicts
+reduce to exact strict-inequality comparisons.  An epsilon argument
+widens every check to epsilon-equilibrium; epsilon must be a nonnegative
+rational.
 
 Deviation checks only ever range over pure deviations: against a fixed
 opponent profile a player's utility is linear in their own mixture, so no
@@ -13,11 +15,12 @@ mixed deviation can beat the best pure one.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import weakref
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import getitem, itemgetter, mul
 from typing import Mapping
 
 from .errors import InputError, WorkBoundExceeded
@@ -28,6 +31,7 @@ from .verdicts import Verdict, Witness
 DEFAULT_ENTRY_BOUND = 10_000_000
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def _check_names(names, what):
@@ -38,6 +42,28 @@ def _check_names(names, what):
             raise InputError(f"{what}: names must be nonempty strings, got {name!r}")
     if len(set(names)) != len(names):
         raise InputError(f"{what}: names must be unique")
+
+
+def _is_index_key(key, names):
+    """Whether key is a tuple of one index per name list in names, each an
+    int (not a bool) within its list."""
+    return (isinstance(key, tuple) and len(key) == len(names)
+            and all(isinstance(k, int) and not isinstance(k, bool)
+                    and 0 <= k < len(seq) for k, seq in zip(key, names)))
+
+
+def _pure_row(game, i, choice):
+    """Player i's one-hot weight row for choice, an action name or index."""
+    acts = game.actions[i]
+    if not isinstance(choice, int) or isinstance(choice, bool):
+        if choice not in acts:
+            raise InputError(
+                f"player {game.players[i]}: unknown action {choice!r}")
+        choice = acts.index(choice)
+    elif not 0 <= choice < len(acts):
+        raise InputError(
+            f"player {game.players[i]}: action index {choice} out of range")
+    return tuple(ONE if a == choice else ZERO for a in range(len(acts)))
 
 
 # default cap on the cases one exhaustive search may enumerate
@@ -100,10 +126,7 @@ class NormalFormGame:
                 f"payoffs: table has {len(payoffs)} entries, needs exactly {entries}")
         table = {}
         for key, vec in payoffs.items():
-            if (not isinstance(key, tuple) or len(key) != n
-                    or any(not isinstance(a, int) or isinstance(a, bool)
-                           or a < 0 or a >= len(self.actions[i])
-                           for i, a in enumerate(key))):
+            if not _is_index_key(key, self.actions):
                 raise InputError(f"payoffs: bad action profile key {key!r}")
             if not isinstance(vec, (list, tuple)) or len(vec) != n:
                 raise InputError(
@@ -161,19 +184,7 @@ class MixedProfile:
         """Degenerate profile from one action per player (names or indices)."""
         if len(actions) != game.n_players:
             raise InputError("pure profile: expected one action per player")
-        rows = []
-        for i, act in enumerate(actions):
-            if isinstance(act, int) and not isinstance(act, bool):
-                ai = act
-            else:
-                ai = game.action_index(i, act)
-            row = [ZERO] * len(game.actions[i])
-            if ai < 0 or ai >= len(row):
-                raise InputError(
-                    f"player {game.players[i]}: action index {ai} out of range")
-            row[ai] = Fraction(1)
-            rows.append(tuple(row))
-        return cls(rows)
+        return cls([_pure_row(game, i, act) for i, act in enumerate(actions)])
 
     @classmethod
     def from_mapping(cls, game: NormalFormGame, mapping):
@@ -242,8 +253,9 @@ _INT_TABLES = weakref.WeakKeyDictionary()
 
 def _int_sums(game, keys, den, weights):
     """Exact sum of weight * game.payoffs[key] per player, the weights ints
-    over den: the one utility kernel.  Converted entries are kept per game
-    in _INT_TABLES, outside its attributes, for as long as it lives."""
+    over den: the kernel for normal-form utilities and tree folds.
+    Converted entries are kept per game in _INT_TABLES, outside its
+    attributes, for as long as it lives."""
     table = _INT_TABLES.get(game)
     if table is None:
         table = _INT_TABLES[game] = _IntPayoffs()
@@ -254,6 +266,35 @@ def _int_sums(game, keys, den, weights):
     return tuple(
         Fraction(sum(map(mul, weights, map(itemgetter(i), rows))), den * lcm)
         for i in range(len(game.players)))
+
+
+def _prior_sums(utilities, entries, rows, charges):
+    """Per player, the exact sum over entries (t, p) of p * sum_a prod_i
+    q_i(a_i | t_i) * (utilities[(t, a)][i] - charge_i(t_i)): the kernel for
+    Bayesian ex-ante and one-shot machine utilities.  rows[i][t] lists the
+    support of player i's type t as (action index, q numerator,
+    q denominator); charges[i][t] is its charge as a (numerator,
+    denominator) pair."""
+    first = itemgetter(0)
+    # sums[i][d]: sum of the numerators of player i's terms over denominator d
+    sums = [collections.defaultdict(int) for _ in rows]
+    for tprofile, p in entries:
+        costs = list(map(getitem, charges, tprofile))
+        pn, pd = p.as_integer_ratio()
+        for combo in itertools.product(*map(getitem, rows, tprofile)):
+            num, den = pn, pd
+            for _, qn, qd in combo:
+                num *= qn
+                den *= qd
+            vec = utilities[(tprofile, tuple(map(first, combo)))]
+            for per, v, (cn, cd) in zip(sums, vec, costs):
+                vn, vd = v.as_integer_ratio()
+                per[den * vd * cd] += num * (vn * cd - cn * vd)
+    # each player's Fraction is built once, over the lcm of its denominators
+    lcms = [math.lcm(*per) for per in sums]
+    return tuple(
+        Fraction(sum(map(mul, per.values(), map(d.__floordiv__, per))), d)
+        for per, d in zip(sums, lcms))
 
 
 def _support_utilities(game: NormalFormGame, support):
@@ -351,9 +392,7 @@ def _fixed_prior(prior, types):
     types and that its probabilities are nonnegative and sum to 1."""
     fixed = {}
     for key, q in prior.items():
-        if (not isinstance(key, tuple) or len(key) != len(types)
-                or any(not isinstance(t, int) or t < 0 or t >= len(types[i])
-                       for i, t in enumerate(key))):
+        if not _is_index_key(key, types):
             raise InputError(f"prior: bad type profile key {key!r}")
         q = as_fraction(q, f"prior[{key}]")
         if q < 0:
@@ -387,15 +426,13 @@ class BayesianGame:
                 f"{entries}")
         fixed_util = {}
         for key, vec in utilities.items():
-            if (not isinstance(key, tuple) or len(key) != 2):
+            if (not isinstance(key, tuple) or len(key) != 2 or not all(
+                    isinstance(k, tuple) and len(k) == n for k in key)):
                 raise InputError(f"utilities: bad key {key!r}")
             tkey, akey = key
-            if (not isinstance(tkey, tuple) or len(tkey) != n
-                    or not isinstance(akey, tuple) or len(akey) != n):
-                raise InputError(f"utilities: bad key {key!r}")
-            if any(t < 0 or t >= len(self.types[i]) for i, t in enumerate(tkey)):
+            if not _is_index_key(tkey, self.types):
                 raise InputError(f"utilities: bad type profile in key {key!r}")
-            if any(a < 0 or a >= len(self.actions[i]) for i, a in enumerate(akey)):
+            if not _is_index_key(akey, self.actions):
                 raise InputError(f"utilities: bad action profile in key {key!r}")
             if not isinstance(vec, (list, tuple)) or len(vec) != n:
                 raise InputError(f"utilities[{key}]: expected {n} payoffs")
@@ -447,24 +484,13 @@ class BayesianStrategyProfile:
                 raise InputError(
                     f"player {game.players[i]}: expected a choice for each "
                     f"of {len(game.types[i])} types")
-            rows = []
-            for t, act in enumerate(per_type):
-                ai = act if isinstance(act, int) else None
-                if ai is None:
-                    try:
-                        ai = game.actions[i].index(act)
-                    except ValueError:
-                        raise InputError(
-                            f"player {game.players[i]}: unknown action {act!r}"
-                        ) from None
-                row = [ZERO] * len(game.actions[i])
-                row[ai] = Fraction(1)
-                rows.append(tuple(row))
-            weights.append(tuple(rows))
+            weights.append([_pure_row(game, i, act) for act in per_type])
         return cls(weights)
 
 
-def _check_bayes_shape(game: BayesianGame, profile: BayesianStrategyProfile):
+def _bayes_rows(game: BayesianGame, profile: BayesianStrategyProfile):
+    """(rows, charges) for _prior_sums, after checking profile's shape
+    against game: each type's support rows, and no charge on any type."""
     if len(profile.weights) != game.n_players:
         raise InputError(
             f"profile has {len(profile.weights)} players, game has "
@@ -480,28 +506,15 @@ def _check_bayes_shape(game: BayesianGame, profile: BayesianStrategyProfile):
                     f"player {game.players[i]}, type "
                     f"{game.types[i][t]}: profile has {len(row)} weights for "
                     f"{len(game.actions[i])} actions")
-
-
-def _action_support(game, profile, tprofile):
-    return [
-        [(a, w) for a, w in enumerate(profile.weights[i][tprofile[i]]) if w != 0]
-        for i in range(game.n_players)
-    ]
+    rows = [[[(a, w.numerator, w.denominator) for a, w in enumerate(row) if w]
+             for row in per_type] for per_type in profile.weights]
+    return rows, [[(0, 1)] * len(per_type) for per_type in rows]
 
 
 def bayes_expected_utility(game: BayesianGame, profile: BayesianStrategyProfile):
     """Exact ex-ante expected utility vector."""
-    _check_bayes_shape(game, profile)
-    totals = [ZERO] * game.n_players
-    for tprofile, p in game.prior.items():
-        for combo in itertools.product(*_action_support(game, profile, tprofile)):
-            prob = p
-            for _, w in combo:
-                prob *= w
-            vec = game.utilities[(tprofile, tuple(a for a, _ in combo))]
-            for i in range(game.n_players):
-                totals[i] += prob * vec[i]
-    return tuple(totals)
+    return _prior_sums(
+        game.utilities, game.prior.items(), *_bayes_rows(game, profile))
 
 
 def is_bayes_nash(game: BayesianGame, profile: BayesianStrategyProfile,
@@ -511,10 +524,11 @@ def is_bayes_nash(game: BayesianGame, profile: BayesianStrategyProfile,
     Checking one type at a time is sufficient: a whole-map deviation's gain
     is the sum of its per-type gains, so some type gains strictly whenever
     the map does.  Types outside the prior's support cannot produce an
-    ex-ante gain and are skipped.
+    ex-ante gain and are skipped.  Utilities compared are the type's
+    ex-ante share: the sum over the type profiles that include it.
     """
     eps = _check_epsilon(epsilon)
-    _check_bayes_shape(game, profile)
+    rows, charges = _bayes_rows(game, profile)
     for i in range(game.n_players):
         for t in range(len(game.types[i])):
             relevant = [
@@ -523,24 +537,14 @@ def is_bayes_nash(game: BayesianGame, profile: BayesianStrategyProfile,
             ]
             if not relevant:
                 continue
-            gains = [ZERO] * len(game.actions[i])
-            current = ZERO
-            for tprofile, p in relevant:
-                support = _action_support(game, profile, tprofile)
-                others = support[:i] + support[i + 1:]
-                for combo in itertools.product(*others):
-                    prob = p
-                    for _, w in combo:
-                        prob *= w
-                    rest = [a for a, _ in combo]
-                    for a in range(len(game.actions[i])):
-                        akey = tuple(rest[:i] + [a] + rest[i:])
-                        gains[a] += prob * game.utilities[(tprofile, akey)][i]
-                    for a, w in support[i]:
-                        akey = tuple(rest[:i] + [a] + rest[i:])
-                        current += prob * w * game.utilities[(tprofile, akey)][i]
+            current = _prior_sums(game.utilities, relevant, rows, charges)[i]
+            deviated = list(rows)
+            deviated[i] = per_type = list(rows[i])
             for a in range(len(game.actions[i])):
-                if gains[a] > current + eps:
+                per_type[t] = [(a, 1, 1)]
+                value = _prior_sums(
+                    game.utilities, relevant, deviated, charges)[i]
+                if value > current + eps:
                     player = game.players[i]
                     return Verdict(False, Witness(
                         kind="type-deviation",
@@ -552,7 +556,7 @@ def is_bayes_nash(game: BayesianGame, profile: BayesianStrategyProfile,
                             "type": game.types[i][t],
                             "action": game.actions[i][a],
                             "utility_before": current,
-                            "utility_after": gains[a],
-                            "gain": gains[a] - current,
+                            "utility_after": value,
+                            "gain": value - current,
                         }))
     return Verdict(True)

@@ -19,17 +19,15 @@ unilateral machine switches directly.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
 from .games import (DEFAULT_ENTRY_BOUND, DEFAULT_WORK_BOUND, BayesianGame,
-                    NormalFormGame, _check_epsilon, _over_lcm, _trusted,
-                    bounded_product)
+                    NormalFormGame, _check_epsilon, _over_lcm, _prior_sums,
+                    _trusted, bounded_product)
 from .rationals import as_fraction
 from .repeated import (AUTOMATON_LIBRARY, DEFAULT_SPACE, ROUND_COUNTERS,
                        RepeatedGameAutomaton, RepeatedGameSpec, _run_totals,
@@ -190,45 +188,23 @@ class ComputationalGame:
 def comp_expected_utility(game: ComputationalGame, machine_ids):
     """Exact expected utility vector of a machine profile.
 
-    One-shot games sum exact integers over common denominators: each term's
-    probability and its value minus cost stay integer numerators and
-    denominators, numerators are added per denominator, and each player's
-    Fraction is built once at the end.
+    One-shot utilities are games._prior_sums over the underlying Bayesian
+    game, with each machine's rows and complexity charges built once per
+    (player, type); repeated utilities are _utility_ints over the run.
     """
     machines = game.profile(machine_ids)
     if game.mode == "repeated":
         den, nums = _utility_ints(game, machines)
         return tuple(Fraction(v, den) for v in nums)
-
     under = game.underlying
-    types, utilities = under.types, under.utilities
-    index = [{a: k for k, a in enumerate(acts)} for acts in under.actions]
-    first = operator.itemgetter(0)
-    # sums[i][d]: sum of the numerators of player i's terms over denominator d
-    sums = [collections.defaultdict(int) for _ in machines]
-    for tprofile, p in under.prior.items():
-        supports = []
-        costs = []
-        for i, machine in enumerate(machines):
-            t = types[i][tprofile[i]]
-            supports.append([
-                (index[i][a], q.numerator, q.denominator)
-                for a, q in machine.act[t].items() if q
-            ])
-            cost = machine.complexity[t]
-            costs.append((cost.numerator, cost.denominator))
-        pn, pd = p.numerator, p.denominator
-        for combo in itertools.product(*supports):
-            num, den = pn, pd
-            for _, qn, qd in combo:
-                num *= qn
-                den *= qd
-            vec = utilities[(tprofile, tuple(map(first, combo)))]
-            for per, v, (cn, cd) in zip(sums, vec, costs):
-                vd = v.denominator
-                per[den * vd * cd] += num * (v.numerator * cd - cn * vd)
-    return tuple(
-        sum((Fraction(s, d) for d, s in per.items()), ZERO) for per in sums)
+    rows, charges = [], []
+    for acts, types, machine in zip(under.actions, under.types, machines):
+        index = {a: k for k, a in enumerate(acts)}
+        rows.append([[(index[a], q.numerator, q.denominator)
+                      for a, q in machine.act[t].items() if q] for t in types])
+        charges.append(list(map(Fraction.as_integer_ratio,
+                                map(machine.complexity.__getitem__, types))))
+    return _prior_sums(under.utilities, under.prior.items(), rows, charges)
 
 
 def _utility_ints(game, machines):

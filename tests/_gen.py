@@ -1,8 +1,9 @@
 """Seeded random game generators shared by the property tests."""
 
+import itertools
 from fractions import Fraction
 
-from eqcheck.games import MixedProfile, is_nash
+from eqcheck.games import BayesianGame, MixedProfile, is_nash
 from eqcheck.trees import NATURE, ExtensiveGame
 
 
@@ -66,6 +67,35 @@ def random_extensive_game(rng, n_players=None) -> ExtensiveGame:
     else:
         grow((), rng.randint(2, 12), 0)
     return ExtensiveGame(players, moves, owner, infosets, payoffs, nature)
+
+
+def random_distribution(rng, size):
+    """size nonnegative Fractions summing to 1, some of them often zero."""
+    weights = [rng.randint(0, 4) for _ in range(size)]
+    if not any(weights):
+        weights[rng.randrange(size)] = 1
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+def random_bayesian_game(rng) -> BayesianGame:
+    """1-3 players, 1-3 types and actions each, a non-uniform prior that may
+    put zero on some type profiles (and so on a whole type), and utilities
+    with denominators up to 7."""
+    n = rng.randint(1, 3)
+    players = tuple(f"p{i}" for i in range(n))
+    types = tuple(tuple(f"t{k}" for k in range(rng.randint(1, 3)))
+                  for _ in players)
+    actions = tuple(tuple(f"a{k}" for k in range(rng.randint(1, 3)))
+                    for _ in players)
+    tprofiles = list(itertools.product(*(range(len(t)) for t in types)))
+    aprofiles = list(itertools.product(*(range(len(a)) for a in actions)))
+    prior = dict(zip(tprofiles, random_distribution(rng, len(tprofiles))))
+    utilities = {
+        (tp, ap): tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                        for _ in players)
+        for tp in tprofiles for ap in aprofiles
+    }
+    return BayesianGame(players, types, actions, prior, utilities)
 
 
 def pure_combo_count(game: ExtensiveGame) -> int:

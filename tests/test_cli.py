@@ -161,6 +161,104 @@ def test_compgame_enumerate(capsys):
     assert report["equilibria"] == []
 
 
+# one-shot machine reports on the bundled primality document, byte for byte;
+# {game} stands for the document path as JSON writes it
+PRIMALITY_REPORTS = {
+    ("check", "--machines", "test_and_guess"): (0, """\
+machine profile (test_and_guess): holds
+""", """\
+{
+  "format": 1,
+  "command": [
+    "compgame",
+    "check"
+  ],
+  "game": "{game}",
+  "machines": [
+    "test_and_guess"
+  ],
+  "epsilon": "0",
+  "utilities": [
+    "8"
+  ],
+  "verdict": {
+    "holds": true,
+    "witness": null
+  }
+}
+"""),
+    ("check", "--machines", "always_safe"): (1, """\
+machine profile (always_safe): fails
+  machine-deviation: player guesser gains by switching from always_safe to \
+test_and_guess
+""", """\
+{
+  "format": 1,
+  "command": [
+    "compgame",
+    "check"
+  ],
+  "game": "{game}",
+  "machines": [
+    "always_safe"
+  ],
+  "epsilon": "0",
+  "utilities": [
+    "1"
+  ],
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "kind": "machine-deviation",
+      "description": "player guesser gains by switching from always_safe to \
+test_and_guess",
+      "data": {
+        "player": "guesser",
+        "machine": "always_safe",
+        "better_machine": "test_and_guess",
+        "utility_before": "1",
+        "utility_after": "8",
+        "gain": "7"
+      }
+    }
+  }
+}
+"""),
+    ("enumerate",): (0, """\
+machine equilibria: 1
+  test_and_guess
+""", """\
+{
+  "format": 1,
+  "command": [
+    "compgame",
+    "enumerate"
+  ],
+  "game": "{game}",
+  "epsilon": "0",
+  "count": 1,
+  "equilibria": [
+    [
+      "test_and_guess"
+    ]
+  ]
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("style", ["text", "json"])
+@pytest.mark.parametrize("args", list(PRIMALITY_REPORTS),
+                         ids=lambda args: "-".join(args))
+def test_primality_compgame_bytes(capsys, args, style):
+    game = path("primality_4bit.json")
+    code, text, report = PRIMALITY_REPORTS[args]
+    want = text if style == "text" else report.replace(
+        "{game}", json.dumps(game)[1:-1])
+    assert run_cli(capsys, "compgame", args[0], "--game", game, *args[1:],
+                   "--format", style) == (code, want, "")
+
+
 def test_repeated_run(capsys):
     code, out, _ = run_cli(
         capsys, "repeated", "run", "--spec", path("frpd.json"),

@@ -1,19 +1,23 @@
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from _gen import random_bayesian_game
 from eqcheck.basim import PROTOCOLS, build_preference_bayes_game
 from eqcheck.catalog import (bargaining_game, matching_pennies,
                              prisoners_dilemma, zero_one_game)
 from eqcheck.errors import InputError
-from eqcheck.games import (BayesianGame, BayesianStrategyProfile,
-                           MixedProfile, NormalFormGame,
+from eqcheck.games import (ZERO, BayesianGame, BayesianStrategyProfile,
+                           MixedProfile, NormalFormGame, _check_epsilon,
                            bayes_expected_utility, best_response_value,
                            expected_utility, is_bayes_nash, is_nash)
 from eqcheck.machines import build_repeated_dilemma_game, induced_machine_game
 from eqcheck.robustness import utilities_under_joint_deviation
+from eqcheck.verdicts import Verdict, Witness
 
 F = Fraction
 
@@ -165,6 +169,54 @@ def test_bayesian_game_validation():
         BayesianStrategyProfile.pure(two_type_game(), (("x",),))
 
 
+@pytest.mark.parametrize("choice, message", [
+    (-1, "player solo: action index -1 out of range"),
+    (2, "player solo: action index 2 out of range"),
+    (True, "player solo: unknown action True"),
+    ("z", "player solo: unknown action 'z'"),
+], ids=["negative", "past-the-end", "bool", "unknown-name"])
+def test_pure_bayes_profile_resolves_choices_like_mixed(choice, message):
+    """A choice is an action name or an in-range int index, never a bool,
+    for Bayesian and normal-form pure profiles alike."""
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        BayesianStrategyProfile.pure(two_type_game(), (("x", choice),))
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        MixedProfile.pure(
+            NormalFormGame(("solo",), (("x", "y"),), {(0,): (0,), (1,): (1,)}),
+            (choice,))
+    assert BayesianStrategyProfile.pure(two_type_game(), ((1, "x"),)).weights \
+        == (((F(0), F(1)), (F(1), F(0))),)
+
+
+@pytest.mark.parametrize("bad", ["0", 0.0, False], ids=repr)
+@pytest.mark.parametrize("table", ["payoffs", "prior", "utility-types",
+                                   "utility-actions"])
+def test_table_keys_are_in_range_int_indices(table, bad):
+    """Every index in a payoff, prior or utility key is an int, not a bool,
+    within its list; the bad key is named in the same message as before."""
+    if table == "payoffs":
+        payoffs = {(1,): (F(1),), (bad,): (F(0),)}
+        with pytest.raises(InputError, match=re.escape(
+                f"payoffs: bad action profile key {(bad,)!r}")):
+            NormalFormGame(("solo",), (("x", "y"),), payoffs)
+        return
+    game = two_type_game()
+    prior, utilities = dict(game.prior), dict(game.utilities)
+    if table == "prior":
+        del prior[(0,)]
+        prior[(bad,)] = F(1, 2)
+        message = f"prior: bad type profile key {(bad,)!r}"
+    else:
+        del utilities[((0,), (0,))]
+        key = ((bad,), (0,)) if table == "utility-types" else ((0,), (bad,))
+        utilities[key] = (F(4),)
+        kind = "type" if table == "utility-types" else "action"
+        message = f"utilities: bad {kind} profile in key {key!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        BayesianGame(game.players, game.types, game.actions, prior,
+                     utilities)
+
+
 def test_follow_mediator_is_bayes_nash():
     """Following the relay protocol survives all library deviations when the
     general's preference is private."""
@@ -294,3 +346,139 @@ def test_int_kernel_on_a_trusted_induced_game():
     for profile in (MixedProfile.uniform(game),
                     _random_mixed_profile(game, rng)):
         _compare_with_reference(game, profile)
+
+
+# --- prior-weighted kernel against the plain Fraction loops ------------------
+# The three functions below are the Fraction loops that _prior_sums replaced,
+# copied verbatim apart from their names; the shape checks are left out, as
+# every profile below is built for its game.
+
+def _reference_action_support(game, profile, tprofile):
+    return [
+        [(a, w) for a, w in enumerate(profile.weights[i][tprofile[i]]) if w != 0]
+        for i in range(game.n_players)
+    ]
+
+
+def _reference_bayes_expected_utility(game, profile):
+    """Exact ex-ante expected utility vector."""
+    totals = [ZERO] * game.n_players
+    for tprofile, p in game.prior.items():
+        for combo in itertools.product(
+                *_reference_action_support(game, profile, tprofile)):
+            prob = p
+            for _, w in combo:
+                prob *= w
+            vec = game.utilities[(tprofile, tuple(a for a, _ in combo))]
+            for i in range(game.n_players):
+                totals[i] += prob * vec[i]
+    return tuple(totals)
+
+
+def _reference_is_bayes_nash(game, profile, epsilon=0):
+    eps = _check_epsilon(epsilon)
+    for i in range(game.n_players):
+        for t in range(len(game.types[i])):
+            relevant = [
+                (tprofile, p) for tprofile, p in game.prior.items()
+                if tprofile[i] == t
+            ]
+            if not relevant:
+                continue
+            gains = [ZERO] * len(game.actions[i])
+            current = ZERO
+            for tprofile, p in relevant:
+                support = _reference_action_support(game, profile, tprofile)
+                others = support[:i] + support[i + 1:]
+                for combo in itertools.product(*others):
+                    prob = p
+                    for _, w in combo:
+                        prob *= w
+                    rest = [a for a, _ in combo]
+                    for a in range(len(game.actions[i])):
+                        akey = tuple(rest[:i] + [a] + rest[i:])
+                        gains[a] += prob * game.utilities[(tprofile, akey)][i]
+                    for a, w in support[i]:
+                        akey = tuple(rest[:i] + [a] + rest[i:])
+                        current += prob * w * game.utilities[(tprofile, akey)][i]
+            for a in range(len(game.actions[i])):
+                if gains[a] > current + eps:
+                    player = game.players[i]
+                    return Verdict(False, Witness(
+                        kind="type-deviation",
+                        description=(
+                            f"player {player} of type {game.types[i][t]} gains "
+                            f"by playing {game.actions[i][a]}"),
+                        data={
+                            "player": player,
+                            "type": game.types[i][t],
+                            "action": game.actions[i][a],
+                            "utility_before": current,
+                            "utility_after": gains[a],
+                            "gain": gains[a] - current,
+                        }))
+    return Verdict(True)
+
+
+def _random_bayes_profile(game, rng):
+    """Per type, a row of fractional weights with some zeros."""
+    weights = []
+    for acts, types in zip(game.actions, game.types):
+        rows = []
+        for _ in types:
+            parts = [F(rng.choice((0, rng.randint(1, 9))), rng.choice((1, 2, 7)))
+                     for _ in acts]
+            if not any(parts):
+                parts[rng.randrange(len(parts))] = F(1)
+            rows.append([p / sum(parts) for p in parts])
+        weights.append(rows)
+    return BayesianStrategyProfile(weights)
+
+
+def _random_pure_bayes_profile(game, rng):
+    return BayesianStrategyProfile.pure(game, [
+        [rng.randrange(len(acts)) for _ in types]
+        for acts, types in zip(game.actions, game.types)])
+
+
+def _compare_with_bayes_reference(game, profile, seen):
+    _exact(bayes_expected_utility(game, profile),
+           _reference_bayes_expected_utility(game, profile))
+    for eps in (0, F(1, 7)):
+        got = is_bayes_nash(game, profile, eps)
+        want = _reference_is_bayes_nash(game, profile, eps)
+        assert got == want
+        seen["holds" if got.holds else "fails"] += 1
+        if not got.holds:
+            assert all(type(got.witness.data[key]) is Fraction
+                       for key in ("utility_before", "utility_after", "gain"))
+
+
+def test_prior_kernel_matches_fraction_reference():
+    """Random 1-3 player Bayesian games, with zero-probability type profiles
+    and types of zero marginal, under mixed and pure profiles; and the
+    agreement game's Bayesian table for both protocols."""
+    rng = random.Random(2013)
+    seen = dict.fromkeys(
+        ("games", "players>1", "zero entry", "zero marginal", "holds",
+         "fails"), 0)
+    for _ in range(90):
+        game = random_bayesian_game(rng)
+        seen["games"] += 1
+        seen["players>1"] += game.n_players > 1
+        seen["zero entry"] += len(game.prior) < math.prod(map(len, game.types))
+        seen["zero marginal"] += any(
+            all(key[i] != t for key in game.prior)
+            for i, types in enumerate(game.types) for t in range(len(types)))
+        for profile in (_random_bayes_profile(game, rng),
+                        _random_pure_bayes_profile(game, rng)):
+            _compare_with_bayes_reference(game, profile, seen)
+    for name in sorted(PROTOCOLS):
+        game = build_preference_bayes_game(3, PROTOCOLS[name])
+        follow = BayesianStrategyProfile.pure(
+            game, [["follow"] * len(types) for types in game.types])
+        profiles = [follow, _random_bayes_profile(game, rng)] + [
+            _random_pure_bayes_profile(game, rng) for _ in range(20)]
+        for profile in profiles:
+            _compare_with_bayes_reference(game, profile, seen)
+    assert min(seen.values()) >= 10, seen

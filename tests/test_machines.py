@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from _gen import random_bayesian_game, random_distribution
 from eqcheck import machines, repeated
 from eqcheck.errors import InputError, WorkBoundExceeded
 from eqcheck.fileformat import parse_document, serialize_document
-from eqcheck.games import BayesianGame, MixedProfile, NormalFormGame, is_nash
+from eqcheck.games import MixedProfile, NormalFormGame, is_nash
 from eqcheck.machines import (ComputationalGame, OneShotMachine,
                               build_primality_game,
                               build_repeated_dilemma_game,
@@ -411,41 +412,18 @@ def _profiles(game):
         *(tuple(m.id for m in space) for space in game.spaces)))
 
 
-def _random_distribution(rng, size):
-    weights = [rng.randint(0, 4) for _ in range(size)]
-    if not any(weights):
-        weights[rng.randrange(size)] = 1
-    return [F(w, sum(weights)) for w in weights]
-
-
 def _random_one_shot_game(rng):
-    """1-3 players, 1-3 types and actions each, a non-uniform prior that may
-    put zero on some type profiles, and 1-3 randomized machines per player
-    with fractional (sometimes zero) weights and fractional costs."""
-    n = rng.randint(1, 3)
-    players = tuple(f"p{i}" for i in range(n))
-    types = tuple(tuple(f"t{k}" for k in range(rng.randint(1, 3)))
-                  for _ in players)
-    actions = tuple(tuple(f"a{k}" for k in range(rng.randint(1, 3)))
-                    for _ in players)
-    tprofiles = list(itertools.product(*(range(len(t)) for t in types)))
-    aprofiles = list(itertools.product(*(range(len(a)) for a in actions)))
-    prior = dict(zip(tprofiles, _random_distribution(rng, len(tprofiles))))
-    utilities = {
-        (tp, ap): tuple(F(rng.randint(-20, 20), rng.randint(1, 7))
-                        for _ in players)
-        for tp in tprofiles for ap in aprofiles
-    }
-    under = BayesianGame(players, types, actions, prior, utilities)
+    """A random_bayesian_game under 1-3 randomized machines per player with
+    fractional (sometimes zero) weights and fractional costs."""
+    under = random_bayesian_game(rng)
     spaces = []
-    for i in range(n):
+    for types, actions in zip(under.types, under.actions):
         spaces.append(tuple(
             OneShotMachine(
                 f"m{m}", "randomized",
-                {t: dict(zip(actions[i],
-                             _random_distribution(rng, len(actions[i]))))
-                 for t in types[i]},
-                {t: F(rng.randint(0, 9), rng.randint(1, 5)) for t in types[i]})
+                {t: dict(zip(actions, random_distribution(rng, len(actions))))
+                 for t in types},
+                {t: F(rng.randint(0, 9), rng.randint(1, 5)) for t in types})
             for m in range(rng.randint(1, 3))))
     return ComputationalGame("one-shot", spaces, underlying=under)
 
