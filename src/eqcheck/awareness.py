@@ -14,16 +14,23 @@ behavioral strategies at exactly those information sets of that game that
 the belief map sends back to the game itself; the player's moves at nodes
 where they believe a different game are governed by that other game's
 strategy entry.
+
+The pure search is the (1, 0) enumeration (robustness.enumerate_pure_robust)
+of the pair game, whose players are the active pairs, as machine
+equilibria are that of the induced machine game.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import InputError
-from .games import DEFAULT_WORK_BOUND, _check_epsilon, bounded_product
+from .games import (DEFAULT_WORK_BOUND, NormalFormGame, _check_epsilon,
+                    _trusted, bounded_product)
 from .rationals import as_fraction
+from .robustness import RobustnessQuery, enumerate_pure_robust
 from .trees import NATURE, ExtensiveGame, _payoff_vector, _walk
 from .verdicts import Verdict, Witness
 
@@ -365,71 +372,46 @@ def _active_pieces(gwa: GameWithAwareness):
                  for player, game_name in gwa.active_pairs())
 
 
-def _subjective_deviation(gwa, pieces, expected, eps):
-    """The first pure reassignment of one pair's active information sets
-    that gains the pair's player more than eps in the pair's game, as
-    (pair index, moves, utility before, utility after), or None.
-
-    Pairs are scanned in active order and each pair's reassignments in
-    tree move order.  expected(p, moves) is the expected payoff vector of
-    pair p's game when pair p plays moves at its labels and every other
-    piece is held fixed; moves None stands for the profile itself.
-    """
-    for p, (player, game_name, labels) in enumerate(pieces):
-        tree = gwa.game(game_name).tree
-        pidx = tree.players.index(player)
-        base = expected(p, None)[pidx]
-        bar = base + eps
-        for moves in itertools.product(*(tree.label_moves(l)
-                                         for l in labels)):
-            value = expected(p, moves)[pidx]
-            if value > bar:
-                return p, moves, base, value
-    return None
-
-
 def is_generalized_nash(gwa: GameWithAwareness, profile: GeneralizedProfile,
                         epsilon=0) -> Verdict:
     """Every strategy piece is a best response in its own believed game.
 
     For each active pair, alternatives range over the player's pure move
     assignments at the pair's active information sets; utilities are
-    evaluated in that pair's game with all other pieces held fixed.
+    evaluated in that pair's game with all other pieces held fixed.  Pairs
+    are scanned in active order and each pair's assignments in tree move
+    order, so the witness is the first gain in that order.
     """
     eps = _check_epsilon(epsilon)
     rows = _profile_rows(gwa, profile)
-    pieces = _active_pieces(gwa)
-
-    def expected(p, moves):
-        player, game_name, labels = pieces[p]
-        trial = rows
-        if moves is not None:
-            tree = gwa.game(game_name).tree
+    for player, game_name, labels in _active_pieces(gwa):
+        tree = gwa.game(game_name).tree
+        pidx = tree.players.index(player)
+        base = _expected_from_rows(gwa, game_name, rows)[pidx]
+        for moves in itertools.product(*(tree.label_moves(l)
+                                         for l in labels)):
             trial = dict(rows)
             for label, move in zip(labels, moves):
                 trial[(player, game_name, label)] = _pure_row(
                     tree.label_moves(label), move)
-        return _expected_from_rows(gwa, game_name, trial)
-
-    found = _subjective_deviation(gwa, pieces, expected, eps)
-    if found is None:
-        return Verdict(True)
-    p, moves, base, value = found
-    player, game_name, labels = pieces[p]
-    described = "; ".join(f"{m} at {l}" for l, m in zip(labels, moves))
-    return Verdict(False, Witness(
-        kind="subjective-deviation",
-        description=(
-            f"player {player} gains in game {game_name} by "
-            f"playing {described}"),
-        data={
-            "player": player,
-            "game": game_name,
-            "strategy": dict(zip(labels, moves)),
-            "utility_before": base,
-            "utility_after": value,
-            "gain": value - base,
-        }))
+            value = _expected_from_rows(gwa, game_name, trial)[pidx]
+            if value > base + eps:
+                described = "; ".join(
+                    f"{m} at {l}" for l, m in zip(labels, moves))
+                return Verdict(False, Witness(
+                    kind="subjective-deviation",
+                    description=(
+                        f"player {player} gains in game {game_name} by "
+                        f"playing {described}"),
+                    data={
+                        "player": player,
+                        "game": game_name,
+                        "strategy": dict(zip(labels, moves)),
+                        "utility_before": base,
+                        "utility_after": value,
+                        "gain": value - base,
+                    }))
+    return Verdict(True)
 
 
 def find_pure_generalized_nash(gwa: GameWithAwareness, epsilon=0,
@@ -437,52 +419,52 @@ def find_pure_generalized_nash(gwa: GameWithAwareness, epsilon=0,
     """All pure profiles over the active domain that pass the check, in
     lexicographic order (pairs in active order, moves in tree order).
 
-    One pass over the pure combinations, each run through the deviation
-    scan of is_generalized_nash.  A pair's deviation is just another
-    combination of the same product, so the scan reads every expected
-    payoff vector from a memo keyed (game, combination), kept for this
-    call: each game is walked at most once per combination, in the order
-    of the first use, and nothing is re-validated.
+    They are the pure (1, 0)-robust profiles of the pair game: its players
+    are the active pairs, a pair's actions are its pure move assignments,
+    and its payoff is its player's utility in its own game.  Its table
+    walks each game once per combination, before any profile is checked.
+    work_bound caps the combinations; the enumeration's own guard, which
+    counts deviations, is lifted.
     """
     pieces = _active_pieces(gwa)
-    slots = []
-    spans = []
-    for player, game_name, labels in pieces:
-        tree = gwa.game(game_name).tree
-        start = len(slots)
-        for label in labels:
-            slots.append((player, game_name, label, tree.label_moves(label)))
-        spans.append((start, len(slots)))
-    bounded_product((len(slot[3]) for slot in slots), work_bound,
+    moves = [[gwa.game(game_name).tree.label_moves(label) for label in labels]
+             for _, game_name, labels in pieces]
+    bounded_product((len(m) for per in moves for m in per), work_bound,
                     "pure profiles")
-    eps = _check_epsilon(epsilon)
-    pure_rows = [{m: _pure_row(moves, m) for m in moves}
-                 for _, _, _, moves in slots]
-    memo = {}
-
-    def vector(game_name, combo):
-        key = (game_name, combo)
-        if key not in memo:
-            rows = {slot[:3]: pure_rows[s][move]
-                    for s, (slot, move) in enumerate(zip(slots, combo))}
-            memo[key] = _expected_from_rows(gwa, game_name, rows)
-        return memo[key]
-
-    found = []
-    for combo in itertools.product(*(slot[3] for slot in slots)):
-        def expected(p, moves):
-            if moves is None:
-                return vector(pieces[p][1], combo)
-            start, end = spans[p]
-            return vector(pieces[p][1], combo[:start] + moves + combo[end:])
-
-        if _subjective_deviation(gwa, pieces, expected, eps) is not None:
-            continue
-        assignments = {}
-        for (player, game_name, label, _), move in zip(slots, combo):
-            assignments.setdefault((player, game_name), {})[label] = move
-        found.append(GeneralizedProfile.pure(assignments))
-    return found
+    query = RobustnessQuery(1, 0, epsilon)     # checks epsilon, pairs or not
+    if not pieces:      # a game without players has nothing to enumerate
+        return [GeneralizedProfile.pure({})]
+    # per pair, each pure assignment with its rows keyed (player, game, label)
+    choices = [
+        [(choice, {(player, game_name, label): _pure_row(m, move)
+                   for label, m, move in zip(labels, per, choice)})
+         for choice in itertools.product(*per)]
+        for (player, game_name, labels), per in zip(pieces, moves)]
+    games = list(dict.fromkeys(game_name for _, game_name, _ in pieces))
+    seats = [(games.index(game_name),
+              gwa.game(game_name).tree.players.index(player))
+             for player, game_name, _ in pieces]
+    payoffs = {}
+    for key in itertools.product(*(range(len(c)) for c in choices)):
+        rows = {}
+        for per, a in zip(choices, key):
+            rows.update(per[a][1])
+        vectors = [_expected_from_rows(gwa, game_name, rows)
+                   for game_name in games]
+        payoffs[key] = tuple(vectors[g][i] for g, i in seats)
+    pair_game = _trusted(
+        NormalFormGame,
+        players=tuple(f"{player}@{game_name}"
+                      for player, game_name, _ in pieces),
+        actions=tuple(tuple(map(str, range(len(c)))) for c in choices),
+        payoffs=payoffs)
+    # action names are indices into each pair's choices
+    return [GeneralizedProfile.pure({
+        (player, game_name): dict(zip(labels, per[int(name)][0]))
+        for (player, game_name, labels), per, name
+        in zip(pieces, choices, names)})
+        for names in enumerate_pure_robust(pair_game, query,
+                                           work_bound=math.inf)]
 
 
 def canonical_representation(game: ExtensiveGame) -> GameWithAwareness:

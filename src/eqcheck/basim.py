@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .games import (DEFAULT_ENTRY_BOUND, DEFAULT_WORK_BOUND, BayesianGame,
-                    NormalFormGame, _bayesian_frame, _normal_frame, _trusted,
-                    bounded_product)
+                    NormalFormGame, _bayesian_frame, _normal_frame,
+                    _subset_choices, _trusted, bounded_product)
 from .verdicts import Verdict, Witness
 
 MEDIATOR_ID = "mediator"
@@ -448,12 +448,9 @@ def sweep(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
         raise InputError("t must be a nonnegative integer")
     if not isinstance(n, int) or isinstance(n, bool) or t >= n:
         raise InputError("need n > t (some player must stay honest)")
-    term = per_preference = 1
-    for size in range(1, t + 1):
-        term = term * (n + 1 - size) * len(adversaries) // size
-        per_preference += term
-    bounded_product((len(preferences), per_preference), work_bound,
-                    "simulations")
+    bounded_product(
+        (len(preferences), 1 + _subset_choices(n, t, len(adversaries))),
+        work_bound, "simulations")
     strategies, fields = _checked(n, protocol, adversaries, preferences, "")
     entries = []
     for preference in preferences:

@@ -83,6 +83,16 @@ def bounded_product(sizes, bound, what):
     return total
 
 
+def _subset_choices(n, max_size, choices):
+    """Sum over sizes s in 1..max_size of C(n, s) * choices^s: the ways a
+    group of 1 to max_size of n members can each pick one of choices."""
+    term, total = 1, 0
+    for s in range(1, max_size + 1):
+        term = term * (n - s + 1) * choices // s  # C(n, s) * choices^s
+        total += term
+    return total
+
+
 def _trusted(cls, **fields):
     """An instance of cls holding fields as given, without running __init__.
 
@@ -189,11 +199,16 @@ class MixedProfile:
     @classmethod
     def from_mapping(cls, game: NormalFormGame, mapping):
         """Profile from {player: {action: weight}}; omitted actions get 0."""
+        for name in mapping:
+            if name not in game.players:
+                raise InputError(f"profile: unknown player {name!r}")
         rows = []
         for i, player in enumerate(game.players):
             if player not in mapping:
                 raise InputError(f"profile: missing player {player!r}")
             dist = mapping[player]
+            if not isinstance(dist, Mapping):
+                raise InputError(f"profile[{player}]: expected a mapping")
             row = [ZERO] * len(game.actions[i])
             for action, w in dist.items():
                 row[game.action_index(i, action)] = as_fraction(

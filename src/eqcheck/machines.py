@@ -186,16 +186,19 @@ class ComputationalGame:
 
 
 def comp_expected_utility(game: ComputationalGame, machine_ids):
-    """Exact expected utility vector of a machine profile.
-
-    One-shot utilities are games._prior_sums over the underlying Bayesian
-    game, with each machine's rows and complexity charges built once per
-    (player, type); repeated utilities are _utility_ints over the run.
-    """
+    """Exact expected utility vector of a machine profile: one-shot
+    utilities are _one_shot_utilities, repeated ones _utility_ints over
+    the run; both helpers take machines, not ids."""
     machines = game.profile(machine_ids)
-    if game.mode == "repeated":
-        den, nums = _utility_ints(game, machines)
-        return tuple(Fraction(v, den) for v in nums)
+    if game.mode == "one-shot":
+        return _one_shot_utilities(game, machines)
+    den, nums = _utility_ints(game, machines)
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def _one_shot_utilities(game, machines):
+    """games._prior_sums over the underlying Bayesian game, with each
+    machine's rows and complexity charges built once per (player, type)."""
     under = game.underlying
     rows, charges = [], []
     for acts, types, machine in zip(under.actions, under.types, machines):
@@ -212,7 +215,7 @@ def _utility_ints(game, machines):
     repeated mode den is q^N * D times the memory cost's denominator, the
     same for every profile of the game."""
     if game.mode == "one-shot":
-        return _over_lcm(comp_expected_utility(game, [m.id for m in machines]))
+        return _over_lcm(_one_shot_utilities(game, machines))
     spec = game.repeated_spec
     *totals, den = _run_totals(spec, *machines)
     cn, cd = spec.memory_cost.numerator, spec.memory_cost.denominator

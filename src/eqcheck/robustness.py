@@ -20,7 +20,7 @@ from enum import Enum
 from .errors import InputError
 from .games import (DEFAULT_WORK_BOUND, MixedProfile, NormalFormGame,
                     _check_epsilon, _check_profile_shape, _mixed_after,
-                    bounded_product, expected_utility)
+                    _subset_choices, bounded_product, expected_utility)
 from .verdicts import Verdict, Witness
 
 
@@ -134,13 +134,9 @@ def _guard_enumeration(game, max_size, work_bound):
 
     Upper bound: sum over sizes s of C(n, s) * (largest action count)^s.
     """
-    n = game.n_players
     biggest = max(len(a) for a in game.actions)
-    term, total = 1, 0
-    for s in range(1, max_size + 1):
-        term = term * (n - s + 1) * biggest // s  # C(n, s) * biggest^s
-        total += term
-    bounded_product((total,), work_bound, "deviation evaluations")
+    bounded_product((_subset_choices(game.n_players, max_size, biggest),),
+                    work_bound, "deviation evaluations")
 
 
 def _check_k(game, k, semantics, work_bound):

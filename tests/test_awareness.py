@@ -371,6 +371,42 @@ def test_find_errors_match_reference_loop():
         lambda: find_pure_generalized_nash(uncovered))[1]
 
 
+def test_find_errors_do_not_depend_on_payoffs():
+    """The pair game's table walks every game under every combination, so
+    an invalid structure is refused even where the only uncovered node lies
+    under a move that every profile abandons."""
+    x = ExtensiveGame(("A", "B"), {(): ("m0", "m1")}, {(): "A"}, {(): "LA"},
+                      {("m0",): (1, 0), ("m1",): (0, 0)})
+    y = ExtensiveGame(("A", "B"),
+                      {(): ("m0", "m1"), ("m0",): ("u", "v"), ("m1",): ("w",)},
+                      {(): "A", ("m0",): "B", ("m1",): "B"},
+                      {(): "LY", ("m0",): "LB", ("m1",): "LC"},
+                      {("m0", "u"): (0, 1), ("m0", "v"): (0, 0),
+                       ("m1", "w"): (0, 0)})
+    every = frozenset(y.internal_histories) | frozenset(y.terminal_histories)
+    gwa = GameWithAwareness(
+        (AugmentedGame("x", x, {(): every}),
+         AugmentedGame("y", y, dict.fromkeys(
+             ((), ("m0",), ("m1",)), every))),
+        "y",
+        {("x", ()): ("x", "LA"), ("y", ()): ("x", "LA"),
+         ("y", ("m0",)): ("y", "LB"),
+         # B's node believes A's information set: no B piece covers it
+         ("y", ("m1",)): ("x", "LA")},
+        underlying=y)
+    assert gwa.active_pairs() == (("A", "x"), ("B", "y"))
+    assert gwa.validate().witness.data["condition"] == "wrong-player"
+    # in x, m1 pays A less than m0, so a scan that stops at the first gain
+    # never walks y under m1 and finds {LA: m0, LB: u}
+    assert [p.strategies for p in _reference_find(gwa)] == [
+        {("A", "x"): {"LA": {"m0": 1}}, ("B", "y"): {"LB": {"u": 1}}}]
+    with pytest.raises(InputError) as caught:
+        find_pure_generalized_nash(gwa)
+    assert str(caught.value) == (
+        "game y: node ('m1',) believes (x, 'LA'), which no profile entry "
+        "covers; run validate()")
+
+
 def test_find_walks_each_game_once_per_combination(monkeypatch):
     walks = []
     original = awareness._walk

@@ -126,6 +126,19 @@ def test_non_string_kind_exits_2(capsys, tmp_path, kind):
     assert err.count("\n") == 1 and "$.kind: unknown document kind" in err
 
 
+def test_profile_with_unknown_player_exits_2(capsys, tmp_path):
+    doc = tmp_path / "p9.json"
+    doc.write_text(json.dumps({
+        "format": 1, "kind": "profile",
+        "weights": {"p1": {"C": "1"}, "p2": {"D": "1"}, "p9": {"C": "1"}}}),
+        encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "check", "robust", "--game", path("prisoners_dilemma.json"),
+        "--profile", str(doc), "--k", "1", "--t", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: profile: unknown player 'p9'\n"
+
+
 def test_bad_usage_and_help(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
@@ -257,6 +270,39 @@ def test_primality_compgame_bytes(capsys, args, style):
         "{game}", json.dumps(game)[1:-1])
     assert run_cli(capsys, "compgame", args[0], "--game", game, *args[1:],
                    "--format", style) == (code, want, "")
+
+
+def _piece(player, game, label, move):
+    return {"player": player, "game": game,
+            "moves": {label: {move: "1"}}}
+
+
+# aware find on the crossing game at unawareness 3/10 and 7/10: the text
+# lines and the JSON equilibria, pieces sorted by player@game
+CROSSING_FINDS = {
+    "crossing_p3.json": [("across_A", "down_B"), ("down_A", "across_B")],
+    "crossing_p7.json": [("down_A", "down_B"), ("down_A", "across_B")],
+}
+
+
+@pytest.mark.parametrize("name", list(CROSSING_FINDS))
+def test_aware_find_bytes(capsys, name):
+    game = path(name)
+    rows = CROSSING_FINDS[name]
+    text = "pure generalized equilibria: 2\n" + "".join(
+        f"  A@a_view:A.1={a}; A@b_view:A.3=down_A; B@b_view:B.3=across_B; "
+        f"B@modeler:B={b}\n" for a, b in rows)
+    report = json.dumps({
+        "format": 1, "command": ["aware", "find"], "game": game,
+        "epsilon": "0", "count": 2,
+        "equilibria": [[_piece("A", "a_view", "A.1", a),
+                        _piece("A", "b_view", "A.3", "down_A"),
+                        _piece("B", "b_view", "B.3", "across_B"),
+                        _piece("B", "modeler", "B", b)] for a, b in rows],
+    }, indent=2) + "\n"
+    assert run_cli(capsys, "aware", "find", "--game", game) == (0, text, "")
+    assert run_cli(capsys, "aware", "find", "--game", game,
+                   "--format", "json") == (0, report, "")
 
 
 def test_repeated_run(capsys):

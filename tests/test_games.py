@@ -13,7 +13,7 @@ from eqcheck.catalog import (bargaining_game, matching_pennies,
 from eqcheck.errors import InputError
 from eqcheck.games import (ZERO, BayesianGame, BayesianStrategyProfile,
                            MixedProfile, NormalFormGame, _check_epsilon,
-                           bayes_expected_utility, best_response_value,
+                           _subset_choices, bayes_expected_utility, best_response_value,
                            expected_utility, is_bayes_nash, is_nash)
 from eqcheck.machines import build_repeated_dilemma_game, induced_machine_game
 from eqcheck.robustness import utilities_under_joint_deviation
@@ -64,6 +64,24 @@ def test_profile_constructors_agree():
         MixedProfile.from_mapping(game, {"p1": {"C": 1}})
     with pytest.raises(InputError):
         MixedProfile.pure(game, ("C", "X"))
+
+
+def test_subset_choices_matches_binomial_sum():
+    for n in range(1, 7):
+        for size in range(0, n + 2):
+            for choices in range(0, 5):
+                assert _subset_choices(n, size, choices) == sum(
+                    math.comb(n, s) * choices ** s
+                    for s in range(1, size + 1))
+
+
+def test_profile_mapping_refuses_unknown_players_and_bad_rows():
+    game = prisoners_dilemma()
+    with pytest.raises(InputError, match="unknown player 'p9'"):
+        MixedProfile.from_mapping(
+            game, {"p1": {"C": 1}, "p2": {"D": 1}, "p9": {"C": 1}})
+    with pytest.raises(InputError, match=r"profile\[p1\]: expected a mapping"):
+        MixedProfile.from_mapping(game, {"p1": [1, 0], "p2": {"D": 1}})
 
 
 def test_zero_one_all_zero_is_nash():
