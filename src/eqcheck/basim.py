@@ -12,6 +12,13 @@ protocol computes their outbox and a named adversary strategy transforms
 it.  A faulty node whose honest outbox is empty therefore stays silent;
 the library does not inject arbitrary traffic.
 
+One loop simulates scenarios that differ only in their faults: runs whose
+messages have matched so far share each honest step.  This rests on a
+contract the model implies: a protocol's initial_state and step, and an
+adversary's transform, may read a scenario's shared fields (n, players,
+general, preference, mediator_present) but not its faults, and protocol
+states are values, which a branch that splits shares by shallow copy.
+
 Everything is deterministic: identical scenarios yield identical
 transcripts.  sweep and the adversary-game builders check their arguments
 once and build their scenarios trusted, sharing one strategy per name.
@@ -34,6 +41,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class AdversaryStrategy:
     """A named outbox transform applied to a faulty player each round."""
 
@@ -49,7 +60,7 @@ class AdversaryStrategy:
 
 def crash_adversary(crash_round=2):
     """Honest before the crash round, silent from it on."""
-    if not isinstance(crash_round, int) or crash_round < 1:
+    if not _is_int(crash_round) or crash_round < 1:
         raise InputError("crash round must be a positive integer")
 
     def transform(outbox, round_no, node, scenario):
@@ -90,11 +101,7 @@ def equivocate_adversary():
 
 def silent_adversary():
     """Never sends anything."""
-
-    def transform(outbox, round_no, node, scenario):
-        return {}
-
-    return AdversaryStrategy("silent", transform)
+    return AdversaryStrategy("silent", lambda outbox, *_: {})
 
 
 ADVERSARY_LIBRARY = {
@@ -116,9 +123,9 @@ class Scenario:
 
     def __init__(self, n, preference, general=None, mediator_present=True,
                  faults=None):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not _is_int(n) or n < 1:
             raise InputError("n must be a positive integer")
-        if preference not in (0, 1):
+        if not _is_int(preference) or preference not in (0, 1):
             raise InputError("preference must be 0 or 1")
         self.n = n
         self.players = tuple(f"p{i}" for i in range(n))
@@ -161,8 +168,8 @@ class Transcript:
     rounds[r-1] holds the messages sent in round r as sorted
     (sender, recipient, payload) triples; decisions maps every player to
     its decided value or None; decided_round records when each decision
-    landed (the round whose step emitted it).  run sets utilities and
-    verdict, the run's check_ba.
+    landed (the round whose step emitted it).  The run loop sets utilities
+    and verdict, the run's check_ba.
     """
 
     def __init__(self, scenario, protocol_name, rounds, decisions,
@@ -204,10 +211,7 @@ class MediatorRelayProtocol:
                 outbox = {MEDIATOR_ID: scenario.preference}
                 return outbox, state, scenario.preference
             return {}, state, None
-        relay = inbox.get(MEDIATOR_ID)
-        if relay is not None:
-            return {}, state, relay
-        return {}, state, None
+        return {}, state, inbox.get(MEDIATOR_ID)
 
 
 class EchoFirstProtocol:
@@ -259,56 +263,105 @@ def run(scenario: Scenario, protocol, round_cap=None) -> Transcript:
     The round cap defaults to 2n.  Every player's utility is the fixed
     indicator_utilities rule: 1 when agreement and validity hold among the
     nonfaulty players, else 0."""
-    if protocol.requires_mediator and not scenario.mediator_present:
+    return next(_simulate((scenario,), protocol, round_cap))[1]
+
+
+def _simulate(scenarios, protocol, round_cap=None):
+    """The one run loop, over scenarios that differ only in their faults:
+    yields (index, transcript) as each run ends.  A branch steps once per
+    round for members that have sent the same messages so far, and they
+    regroup by the content of what their faulty nodes send.  A message to
+    an unknown node raises, after the batch, the error of the first such
+    scenario in input order."""
+    first = scenarios[0]
+    if protocol.requires_mediator and not first.mediator_present:
         raise InputError(
             f"protocol {protocol.name} needs the trusted relay node")
     if round_cap is None:
-        round_cap = 2 * scenario.n
-    if not isinstance(round_cap, int) or round_cap < 1:
+        round_cap = 2 * first.n
+    if not _is_int(round_cap) or round_cap < 1:
         raise InputError("round_cap must be a positive integer")
 
-    nodes = list(scenario.players)
-    if scenario.mediator_present:
-        nodes.append(MEDIATOR_ID)
-    states = {node: protocol.initial_state(node, scenario) for node in nodes}
-    decisions = dict.fromkeys(scenario.players)
-    decided_round = {}
-    waiting = set(scenario.nonfaulty)
-    pending = {node: {} for node in nodes}
-    log = []
-    round_no = 0
-    while waiting and round_no < round_cap:
+    players = first.players
+    nodes = players + ((MEDIATOR_ID,) if first.mediator_present else ())
+    nonfaulty = [s.nonfaulty for s in scenarios]
+    failed = (len(scenarios), None)  # the first erring index, its recipient
+    # members, states, inboxes, log, decisions, decided_round, undecided
+    branches = [(range(len(scenarios)),
+                 {node: protocol.initial_state(node, first) for node in nodes},
+                 {node: {} for node in nodes}, (), dict.fromkeys(players), {},
+                 set(players))]
+    round_no = 1  # the round every branch steps next
+    while branches:
+        children = []
+        for members, states, inboxes, log, decisions, decided_round, \
+                undecided in branches:
+            waiting = []
+            for m in members:
+                done = undecided.isdisjoint(nonfaulty[m])
+                if not done and round_no <= round_cap:
+                    waiting.append(m)
+                    continue
+                transcript = Transcript(scenarios[m], protocol.name, log,
+                                        dict(decisions), dict(decided_round),
+                                        not done)
+                transcript.verdict = check_ba(transcript)
+                transcript.utilities = dict.fromkeys(
+                    players, ONE if transcript.verdict.holds else ZERO)
+                yield m, transcript
+            if not waiting:
+                continue
+            scenario = scenarios[waiting[0]]
+            outboxes = {}
+            for node in nodes:
+                outboxes[node], states[node], decision = protocol.step(
+                    node, round_no, states[node], inboxes[node], scenario)
+                if decision is not None and node in undecided:
+                    decisions[node] = decision
+                    decided_round[node] = round_no
+                    undecided.discard(node)
+            # distinct[node]: its honest outbox, then each other content
+            # sent; variant[node, strategy]: an index into distinct[node]
+            distinct, variant, groups = {}, {}, {}
+            for m in waiting:
+                key = ()
+                for node, strategy in scenarios[m].faults.items():
+                    if (node, strategy) not in variant:
+                        out = strategy.corrupt(dict(outboxes[node]), round_no,
+                                               node, scenarios[m])
+                        seen = distinct.setdefault(node, [outboxes[node]])
+                        if out not in seen:
+                            seen.append(out)
+                        variant[node, strategy] = seen.index(out)
+                    if variant[node, strategy]:
+                        key += ((node, variant[node, strategy]),)
+                groups.setdefault(key, []).append(m)
+            for split, (key, group) in enumerate(groups.items()):
+                if split:  # states are values: a shallow copy shares them
+                    states, decisions, decided_round, undecided = (
+                        dict(states), dict(decisions), dict(decided_round),
+                        set(undecided))
+                sends = outboxes | {node: distinct[node][i]
+                                    for node, i in key} if key else outboxes
+                pending = {node: {} for node in nodes}
+                sent = []
+                try:
+                    for node, outbox in sends.items():
+                        for recipient, payload in outbox.items():
+                            pending[recipient][node] = payload
+                            sent.append((node, recipient, payload))
+                except KeyError:
+                    failed = min(failed, (group[0], min(
+                        r for r in outbox if r not in pending)))
+                    continue
+                sent.sort()
+                children.append((group, states, pending, log + (tuple(sent),),
+                                 decisions, decided_round, undecided))
+        branches = children
         round_no += 1
-        inboxes = pending
-        pending = {node: {} for node in nodes}
-        sent = []
-        for node in nodes:
-            outbox, states[node], decision = protocol.step(
-                node, round_no, states[node], inboxes[node], scenario)
-            if node in scenario.faults:
-                outbox = scenario.faults[node].corrupt(
-                    dict(outbox), round_no, node, scenario)
-            for recipient, payload in outbox.items():
-                if recipient not in pending:
-                    raise InputError(
-                        f"protocol {protocol.name}: message to unknown node "
-                        f"{min(r for r in outbox if r not in pending)!r}")
-                pending[recipient][node] = payload
-                sent.append((node, recipient, payload))
-            if (decision is not None and node in decisions
-                    and decisions[node] is None):
-                decisions[node] = decision
-                decided_round[node] = round_no
-                waiting.discard(node)
-        sent.sort()
-        log.append(tuple(sent))
-
-    transcript = Transcript(scenario, protocol.name, tuple(log), decisions,
-                            decided_round, bool(waiting))
-    transcript.verdict = check_ba(transcript)
-    transcript.utilities = dict.fromkeys(
-        scenario.players, ONE if transcript.verdict.holds else ZERO)
-    return transcript
+    if failed[0] < len(scenarios):
+        raise InputError(f"protocol {protocol.name}: message to unknown node "
+                         f"{failed[1]!r}")
 
 
 def check_ba(transcript: Transcript) -> Verdict:
@@ -339,12 +392,8 @@ def check_ba(transcript: Transcript) -> Verdict:
                 description=(
                     f"{first} decided {transcript.decisions[first]} but "
                     f"{p} decided {transcript.decisions[p]}"),
-                data={
-                    "player_a": first,
-                    "value_a": transcript.decisions[first],
-                    "player_b": p,
-                    "value_b": transcript.decisions[p],
-                }))
+                data={"player_a": first, "value_a": transcript.decisions[first],
+                      "player_b": p, "value_b": transcript.decisions[p]}))
     if scenario.general not in scenario.faults:
         agreed = transcript.decisions[first]
         if agreed != scenario.preference:
@@ -353,32 +402,21 @@ def check_ba(transcript: Transcript) -> Verdict:
                 description=(
                     f"the general is nonfaulty with preference "
                     f"{scenario.preference} but the decision is {agreed}"),
-                data={
-                    "general": scenario.general,
-                    "preference": scenario.preference,
-                    "decision": agreed,
-                }))
+                data={"general": scenario.general,
+                      "preference": scenario.preference, "decision": agreed}))
     return Verdict(True)
-
-
-def _fault_assignments(players, t, strategies):
-    yield {}
-    for size in range(1, t + 1):
-        for members in itertools.combinations(players, size):
-            for chosen in itertools.product(strategies, repeat=size):
-                yield dict(zip(members, chosen))
 
 
 def _checked(n, protocol, adversaries, preferences, where):
     """One strategy per adversary name, in adversaries' order, and the
     shared scenario fields, after the checks Scenario would make."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError("n must be a positive integer")
     for name in adversaries:
         if not isinstance(name, str) or name not in ADVERSARY_LIBRARY:
             raise InputError(
                 f"{where.format(n - 1)}unknown adversary {name!r}")
-    if any(preference not in (0, 1) for preference in preferences):
+    if not all(_is_int(p) and p in (0, 1) for p in preferences):
         raise InputError("preference must be 0 or 1")
     made = {name: ADVERSARY_LIBRARY[name]() for name in adversaries}
     players = tuple(f"p{i}" for i in range(n))
@@ -428,14 +466,11 @@ class SweepReport:
                             f"{transcript.utilities[player]} under "
                             f"{described} (preference {scenario.preference})"),
                         data={
-                            "player": player,
-                            "utility_before": base[player],
+                            "player": player, "utility_before": base[player],
                             "utility_after": transcript.utilities[player],
-                            "preference": scenario.preference,
-                            "faults": names,
+                            "preference": scenario.preference, "faults": names,
                             "decisions": dict(transcript.decisions),
-                            "timed_out": transcript.timed_out,
-                        }))
+                            "timed_out": transcript.timed_out}))
         return Verdict(True)
 
 
@@ -444,9 +479,9 @@ def sweep(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
     """Run every (preference, fault set of size <= t, adversary assignment)
     combination, fault-free first within each preference; work_bound caps
     the runs, counted before the first."""
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+    if not _is_int(t) or t < 0:
         raise InputError("t must be a nonnegative integer")
-    if not isinstance(n, int) or isinstance(n, bool) or t >= n:
+    if not _is_int(n) or t >= n:
         raise InputError("need n > t (some player must stay honest)")
     bounded_product(
         (len(preferences), 1 + _subset_choices(n, t, len(adversaries))),
@@ -454,11 +489,15 @@ def sweep(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
     strategies, fields = _checked(n, protocol, adversaries, preferences, "")
     entries = []
     for preference in preferences:
-        for faults in _fault_assignments(fields["players"], t, strategies):
-            scenario = _trusted(Scenario, preference=preference,
-                                faults=faults, **fields)
-            transcript = run(scenario, protocol)
-            entries.append((scenario, transcript, transcript.verdict))
+        scenarios = [
+            _trusted(Scenario, preference=preference,
+                     faults=dict(zip(members, chosen)), **fields)
+            for size in range(t + 1)
+            for members in itertools.combinations(fields["players"], size)
+            for chosen in itertools.product(strategies, repeat=size)]
+        transcripts = dict(_simulate(scenarios, protocol))
+        entries.extend((scenario, transcripts[i], transcripts[i].verdict)
+                       for i, scenario in enumerate(scenarios))
     return SweepReport(entries)
 
 
@@ -477,17 +516,17 @@ def empirical_immunity(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
 
 def _fault_table(protocol, strategies, fields, preference):
     """Utilities of every profile where each player follows (action 0) or
-    plays strategies[a - 1] (action a), one run each: the table of both
+    plays strategies[a - 1] (action a), one batch: the table of both
     adversary-game builders."""
     players = fields["players"]
-    table = {}
-    for key in itertools.product(range(1 + len(strategies)),
-                                 repeat=len(players)):
-        faults = {players[i]: strategies[a - 1]
-                  for i, a in enumerate(key) if a}
-        transcript = run(_trusted(Scenario, preference=preference,
-                                  faults=faults, **fields), protocol)
-        table[key] = tuple(transcript.utilities[p] for p in players)
+    keys = list(itertools.product(range(1 + len(strategies)),
+                                  repeat=len(players)))
+    table = dict.fromkeys(keys)
+    for i, transcript in _simulate([_trusted(
+            Scenario, preference=preference, faults={
+                players[j]: strategies[a - 1] for j, a in enumerate(key) if a},
+            **fields) for key in keys], protocol):
+        table[keys[i]] = tuple(transcript.utilities[p] for p in players)
     return table
 
 

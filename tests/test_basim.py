@@ -10,6 +10,7 @@ from eqcheck.basim import (PROTOCOLS, Scenario, build_adversary_game,
                            build_preference_bayes_game, check_ba,
                            empirical_immunity, run, sweep)
 from eqcheck.errors import InputError, WorkBoundExceeded
+from eqcheck.fileformat import parse_document, serialize_document
 from eqcheck.games import MixedProfile
 from eqcheck.robustness import check_immunity
 
@@ -112,14 +113,15 @@ def test_echo_first_immunity_witness():
 
 
 def _count_runs(monkeypatch):
+    """Every scenario handed to the run loop, batch by batch."""
     calls = []
-    real_run = basim.run
+    real_simulate = basim._simulate
 
-    def counting_run(*args, **kwargs):
-        calls.append(args[0])
-        return real_run(*args, **kwargs)
+    def counting_simulate(scenarios, *args, **kwargs):
+        calls.extend(scenarios)
+        return real_simulate(scenarios, *args, **kwargs)
 
-    monkeypatch.setattr(basim, "run", counting_run)
+    monkeypatch.setattr(basim, "_simulate", counting_simulate)
     return calls
 
 
@@ -507,3 +509,188 @@ def test_builders_refuse_duplicates_before_simulating(build, monkeypatch):
     with pytest.raises(InputError):
         build(3, MEDIATOR, ("flip", "flip"))
     assert calls == []
+
+
+# --- runs that share their message history ---------------------------------
+
+class _CountingSteps:
+    """Wraps a protocol and counts its honest steps."""
+
+    def __init__(self, inner):
+        self.inner, self.steps = inner, 0
+        self.name = inner.name
+        self.requires_mediator = inner.requires_mediator
+
+    def initial_state(self, node, scenario):
+        return self.inner.initial_state(node, scenario)
+
+    def step(self, *args):
+        self.steps += 1
+        return self.inner.step(*args)
+
+
+def test_runs_with_one_message_history_step_once():
+    """A flipped or silenced soldier under the relay protocol sends nothing,
+    so most of the 625 fault profiles share their steps: 4,895 steps when
+    every profile ran alone, at most 100 when outboxes group by content."""
+    counting = _CountingSteps(MEDIATOR)
+    game = build_adversary_game(4, counting)
+    assert counting.steps <= 100
+    assert list(game.payoffs.items()) == list(
+        _reference_table(4, MEDIATOR, 0).items())
+
+
+class _ParityProtocol:
+    """Every node keeps the parity of all it has heard, the general starting
+    from its preference.  Player pi sends its parity to the others in
+    rounds i + 1 and i + 2, and every player decides its parity in round
+    n + 2.  What a node sends depends on what it heard, and faults at pi
+    first show in round i + 1, so histories split in several rounds."""
+
+    name = "parity"
+    requires_mediator = False
+
+    def initial_state(self, node, scenario):
+        return scenario.preference if node == scenario.general else 0
+
+    def step(self, node, round_no, state, inbox, scenario):
+        state = (state + sum(inbox.values())) % 2
+        if 0 <= round_no - 1 - scenario.players.index(node) <= 1:
+            others = [p for p in scenario.players if p != node]
+            return dict.fromkeys(others, state), state, None
+        return {}, state, state if round_no == scenario.n + 2 else None
+
+
+def test_stateful_protocol_sweeps_match_the_reference_run():
+    protocol = _ParityProtocol()
+    histories = {}
+    for n in range(1, 5):
+        for t in range(min(2, n - 1) + 1):
+            report = sweep(n, t, protocol)
+            expected = [
+                (preference, names) for preference in (0, 1)
+                for names in _reference_assignments(
+                    n, t, basim.DEFAULT_ADVERSARIES)]
+            assert report.total == len(expected)
+            for (scenario, transcript, verdict), (preference, names) in zip(
+                    report.entries, expected):
+                assert scenario.preference == preference
+                assert scenario.fault_names() == names
+                want = _reference_run(
+                    _reference_scenario(n, preference, names, protocol),
+                    protocol)
+                _same_transcript(transcript, want)
+                assert verdict == check_ba(want)
+                if (n, t) == (4, 2):
+                    for r in (1, 2, 3, 4):
+                        histories.setdefault(r, set()).add(
+                            (preference, transcript.rounds[:r]))
+    # the branches split again in each of the first four rounds
+    counts = [len(histories[r]) for r in (1, 2, 3, 4)]
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+    game = build_adversary_game(3, protocol)
+    assert list(game.payoffs.items()) == list(
+        _reference_table(3, protocol, 0).items())
+
+
+class _GhostByValueProtocol:
+    """The general broadcasts its preference, and each soldier echoes what
+    it heard to the other soldiers in round 2.  In round 3 a soldier that
+    hears a peer disagree messages ghost<its value>; in round 4 one that
+    heard 1 from the general messages ghost1.  Soldiers decide in round 5."""
+
+    name = "ghost-by-value"
+    requires_mediator = False
+
+    def initial_state(self, node, scenario):
+        return None
+
+    def step(self, node, round_no, state, inbox, scenario):
+        general = scenario.general
+        if node == general:
+            if round_no == 1:
+                others = [p for p in scenario.players if p != node]
+                outbox = dict.fromkeys(others, scenario.preference)
+                return outbox, state, scenario.preference
+            return {}, state, None
+        if round_no == 2:
+            state = inbox.get(general, 0)
+            peers = [p for p in scenario.players if p not in (node, general)]
+            return dict.fromkeys(peers, state), state, None
+        if round_no == 3 and any(v != state for v in inbox.values()):
+            return {f"ghost{state}": state}, state, None
+        if round_no == 4 and state == 1:
+            return {"ghost1": 1}, state, None
+        return {}, state, state if round_no == 5 else None
+
+
+def _reference_errors(scenarios, protocol, round_cap=None):
+    """The unknown-recipient message of each scenario run alone, or None."""
+    messages = []
+    for scenario in scenarios:
+        try:
+            _reference_run(scenario, protocol, round_cap)
+            messages.append(None)
+        except InputError as err:
+            messages.append(str(err))
+    return messages
+
+
+def test_unknown_recipient_is_the_first_in_input_order():
+    """A later scenario errs in an earlier round than the first erring one;
+    the batch still raises what the first, in input order, raises alone."""
+    protocol = _GhostByValueProtocol()
+    ghost = "protocol ghost-by-value: message to unknown node {!r}"
+    scenarios = [
+        _reference_scenario(3, preference, names, protocol)
+        for preference in (0, 1)
+        for names in _reference_assignments(3, 1, basim.DEFAULT_ADVERSARIES)]
+    errors = _reference_errors(scenarios, protocol)
+    first = next(i for i, message in enumerate(errors) if message)
+    assert errors[first] == ghost.format("ghost1")
+    # the first erring scenario gets through round 3, a later one does not
+    by_round_3 = _reference_errors(scenarios, protocol, 3)
+    assert by_round_3[first] is None
+    assert ghost.format("ghost0") in by_round_3[first + 1:]
+    with pytest.raises(InputError, match=f"^{errors[first]}$"):
+        sweep(3, 1, protocol)
+
+    choices = ("follow",) + basim.DEFAULT_ADVERSARIES
+    table_errors = _reference_errors([
+        _reference_scenario(3, 0, {f"p{i}": choices[a]
+                                   for i, a in enumerate(key) if a}, protocol)
+        for key in itertools.product(range(len(choices)), repeat=3)],
+        protocol)
+    with pytest.raises(InputError, match=(
+            f"^{next(message for message in table_errors if message)}$")):
+        build_adversary_game(3, protocol)
+
+
+# --- bool is not an int -----------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Scenario(4, True), "preference must be 0 or 1"),
+    (lambda: sweep(4, 1, MEDIATOR, preferences=(True,)),
+     "preference must be 0 or 1"),
+    (lambda: run(Scenario(4, 1), MEDIATOR, round_cap=True),
+     "round_cap must be a positive integer"),
+    (lambda: basim.crash_adversary(True),
+     "crash round must be a positive integer"),
+])
+def test_bools_are_refused_where_ints_are_asked(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
+def test_every_accepted_scenario_round_trips():
+    accepted = []
+    for preference in (0, 1, False, True, 1.0):
+        try:
+            scenario = Scenario(4, preference)
+        except InputError:
+            continue
+        accepted.append(preference)
+        text = serialize_document(scenario)
+        assert serialize_document(parse_document(text).value) == text
+    assert accepted == [0, 1]
+    assert [type(p) for p in accepted] == [int, int]
