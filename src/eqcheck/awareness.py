@@ -17,7 +17,12 @@ strategy entry.
 
 The pure search is the (1, 0) enumeration (robustness.enumerate_pure_robust)
 of the pair game, whose players are the active pairs, as machine
-equilibria are that of the induced machine game.
+equilibria are that of the induced machine game.  Its table comes from
+one shared-prefix walk per game (trees._walk), keyed by (owner, believed
+game, label) through the belief map, so each distinct reached assignment
+is walked and summed once.  One resolver raises the belief errors of that
+fill and of the behavioral walk; a structure that fails validate() raises
+the error of the first combination, in table order, whose walk meets one.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .games import (DEFAULT_WORK_BOUND, NormalFormGame, _check_epsilon,
                     _trusted, bounded_product)
 from .rationals import as_fraction
 from .robustness import RobustnessQuery, enumerate_pure_robust
-from .trees import NATURE, ExtensiveGame, _payoff_vector, _walk
+from .trees import (NATURE, ExtensiveGame, _payoff_vector,
+                    _pure_alternatives, _read, _walk)
 from .verdicts import Verdict, Witness
 
 ZERO = Fraction(0)
@@ -274,8 +280,9 @@ class GeneralizedProfile:
 
 
 def _profile_rows(gwa: GameWithAwareness, profile: GeneralizedProfile):
-    """Validated (move, weight) rows keyed (player, game, label) over the
-    structure's active domain."""
+    """Validated walk entries keyed (player, game, label) over the
+    structure's active domain: (key, (row,)), the row its (move, weight)
+    pairs in label-move order."""
     rows = {}
     for player, game_name in gwa.active_pairs():
         entry = profile.strategies.get((player, game_name))
@@ -307,34 +314,45 @@ def _profile_rows(gwa: GameWithAwareness, profile: GeneralizedProfile):
                     f"profile: player {player} in game {game_name}, "
                     f"information set {label!r}: weights sum to {total}, "
                     f"not 1")
-            rows[(player, game_name, label)] = tuple(row)
+            key = (player, game_name, label)
+            rows[key] = (key, (tuple(row),))
     return rows
 
 
-def _outcome_from_rows(gwa, game_name, rows):
+def _believed_moves(gwa, game_name, rows):
+    """moves_at for walking one game: each player node is looked up
+    through the belief map in rows, which maps (player, believed game,
+    label) to a walk entry.  It raises the three belief errors of both the
+    behavioral walk and the pure fill."""
     tree = gwa.game(game_name).tree
+    views, owner = gwa.views, tree.owner
 
-    def believed_moves(h):
-        if (game_name, h) not in gwa.views:
+    def moves_at(h):
+        if h not in owner:
+            # the believed information set may offer moves the concrete
+            # node lacks; playing one is an error, not a silent skip
+            raise InputError(
+                f"game {game_name}: strategy move {h[-1]!r} is unavailable "
+                f"at node {h[:-1]!r}")
+        view = views.get((game_name, h))
+        if view is None:
             raise InputError(
                 f"game {game_name}: no belief entry at node {h!r}; "
                 f"run validate()")
-        target_name, label = gwa.views[(game_name, h)]
-        row = rows.get((tree.owner[h], target_name, label))
-        if row is None:
+        entry = rows.get((owner[h],) + view)
+        if entry is None:
+            target_name, label = view
             raise InputError(
                 f"game {game_name}: node {h!r} believes ({target_name}, "
                 f"{label!r}), which no profile entry covers; run validate()")
-        for m, q in row:
-            # the believed information set may offer moves the concrete
-            # node lacks; playing one is an error, not a silent skip
-            if q != 0 and m not in tree.moves[h]:
-                raise InputError(
-                    f"game {game_name}: strategy move {m!r} is "
-                    f"unavailable at node {h!r}")
-            yield m, q
+        return entry
 
-    return _walk(tree, believed_moves)
+    return moves_at
+
+
+def _outcome_from_rows(gwa, game_name, rows):
+    return _read(_walk(gwa.game(game_name).tree,
+                       _believed_moves(gwa, game_name, rows)), ())
 
 
 def outcome_distribution(gwa: GameWithAwareness, game_name,
@@ -351,7 +369,7 @@ def outcome_distribution(gwa: GameWithAwareness, game_name,
 
 def _expected_from_rows(gwa, game_name, rows):
     return _payoff_vector(gwa.game(game_name).tree,
-                          _outcome_from_rows(gwa, game_name, rows))
+                          _outcome_from_rows(gwa, game_name, rows).items())
 
 
 def expected_utilities(gwa: GameWithAwareness, game_name,
@@ -359,10 +377,6 @@ def expected_utilities(gwa: GameWithAwareness, game_name,
     """Exact expected payoff vector of one game under the profile."""
     rows = _profile_rows(gwa, profile)
     return _expected_from_rows(gwa, game_name, rows)
-
-
-def _pure_row(moves, move):
-    return tuple((m, ONE if m == move else ZERO) for m in moves)
 
 
 def _active_pieces(gwa: GameWithAwareness):
@@ -392,8 +406,8 @@ def is_generalized_nash(gwa: GameWithAwareness, profile: GeneralizedProfile,
                                          for l in labels)):
             trial = dict(rows)
             for label, move in zip(labels, moves):
-                trial[(player, game_name, label)] = _pure_row(
-                    tree.label_moves(label), move)
+                key = (player, game_name, label)
+                trial[key] = (key, _pure_alternatives((move,)))
             value = _expected_from_rows(gwa, game_name, trial)[pidx]
             if value > base + eps:
                 described = "; ".join(
@@ -414,6 +428,55 @@ def is_generalized_nash(gwa: GameWithAwareness, profile: GeneralizedProfile,
     return Verdict(True)
 
 
+def _pair_game(gwa: GameWithAwareness, pieces):
+    """(choices, pair game) of the active pieces: per pair, its pure move
+    assignments, and the normal form whose players are the pairs, whose
+    actions are indices into those assignments, and whose payoff for a
+    pair is its player's utility in its own game.
+
+    Each game is filled by one shared-prefix walk that fixes a piece's
+    move where the walk first reaches it, keyed (player, believed game,
+    label), so every game that believes a piece reads the same move; the
+    table reads each combination from the walks' tries.  A branch whose walk meets a belief error keeps it, and
+    the fill raises the error of the first combination, in table order,
+    that leads to one, taking the games in active order.
+    """
+    choices = [list(itertools.product(
+        *(gwa.game(game_name).tree.label_moves(l) for l in labels)))
+        for _, game_name, labels in pieces]
+    # every piece's (player, game, label), pair by pair: a profile's
+    # moves, flattened, are one combination of them, in the same order
+    entries = {}
+    for player, game_name, labels in pieces:
+        tree = gwa.game(game_name).tree
+        for label in labels:
+            entries[(player, game_name, label)] = (
+                len(entries), _pure_alternatives(tree.label_moves(label)))
+    games = list(dict.fromkeys(game_name for _, game_name, _ in pieces))
+    tries = []
+    for game_name in games:
+        tree = gwa.game(game_name).tree
+        tries.append(_walk(
+            tree, _believed_moves(gwa, game_name, entries),
+            leaf=lambda pairs, tree=tree: _payoff_vector(tree, pairs)))
+    seats = [(games.index(game_name),
+              gwa.game(game_name).tree.players.index(player))
+             for player, game_name, _ in pieces]
+    payoffs = {}
+    for key, combo in zip(
+            itertools.product(*(range(len(c)) for c in choices)),
+            itertools.product(*(range(len(alts))
+                                for _, alts in entries.values()))):
+        vectors = [_read(trie, combo) for trie in tries]
+        payoffs[key] = tuple(vectors[g][i] for g, i in seats)
+    return choices, _trusted(
+        NormalFormGame,
+        players=tuple(f"{player}@{game_name}"
+                      for player, game_name, _ in pieces),
+        actions=tuple(tuple(map(str, range(len(c)))) for c in choices),
+        payoffs=payoffs)
+
+
 def find_pure_generalized_nash(gwa: GameWithAwareness, epsilon=0,
                                work_bound=DEFAULT_WORK_BOUND):
     """All pure profiles over the active domain that pass the check, in
@@ -421,46 +484,25 @@ def find_pure_generalized_nash(gwa: GameWithAwareness, epsilon=0,
 
     They are the pure (1, 0)-robust profiles of the pair game: its players
     are the active pairs, a pair's actions are its pure move assignments,
-    and its payoff is its player's utility in its own game.  Its table
-    walks each game once per combination, before any profile is checked.
-    work_bound caps the combinations; the enumeration's own guard, which
-    counts deviations, is lifted.
+    and its payoff is its player's utility in its own game.  Its table is
+    filled before any profile is checked, by one walk per game that is
+    shared while combinations reach the same moves: each distinct reached
+    assignment is walked and summed once.  A structure that fails
+    validate() raises the belief error of the first combination that
+    meets one, whatever the payoffs.  work_bound caps the combinations;
+    the enumeration's own guard, which counts deviations, is lifted.
     """
     pieces = _active_pieces(gwa)
-    moves = [[gwa.game(game_name).tree.label_moves(label) for label in labels]
-             for _, game_name, labels in pieces]
-    bounded_product((len(m) for per in moves for m in per), work_bound,
-                    "pure profiles")
+    bounded_product((len(gwa.game(game_name).tree.label_moves(label))
+                     for _, game_name, labels in pieces for label in labels),
+                    work_bound, "pure profiles")
     query = RobustnessQuery(1, 0, epsilon)     # checks epsilon, pairs or not
     if not pieces:      # a game without players has nothing to enumerate
         return [GeneralizedProfile.pure({})]
-    # per pair, each pure assignment with its rows keyed (player, game, label)
-    choices = [
-        [(choice, {(player, game_name, label): _pure_row(m, move)
-                   for label, m, move in zip(labels, per, choice)})
-         for choice in itertools.product(*per)]
-        for (player, game_name, labels), per in zip(pieces, moves)]
-    games = list(dict.fromkeys(game_name for _, game_name, _ in pieces))
-    seats = [(games.index(game_name),
-              gwa.game(game_name).tree.players.index(player))
-             for player, game_name, _ in pieces]
-    payoffs = {}
-    for key in itertools.product(*(range(len(c)) for c in choices)):
-        rows = {}
-        for per, a in zip(choices, key):
-            rows.update(per[a][1])
-        vectors = [_expected_from_rows(gwa, game_name, rows)
-                   for game_name in games]
-        payoffs[key] = tuple(vectors[g][i] for g, i in seats)
-    pair_game = _trusted(
-        NormalFormGame,
-        players=tuple(f"{player}@{game_name}"
-                      for player, game_name, _ in pieces),
-        actions=tuple(tuple(map(str, range(len(c)))) for c in choices),
-        payoffs=payoffs)
+    choices, pair_game = _pair_game(gwa, pieces)
     # action names are indices into each pair's choices
     return [GeneralizedProfile.pure({
-        (player, game_name): dict(zip(labels, per[int(name)][0]))
+        (player, game_name): dict(zip(labels, per[int(name)]))
         for (player, game_name, labels), per, name
         in zip(pieces, choices, names)})
         for names in enumerate_pure_robust(pair_game, query,

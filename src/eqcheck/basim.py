@@ -19,6 +19,14 @@ adversary's transform, may read a scenario's shared fields (n, players,
 general, preference, mediator_present) but not its faults, and protocol
 states are values, which a branch that splits shares by shallow copy.
 
+Errors in a batch follow a narrower order than one run at a time would.
+The loop defers only the InputError for a message to an unknown node, and
+raises the first such scenario's, in input order, after the batch.  Any
+other exception, such as one raised by a custom protocol's step or an
+adversary's transform, escapes at once from whichever branch meets it, so
+it can come before the deferred error of an earlier scenario.  No
+protocol or adversary in the library raises.
+
 Everything is deterministic: identical scenarios yield identical
 transcripts.  sweep and the adversary-game builders check their arguments
 once and build their scenarios trusted, sharing one strategy per name.

@@ -85,7 +85,15 @@ def bounded_product(sizes, bound, what):
 
 def _subset_choices(n, max_size, choices):
     """Sum over sizes s in 1..max_size of C(n, s) * choices^s: the ways a
-    group of 1 to max_size of n members can each pick one of choices."""
+    group of 1 to max_size of n members can each pick one of choices.
+    Past n / 2 it is (1 + choices)^n - 1 less the sizes above max_size,
+    whose terms run from s = n down."""
+    if max_size > n / 2 and choices:
+        term, total = choices ** n, (1 + choices) ** n - 1  # C(n, n) c^n
+        for s in range(n, max_size, -1):
+            total -= term
+            term = term * s // ((n - s + 1) * choices)  # C(n, s-1) c^(s-1)
+        return total
     term, total = 1, 0
     for s in range(1, max_size + 1):
         term = term * (n - s + 1) * choices // s  # C(n, s) * choices^s

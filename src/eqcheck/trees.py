@@ -8,6 +8,14 @@ available move at an internal history leads to another history.
 Chance nodes are owned by the reserved id NATURE and carry their own move
 distributions.  Probabilities and payoffs are fractions.Fraction values,
 so outcome distributions and expected payoffs are exact.
+
+One walker, _walk, serves behavioral strategies and pure tables alike.  A
+pure walk reads only the moves at the information sets it reaches (the
+sequence-form observation of Koller, Megiddo and von Stengel, 1996), so a
+table is filled by one depth-first walk that fixes a move where it first
+reaches an information set and branches there: each distinct reached
+assignment is walked and summed once, and every profile reads its entry
+from the walk's trie.  A behavioral walk is the case without branches.
 """
 
 from __future__ import annotations
@@ -144,6 +152,10 @@ class ExtensiveGame:
                     f"nature_probs[{h!r}]: probabilities sum to {total}, not 1")
             fixed[h] = row
         self.nature_probs = fixed
+        # the walk's chance rows: (move, probability) in move order
+        self._chance_rows = {
+            h: tuple((m, row.get(m, ZERO)) for m in internal[h])
+            for h, row in fixed.items()}
 
         # breadth-first, then lexicographic by move names: the canonical
         # node order every enumeration in this module follows
@@ -200,7 +212,8 @@ class ExtensiveGame:
 
 
 def _strategy_rows(game: ExtensiveGame, strategy: Mapping):
-    """Validated (move, weight) rows per label, in label-move order."""
+    """Validated walk entries per label: (label, (row,)), the row its
+    (move, weight) pairs in label-move order."""
     for label in strategy:
         if not game.has_label(label):
             raise InputError(f"strategy: unknown information set {label!r}")
@@ -224,51 +237,107 @@ def _strategy_rows(game: ExtensiveGame, strategy: Mapping):
         if total != 1:
             raise InputError(
                 f"strategy[{label}]: weights sum to {total}, not 1")
-        rows[label] = tuple(row)
+        rows[label] = (label, (tuple(row),))
     return rows
 
 
-def _walk(game: ExtensiveGame, moves_at):
-    """Exact terminal-history distribution of one pass down the tree.
+class _Fork:
+    """A trie node: where a walk first reached key, one child per
+    alternative, each a _Fork, a leaf value or the InputError its branch
+    met."""
 
-    moves_at(h) gives the (move, weight) pairs played at the player-owned
-    history h; chance histories use the game's own probabilities, and
-    zero-weight moves are not followed.  Nodes are visited depth first in
-    move order, the order of a recursive walk, so terminal histories enter
-    the returned dict in that order.  The walk keeps an explicit stack of
-    child iterators, so tree depth is not limited by Python recursion.
-    moves_at(h) is called when h is reached, and its pairs are drawn one
-    at a time, each just before that move's subtree is walked.
+    __slots__ = ("key", "children")
+
+    def __init__(self, key, size):
+        self.key = key
+        self.children = [None] * size
+
+
+def _walk(game: ExtensiveGame, moves_at, leaf=dict):
+    """The trie of one shared-prefix walk down the tree.
+
+    moves_at(h) gives, for the player-owned history h, a key and a tuple of
+    alternative rows, each a tuple of (move, weight) pairs.  A key with one
+    alternative always plays it, so a walk whose keys all have one is a
+    single branch: an exact behavioral pass.  Otherwise the walk branches
+    where it first reaches the key, once per alternative, and every later
+    history with that key plays the branch's alternative; the branches
+    share every node above the fork.  Chance histories use the game's own
+    probabilities and zero-weight moves are not followed.  A history that
+    a played move leads to but the tree lacks goes to moves_at as well,
+    which raises.
+
+    Each branch ends in leaf(pairs) over its terminal histories and
+    probabilities, or in the InputError its walk met; _read follows the
+    trie to one.  Nodes are visited depth first in move order, the order
+    of a recursive walk, so terminal histories come in that order.  The
+    walk keeps explicit stacks of frames and of pending branches, so tree
+    depth is not limited by Python recursion.  moves_at(h) is called when
+    h is reached, and its pairs are drawn one at a time, each just before
+    that move's subtree is walked.
     """
-    out = {}
-    stack = [iter([((), ONE)])]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            continue
-        h, prob = step
-        if h in game.payoffs:
-            out[h] = prob
-            continue
-        if game.owner[h] == NATURE:
-            dist = game.nature_probs[h]
-            row = [(m, dist.get(m, ZERO)) for m in game.moves[h]]
-        else:
-            row = moves_at(h)
-        stack.append(_children(h, prob, row))
-    return out
+    payoffs, chance = game.payoffs, game._chance_rows
+    out = []
+    root = [None]
+    # each branch: its frame stack, terminal count, fixed alternative per
+    # key, the slot its trie node goes in, and the history it visits next
+    branches = [([], 0, {}, root, 0, ((), ONE))]
+    while branches:
+        stack, n, fixed, slots, at, node = branches.pop()
+        del out[n:]     # branches run depth first, so the prefix is theirs
+        try:
+            while True:
+                if node is not None:
+                    h, prob = node
+                    if h in payoffs:
+                        out.append(node)
+                    elif h in chance:
+                        stack.append((h, prob, chance[h], 0))
+                    else:
+                        key, alts = moves_at(h)
+                        if len(alts) == 1:
+                            row = alts[0]
+                        elif key in fixed:
+                            row = alts[fixed[key]]
+                        else:
+                            fork = slots[at] = _Fork(key, len(alts))
+                            for j in range(len(alts) - 1, 0, -1):
+                                branches.append((
+                                    stack + [(h, prob, alts[j], 0)], len(out),
+                                    {**fixed, key: j}, fork.children, j,
+                                    None))
+                            fixed[key] = 0
+                            slots, at = fork.children, 0
+                            row = alts[0]
+                        stack.append((h, prob, row, 0))
+                if not stack:
+                    break
+                h, prob, row, i = stack.pop()
+                if i + 1 < len(row):
+                    stack.append((h, prob, row, i + 1))
+                m, q = row[i]
+                node = (h + (m,), prob if q == 1 else prob * q) if q else None
+            slots[at] = leaf(out)
+        except InputError as exc:
+            slots[at] = exc
+    return root[0]
 
 
-def _children(h, prob, row):
-    for m, q in row:
-        if q != 0:
-            yield h + (m,), prob if q == 1 else prob * q
+def _read(node, choice):
+    """The leaf of a _walk trie that choice (alternative indices by key)
+    leads to; an error leaf is raised."""
+    while type(node) is _Fork:
+        node = node.children[choice[node.key]]
+    if isinstance(node, InputError):
+        raise node
+    return node
 
 
-def _payoff_vector(game: ExtensiveGame, dist):
-    """Exact expected payoff vector of a terminal-history distribution."""
-    return _int_sums(game, dist, *_over_lcm(list(dist.values())))
+def _payoff_vector(game: ExtensiveGame, pairs):
+    """Exact expected payoff vector of (terminal history, probability)
+    pairs."""
+    histories, probs = zip(*pairs)
+    return _int_sums(game, histories, *_over_lcm(probs))
 
 
 def outcome_distribution(game: ExtensiveGame, strategy: Mapping):
@@ -278,12 +347,12 @@ def outcome_distribution(game: ExtensiveGame, strategy: Mapping):
     chance nodes use the game's own probabilities.
     """
     rows = _strategy_rows(game, strategy)
-    return _walk(game, lambda h: rows[game.infosets[h]])
+    return _read(_walk(game, lambda h: rows[game.infosets[h]]), ())
 
 
 def expected_payoffs(game: ExtensiveGame, strategy: Mapping):
     """Exact expected payoff vector of a behavioral strategy."""
-    return _payoff_vector(game, outcome_distribution(game, strategy))
+    return _payoff_vector(game, outcome_distribution(game, strategy).items())
 
 
 def pure_strategies(game: ExtensiveGame, player):
@@ -302,19 +371,33 @@ def pure_strategies(game: ExtensiveGame, player):
     return tuple(out)
 
 
+def _pure_alternatives(moves):
+    """One single-move row per move, in move order."""
+    return tuple(((m, ONE),) for m in moves)
+
+
 def induced_normal_form(game: ExtensiveGame,
                         entry_bound=DEFAULT_ENTRY_BOUND) -> NormalFormGame:
-    """The strategic form over pure strategies, chance averaged out."""
+    """The strategic form over pure strategies, chance averaged out.
+
+    One shared-prefix walk fixes a label's move where it is first reached,
+    so each distinct reached assignment is walked and summed once; every
+    profile then reads its payoffs from the walk's trie.
+    """
     per_player = [pure_strategies(game, p) for p in game.players]
     bounded_product((len(s) for s in per_player), entry_bound,
                     "induced payoff entries")
     actions = tuple(tuple(name for name, _ in strats) for strats in per_player)
-    payoffs = {}
-    for key in itertools.product(*(range(len(s)) for s in per_player)):
-        strategy = {}
-        for i, si in enumerate(key):
-            strategy.update(per_player[i][si][1])
-        payoffs[key] = _payoff_vector(game, _walk(
-            game, lambda h: ((strategy[game.infosets[h]], ONE),)))
+    # labels player by player: a profile's moves, flattened, are one
+    # combination of them, and the two products run in the same order
+    labels = [l for p in game.players for l in game.player_labels(p)]
+    at = {l: (i, _pure_alternatives(game.label_moves(l)))
+          for i, l in enumerate(labels)}
+    trie = _walk(game, lambda h: at[game.infosets[h]],
+                 leaf=lambda pairs: _payoff_vector(game, pairs))
+    payoffs = dict(zip(
+        itertools.product(*(range(len(s)) for s in per_player)),
+        (_read(trie, combo) for combo in itertools.product(
+            *(range(len(game.label_moves(l))) for l in labels)))))
     return _trusted(NormalFormGame, players=game.players, actions=actions,
                     payoffs=payoffs)

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 from eqcheck.games import BayesianGame, MixedProfile, is_nash
-from eqcheck.trees import NATURE, ExtensiveGame
+from eqcheck.trees import NATURE, ExtensiveGame, _Fork
 
 
 def _split(budget, parts, rng):
@@ -146,3 +146,16 @@ def generalized_profile_names(tree, profiles, game_name="modeler"):
             names.append(";".join(parts))
         out.add(tuple(names))
     return out
+
+
+def walk_paths(trie):
+    """Leaves of a trees._walk trie: the distinct reached assignments its
+    walk took, each walked and summed once."""
+    count, nodes = 0, [trie]
+    while nodes:
+        node = nodes.pop()
+        if type(node) is _Fork:
+            nodes.extend(node.children)
+        else:
+            count += 1
+    return count

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from _gen import (generalized_profile_names, pure_nash_names,
-                  random_small_game)
+                  random_small_game, walk_paths)
 from eqcheck.awareness import (AugmentedGame, GameWithAwareness,
                                GeneralizedProfile, canonical_representation,
                                crossing_game, expected_utilities,
@@ -408,12 +408,15 @@ def test_find_errors_do_not_depend_on_payoffs():
 
 
 def test_find_walks_each_game_once_per_combination(monkeypatch):
-    walks = []
+    """The fill walks each game at most once per combination, counted as
+    the reached paths of its walks: fewer than the reference loop's."""
+    paths = []
     original = awareness._walk
 
-    def counting(tree, moves_at):
-        walks.append(1)
-        return original(tree, moves_at)
+    def counting(*args, **kwargs):
+        trie = original(*args, **kwargs)
+        paths.append(walk_paths(trie))
+        return trie
 
     monkeypatch.setattr(awareness, "_walk", counting)
     rng = random.Random(7)
@@ -428,13 +431,13 @@ def test_find_walks_each_game_once_per_combination(monkeypatch):
             tree = gwa.game(game_name).tree
             for label in gwa.active_labels(player, game_name):
                 combos *= len(tree.label_moves(label))
-        walks.clear()
+        paths.clear()
         find_pure_generalized_nash(gwa)
-        assert len(walks) <= len(games) * combos
-        ours += len(walks)
-        walks.clear()
+        assert sum(paths) <= len(games) * combos
+        ours += sum(paths)
+        paths.clear()
         _reference_find(gwa)
-        reference += len(walks)
+        reference += sum(paths)
     assert 0 < ours < reference
 
 

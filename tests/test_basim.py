@@ -484,6 +484,20 @@ def test_sweep_work_bound(monkeypatch):
     assert len(calls) == 34
 
 
+def test_sweep_refuses_a_huge_t_before_any_run(monkeypatch):
+    """At t = n - 1 a sweep of two preferences and four adversaries counts
+    2 * (5^n - 4^n) runs, so a million players are refused at once, with
+    the count's exact bit length."""
+    calls = _count_runs(monkeypatch)
+    n = 1_000_000
+    bits = (2 * (5 ** n - 4 ** n)).bit_length() - 1
+    with pytest.raises(WorkBoundExceeded) as info:
+        sweep(n, n - 1, MEDIATOR)
+    assert str(info.value) == (
+        f"over 2^{bits} simulations exceed the bound 10000000")
+    assert calls == []
+
+
 @pytest.mark.parametrize("build", [build_adversary_game,
                                    build_preference_bayes_game])
 @pytest.mark.parametrize("n, adversaries, message", [

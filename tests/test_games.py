@@ -75,6 +75,29 @@ def test_subset_choices_matches_binomial_sum():
                     for s in range(1, size + 1))
 
 
+def _reference_subset_choices(n, max_size, choices):
+    """The term loop: C(n, s) * choices^s summed upward from s = 1."""
+    term, total = 1, 0
+    for s in range(1, max_size + 1):
+        term = term * (n - s + 1) * choices // s
+        total += term
+    return total
+
+
+def test_subset_choices_complement_matches_term_loop():
+    """Past n / 2 the count is summed from its complement; both halves
+    of every size range, and sizes past n, give the term loop's int."""
+    for n in range(0, 41):
+        for size in range(0, n + 3):
+            for choices in range(0, 6):
+                assert _subset_choices(n, size, choices) == (
+                    _reference_subset_choices(n, size, choices)), (
+                    n, size, choices)
+    for n, size in ((1000, 501), (1000, 999), (1001, 501), (1001, 500)):
+        assert _subset_choices(n, size, 4) == _reference_subset_choices(
+            n, size, 4)
+
+
 def test_profile_mapping_refuses_unknown_players_and_bad_rows():
     game = prisoners_dilemma()
     with pytest.raises(InputError, match="unknown player 'p9'"):
