@@ -38,9 +38,8 @@ from .repeated import (AUTOMATON_LIBRARY, DEFAULT_SPACE,
                        RepeatedGameAutomaton, RepeatedGameSpec,
                        library_space, run_automata)
 from .robustness import (ResilienceSemantics, RobustnessQuery,
-                         best_member_utilities, check_immunity,
-                         check_resilience, check_robust,
-                         enumerate_pure_robust, worst_outsider_utilities)
+                         check_immunity, check_resilience, check_robust,
+                         enumerate_pure_robust)
 from .trees import (NATURE, ExtensiveGame, induced_normal_form,
                     pure_strategies)
 from .verdicts import Verdict, Witness, to_jsonable
@@ -59,8 +58,8 @@ __all__ = [
     "ResilienceSemantics", "RobustnessQuery", "Scenario", "SweepReport",
     "ThresholdReport", "Transcript", "Verdict", "Witness",
     "WorkBoundExceeded", "as_fraction", "bargaining_game",
-    "bayes_expected_utility", "best_member_utilities",
-    "best_response_value", "build_adversary_game", "build_preference_bayes_game",
+    "bayes_expected_utility", "best_response_value",
+    "build_adversary_game", "build_preference_bayes_game",
     "build_primality_game", "build_repeated_dilemma_game",
     "build_roshambo_game", "canonical_representation", "check_ba",
     "check_immunity", "check_resilience", "check_robust",
@@ -72,6 +71,6 @@ __all__ = [
     "library_space", "load_document", "machine_action", "matching_pennies",
     "parse_document", "parse_rational", "prisoners_dilemma",
     "pure_strategies", "run_automata", "serialize_document", "sweep",
-    "tit_for_tat_threshold", "to_jsonable", "worst_outsider_utilities",
-    "write_document", "zero_one_game", "zeroed_complexity",
+    "tit_for_tat_threshold", "to_jsonable", "write_document",
+    "zero_one_game", "zeroed_complexity",
 ]

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .games import (DEFAULT_WORK_BOUND, NormalFormGame, _check_epsilon,
-                    _trusted, bounded_product)
+                    _first_gain, _gain_verdict, _trusted, bounded_product)
 from .rationals import as_fraction
 from .robustness import RobustnessQuery, enumerate_pure_robust
 from .trees import (NATURE, ExtensiveGame, _payoff_vector,
@@ -398,34 +398,30 @@ def is_generalized_nash(gwa: GameWithAwareness, profile: GeneralizedProfile,
     """
     eps = _check_epsilon(epsilon)
     rows = _profile_rows(gwa, profile)
-    for player, game_name, labels in _active_pieces(gwa):
-        tree = gwa.game(game_name).tree
-        pidx = tree.players.index(player)
-        base = _expected_from_rows(gwa, game_name, rows)[pidx]
-        for moves in itertools.product(*(tree.label_moves(l)
-                                         for l in labels)):
-            trial = dict(rows)
-            for label, move in zip(labels, moves):
-                key = (player, game_name, label)
-                trial[key] = (key, _pure_alternatives((move,)))
-            value = _expected_from_rows(gwa, game_name, trial)[pidx]
-            if value > base + eps:
-                described = "; ".join(
-                    f"{m} at {l}" for l, m in zip(labels, moves))
-                return Verdict(False, Witness(
-                    kind="subjective-deviation",
-                    description=(
-                        f"player {player} gains in game {game_name} by "
-                        f"playing {described}"),
-                    data={
-                        "player": player,
-                        "game": game_name,
-                        "strategy": dict(zip(labels, moves)),
-                        "utility_before": base,
-                        "utility_after": value,
-                        "gain": value - base,
-                    }))
-    return Verdict(True)
+
+    def deviations():
+        for player, game_name, labels in _active_pieces(gwa):
+            tree = gwa.game(game_name).tree
+            pidx = tree.players.index(player)
+            base = _expected_from_rows(gwa, game_name, rows)[pidx]
+            for moves in itertools.product(*map(tree.label_moves, labels)):
+                trial = dict(rows)
+                for label, move in zip(labels, moves):
+                    key = (player, game_name, label)
+                    trial[key] = (key, _pure_alternatives((move,)))
+                value = _expected_from_rows(gwa, game_name, trial)[pidx]
+                yield ((player, game_name), dict(zip(labels, moves)),
+                       base.as_integer_ratio(), value.as_integer_ratio())
+
+    found = _first_gain(deviations(), eps)
+    if found is None:
+        return Verdict(True)
+    (player, game_name), strategy = found[:2]
+    described = "; ".join(f"{m} at {l}" for l, m in strategy.items())
+    return _gain_verdict(
+        found, "subjective-deviation",
+        f"player {player} gains in game {game_name} by playing {described}",
+        player=player, game=game_name, strategy=strategy)
 
 
 def _pair_game(gwa: GameWithAwareness, pieces):

@@ -3,10 +3,10 @@
 Payoffs and probabilities are fractions.Fraction values.  Utilities are
 summed exactly as ints over common denominators: by _int_sums for mixed
 profiles and tree folds, by _prior_sums for Bayesian ex-ante and one-shot
-machine utilities.  Every result is a Fraction, so equilibrium verdicts
-reduce to exact strict-inequality comparisons.  An epsilon argument
-widens every check to epsilon-equilibrium; epsilon must be a nonnegative
-rational.
+machine utilities, and every result is a Fraction.  _first_gain is the
+one unilateral scan behind is_nash, is_bayes_nash, is_machine_nash and
+is_generalized_nash: it compares each deviation's utility exactly, as
+ints, against the base utility plus epsilon (a nonnegative rational).
 
 Deviation checks only ever range over pure deviations: against a fixed
 opponent profile a player's utility is linear in their own mixture, so no
@@ -349,7 +349,7 @@ def best_response_value(game: NormalFormGame, player, profile: MixedProfile):
     """
     _check_profile_shape(game, profile)
     i = game.player_index(player) if isinstance(player, str) else player
-    if not isinstance(i, int) or i < 0 or i >= game.n_players:
+    if not _is_index_key((i,), (game.players,)):
         raise InputError(f"unknown player id {player!r}")
     after = _mixed_after(game, profile)
     return max(after((i,), (a,))[i] for a in range(len(game.actions[i])))
@@ -362,6 +362,28 @@ def _check_epsilon(epsilon):
     return eps
 
 
+def _first_gain(deviations, eps):
+    """The one unilateral scan: the first (seat, alternative, before, after)
+    of the lazy (seat, alternative, base, value) deviations whose value,
+    like base an int (numerator, denominator) pair, beats base + eps, with
+    before and after as Fractions; None when no deviation gains."""
+    en, ed = eps.numerator, eps.denominator
+    for seat, alternative, (bn, bd), (vn, vd) in deviations:
+        # vn / vd > bn / bd + en / ed, every denominator positive
+        if vn * bd * ed > (bn * ed + en * bd) * vd:
+            return seat, alternative, Fraction(bn, bd), Fraction(vn, vd)
+    return None
+
+
+def _gain_verdict(found, kind, description, **fields):
+    """The failing Verdict of a _first_gain hit: its data holds fields,
+    then utility_before, utility_after and gain."""
+    before, after = found[2:]
+    return Verdict(False, Witness(kind=kind, description=description, data={
+        **fields, "utility_before": before, "utility_after": after,
+        "gain": after - before}))
+
+
 def is_nash(game: NormalFormGame, profile: MixedProfile, epsilon=0) -> Verdict:
     """Check that no player gains more than epsilon by a unilateral deviation.
 
@@ -369,27 +391,20 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, epsilon=0) -> Verdict:
     declaration order.
     """
     eps = _check_epsilon(epsilon)
-    _check_profile_shape(game, profile)
-    base = expected_utility(game, profile)
+    base = expected_utility(game, profile)  # checks the profile's shape
     after = _mixed_after(game, profile)
-    for i in range(game.n_players):
-        for a in range(len(game.actions[i])):
-            value = after((i,), (a,))[i]
-            if value > base[i] + eps:
-                player = game.players[i]
-                action = game.actions[i][a]
-                return Verdict(False, Witness(
-                    kind="unilateral-deviation",
-                    description=(
-                        f"player {player} gains by switching to {action}"),
-                    data={
-                        "player": player,
-                        "action": action,
-                        "utility_before": base[i],
-                        "utility_after": value,
-                        "gain": value - base[i],
-                    }))
-    return Verdict(True)
+    found = _first_gain(
+        ((game.players[i], action, base[i].as_integer_ratio(),
+          after((i,), (a,))[i].as_integer_ratio())
+         for i, acts in enumerate(game.actions)
+         for a, action in enumerate(acts)), eps)
+    if found is None:
+        return Verdict(True)
+    player, action = found[:2]
+    return _gain_verdict(
+        found, "unilateral-deviation",
+        f"player {player} gains by switching to {action}",
+        player=player, action=action)
 
 
 def _bayesian_frame(players, types, actions, entry_bound):
@@ -552,34 +567,30 @@ def is_bayes_nash(game: BayesianGame, profile: BayesianStrategyProfile,
     """
     eps = _check_epsilon(epsilon)
     rows, charges = _bayes_rows(game, profile)
-    for i in range(game.n_players):
-        for t in range(len(game.types[i])):
-            relevant = [
-                (tprofile, p) for tprofile, p in game.prior.items()
-                if tprofile[i] == t
-            ]
-            if not relevant:
-                continue
-            current = _prior_sums(game.utilities, relevant, rows, charges)[i]
-            deviated = list(rows)
-            deviated[i] = per_type = list(rows[i])
-            for a in range(len(game.actions[i])):
-                per_type[t] = [(a, 1, 1)]
-                value = _prior_sums(
-                    game.utilities, relevant, deviated, charges)[i]
-                if value > current + eps:
-                    player = game.players[i]
-                    return Verdict(False, Witness(
-                        kind="type-deviation",
-                        description=(
-                            f"player {player} of type {game.types[i][t]} gains "
-                            f"by playing {game.actions[i][a]}"),
-                        data={
-                            "player": player,
-                            "type": game.types[i][t],
-                            "action": game.actions[i][a],
-                            "utility_before": current,
-                            "utility_after": value,
-                            "gain": value - current,
-                        }))
-    return Verdict(True)
+
+    def deviations():
+        for i, (player, types) in enumerate(zip(game.players, game.types)):
+            for t, type_name in enumerate(types):
+                relevant = [(tprofile, p) for tprofile, p
+                            in game.prior.items() if tprofile[i] == t]
+                if not relevant:
+                    continue
+                before = _prior_sums(game.utilities, relevant, rows, charges)
+                deviated = list(rows)
+                deviated[i] = per_type = list(rows[i])
+                for a, action in enumerate(game.actions[i]):
+                    per_type[t] = [(a, 1, 1)]
+                    after = _prior_sums(
+                        game.utilities, relevant, deviated, charges)
+                    yield ((player, type_name), action,
+                           before[i].as_integer_ratio(),
+                           after[i].as_integer_ratio())
+
+    found = _first_gain(deviations(), eps)
+    if found is None:
+        return Verdict(True)
+    (player, type_name), action = found[:2]
+    return _gain_verdict(
+        found, "type-deviation",
+        f"player {player} of type {type_name} gains by playing {action}",
+        player=player, type=type_name, action=action)

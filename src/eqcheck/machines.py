@@ -13,8 +13,8 @@ Complexity is always declared data, never measured.
 
 A machine equilibrium is a Nash equilibrium of the induced machine game,
 so exhaustive_machine_equilibria is that game's pure (1, 0) enumeration
-(robustness.enumerate_pure_robust); is_machine_nash scans one profile's
-unilateral machine switches directly.
+(robustness.enumerate_pure_robust); is_machine_nash feeds one profile's
+unilateral machine switches to games._first_gain, the one unilateral scan.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ from typing import Sequence
 
 from .errors import InputError
 from .games import (DEFAULT_ENTRY_BOUND, DEFAULT_WORK_BOUND, BayesianGame,
-                    NormalFormGame, _check_epsilon, _over_lcm, _prior_sums,
-                    _trusted, bounded_product)
+                    NormalFormGame, _check_epsilon, _first_gain,
+                    _gain_verdict, _over_lcm, _prior_sums, _trusted,
+                    bounded_product)
 from .rationals import as_fraction
 from .repeated import (AUTOMATON_LIBRARY, DEFAULT_SPACE, ROUND_COUNTERS,
                        RepeatedGameAutomaton, RepeatedGameSpec, _run_totals,
                        default_stage_game, library_space)
 from .robustness import RobustnessQuery, enumerate_pure_robust
-from .verdicts import Verdict, Witness
+from .verdicts import Verdict
 
 ZERO = Fraction(0)
 
@@ -226,37 +227,30 @@ def _utility_ints(game, machines):
 
 def is_machine_nash(game: ComputationalGame, machine_ids, epsilon=0) -> Verdict:
     """No player gains more than epsilon by switching to another machine in
-    their declared space.  Utilities are compared as ints over their
-    denominators; Fractions are built only for a witness."""
+    their declared space.  Utilities stay ints over their denominators
+    into games._first_gain; Fractions are built only for a witness."""
     eps = _check_epsilon(epsilon)
     ids = tuple(machine_ids)
     profile = game.profile(ids)
     den, base = _utility_ints(game, profile)
-    for i in range(game.n_players):
-        # value / d > base / den + eps  <=>  value * den * ed > bar * d
-        bar = base[i] * eps.denominator + eps.numerator * den
-        for machine in game.spaces[i]:
-            if machine.id == ids[i]:
-                continue
-            d, value = _utility_ints(
-                game, profile[:i] + (machine,) + profile[i + 1:])
-            if value[i] * den * eps.denominator > bar * d:
-                player = game.players[i]
-                before, after = Fraction(base[i], den), Fraction(value[i], d)
-                return Verdict(False, Witness(
-                    kind="machine-deviation",
-                    description=(
-                        f"player {player} gains by switching from "
-                        f"{ids[i]} to {machine.id}"),
-                    data={
-                        "player": player,
-                        "machine": ids[i],
-                        "better_machine": machine.id,
-                        "utility_before": before,
-                        "utility_after": after,
-                        "gain": after - before,
-                    }))
-    return Verdict(True)
+
+    def switches():
+        for i, space in enumerate(game.spaces):
+            for machine in space:
+                if machine.id != ids[i]:
+                    d, value = _utility_ints(
+                        game, profile[:i] + (machine,) + profile[i + 1:])
+                    yield i, machine.id, (base[i], den), (value[i], d)
+
+    found = _first_gain(switches(), eps)
+    if found is None:
+        return Verdict(True)
+    i, better = found[:2]
+    player = game.players[i]
+    return _gain_verdict(
+        found, "machine-deviation",
+        f"player {player} gains by switching from {ids[i]} to {better}",
+        player=player, machine=ids[i], better_machine=better)
 
 
 def exhaustive_machine_equilibria(game: ComputationalGame, epsilon=0,

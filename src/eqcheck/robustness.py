@@ -13,7 +13,6 @@ over joint deviations, a mixed deviation can never beat the best pure one
 
 from __future__ import annotations
 
-import functools
 import itertools
 from enum import Enum
 
@@ -84,7 +83,7 @@ def _groups(n, max_size):
 def _joint_deviations(game, groups, after):
     """(group, joint, utilities) for every joint pure action of every group,
     joint actions in lexicographic index order: the one deviation scan
-    behind every check, enumeration and extremum in this module.
+    behind every check and enumeration in this module.
     after(group, joint) is the utility vector under that deviation."""
     for group in groups:
         ranges = [range(len(game.actions[i])) for i in group]
@@ -299,34 +298,3 @@ def enumerate_pure_robust(game: NormalFormGame, query: RobustnessQuery,
             continue
         found.append(game.profile_names(pure))
     return found
-
-
-def _player_indices(game, players):
-    return tuple(sorted(game.player_index(p) if isinstance(p, str) else p
-                        for p in players))
-
-
-def _extremum(game, profile, group, scope, pick):
-    """pick (max or min) of each scope player's utility over all joint pure
-    deviations of group."""
-    found = {}
-    checked = functools.partial(utilities_under_joint_deviation, game, profile)
-    for _, _, after in _joint_deviations(game, (group,), checked):
-        for i in scope:
-            found[i] = pick(found[i], after[i]) if i in found else after[i]
-    return {game.players[i]: v for i, v in found.items()}
-
-
-def best_member_utilities(game, profile, coalition):
-    """For each coalition member, the best utility over all joint pure
-    deviations of the coalition.  Test-facing extremum helper."""
-    indices = _player_indices(game, coalition)
-    return _extremum(game, profile, indices, indices, max)
-
-
-def worst_outsider_utilities(game, profile, deviators):
-    """For each outsider, the worst utility over all joint pure deviations
-    of the deviator set.  Test-facing extremum helper."""
-    indices = _player_indices(game, deviators)
-    outsiders = [i for i in range(game.n_players) if i not in indices]
-    return _extremum(game, profile, indices, outsiders, min)

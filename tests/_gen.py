@@ -3,7 +3,10 @@
 import itertools
 from fractions import Fraction
 
-from eqcheck.games import BayesianGame, MixedProfile, is_nash
+from eqcheck.awareness import GeneralizedProfile
+from eqcheck.games import (BayesianGame, MixedProfile, NormalFormGame,
+                           expected_utility, is_nash)
+from eqcheck.machines import ComputationalGame, OneShotMachine
 from eqcheck.trees import NATURE, ExtensiveGame, _Fork
 
 
@@ -159,3 +162,86 @@ def walk_paths(trie):
         else:
             count += 1
     return count
+
+
+def reference_after(game, profile, deviators, joint):
+    """Utilities when deviators play the pure joint action and the rest
+    keep profile: a fresh MixedProfile evaluated with expected_utility."""
+    weights = [list(row) for row in profile.weights]
+    for i, a in zip(deviators, joint):
+        row = [Fraction(0)] * len(game.actions[i])
+        row[a] = Fraction(1)
+        weights[i] = row
+    return expected_utility(game, MixedProfile(weights))
+
+
+def reference_joints(game, group):
+    """The group's joint pure actions, in lexicographic index order."""
+    return itertools.product(*[range(len(game.actions[i])) for i in group])
+
+
+def reference_extrema(game, profile, group):
+    """(best, worst) over every joint pure deviation of group (player
+    indices): each member's highest utility and each outsider's lowest,
+    keyed by player name.  A mixed or correlated deviation stays within
+    them, since utilities are linear in the mixture."""
+    best, worst = {}, {}
+    for joint in reference_joints(game, group):
+        after = reference_after(game, profile, group, joint)
+        for i in range(game.n_players):
+            if i in group:
+                if i not in best or after[i] > best[i]:
+                    best[i] = after[i]
+            elif i not in worst or after[i] < worst[i]:
+                worst[i] = after[i]
+    return ({game.players[i]: v for i, v in best.items()},
+            {game.players[i]: v for i, v in worst.items()})
+
+
+def random_normal_form(rng):
+    """2-4 players, 1-3 actions each (1-2 at four players), integer
+    payoffs in [-2, 2]."""
+    n = rng.randint(2, 4)
+    players = tuple(f"q{i}" for i in range(n))
+    actions = tuple(
+        tuple(f"a{j}" for j in range(rng.randint(1, 3 if n < 4 else 2)))
+        for _ in players)
+    payoffs = {
+        key: tuple(rng.randint(-2, 2) for _ in players)
+        for key in itertools.product(*(range(len(a)) for a in actions))
+    }
+    return NormalFormGame(players, actions, payoffs)
+
+
+def random_one_shot_game(rng):
+    """A random_bayesian_game under 1-3 randomized machines per player with
+    fractional (sometimes zero) weights and fractional costs."""
+    under = random_bayesian_game(rng)
+    spaces = []
+    for types, actions in zip(under.types, under.actions):
+        spaces.append(tuple(
+            OneShotMachine(
+                f"m{m}", "randomized",
+                {t: dict(zip(actions, random_distribution(rng, len(actions))))
+                 for t in types},
+                {t: Fraction(rng.randint(0, 9), rng.randint(1, 5))
+                 for t in types})
+            for m in range(rng.randint(1, 3))))
+    return ComputationalGame("one-shot", spaces, underlying=under)
+
+
+def random_generalized_profile(gwa, rng, pure):
+    """Every active piece gets one move per label (pure) or a random
+    distribution over the label's moves, some weights often zero."""
+    strategies = {}
+    for player, game_name in gwa.active_pairs():
+        tree = gwa.game(game_name).tree
+        entry = strategies[(player, game_name)] = {}
+        for label in gwa.active_labels(player, game_name):
+            moves = tree.label_moves(label)
+            if pure:
+                entry[label] = {rng.choice(moves): Fraction(1)}
+            else:
+                entry[label] = dict(zip(
+                    moves, random_distribution(rng, len(moves))))
+    return GeneralizedProfile(strategies)

@@ -23,14 +23,14 @@ from eqcheck.machines import (build_primality_game,
                               build_roshambo_game,
                               exhaustive_machine_equilibria, is_machine_nash,
                               tit_for_tat_threshold, zeroed_complexity)
-from eqcheck.robustness import (RobustnessQuery, best_member_utilities,
-                                check_immunity, check_resilience,
-                                check_robust, enumerate_pure_robust,
-                                utilities_under_joint_deviation,
-                                worst_outsider_utilities)
+from eqcheck.robustness import (RobustnessQuery, check_immunity,
+                                check_resilience, check_robust,
+                                enumerate_pure_robust,
+                                utilities_under_joint_deviation)
 from eqcheck.trees import induced_normal_form
 
-from _gen import generalized_profile_names, pure_nash_names, random_small_game
+from _gen import (generalized_profile_names, pure_nash_names,
+                  random_small_game, reference_extrema)
 
 F = Fraction
 
@@ -219,11 +219,7 @@ def test_criterion_09_mixed_deviations_bounded_by_pure(capsys):
                         outcome[i] += F(weight, total) * after[i]
                 key = (case_index, group)
                 if key not in extrema:
-                    names = tuple(game.players[i] for i in group)
-                    extrema[key] = (
-                        best_member_utilities(game, profile, names),
-                        worst_outsider_utilities(game, profile, names),
-                    )
+                    extrema[key] = reference_extrema(game, profile, group)
                 best, worst = extrema[key]
                 for i in group:
                     assert outcome[i] <= best[game.players[i]]

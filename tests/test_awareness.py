@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from _gen import (generalized_profile_names, pure_nash_names,
-                  random_small_game, walk_paths)
+                  random_generalized_profile, random_small_game,
+                  walk_paths)
 from eqcheck.awareness import (AugmentedGame, GameWithAwareness,
                                GeneralizedProfile, canonical_representation,
                                crossing_game, expected_utilities,
@@ -13,8 +14,10 @@ from eqcheck.awareness import (AugmentedGame, GameWithAwareness,
                                is_generalized_nash, outcome_distribution)
 from eqcheck import awareness
 from eqcheck.errors import InputError, WorkBoundExceeded
-from eqcheck.games import bounded_product
-from eqcheck.trees import ExtensiveGame, induced_normal_form
+from eqcheck.games import _check_epsilon, bounded_product
+from eqcheck.trees import (ExtensiveGame, _pure_alternatives,
+                           induced_normal_form)
+from eqcheck.verdicts import Verdict, Witness
 
 F = Fraction
 
@@ -317,18 +320,84 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def test_find_matches_reference_loop():
+def _reference_structures():
+    """120 seeded random canonical structures, then eleven crossing games."""
     rng = random.Random(20261018)
     structures = [canonical_representation(random_small_game(rng))
                   for _ in range(120)]
-    structures += [crossing_game(F(i, 10)) for i in range(11)]
+    return structures + [crossing_game(F(i, 10)) for i in range(11)]
+
+
+def test_find_matches_reference_loop():
     found = 0
-    for gwa in structures:
+    for gwa in _reference_structures():
         for eps in (F(0), F(1, 2)):
             got = _outcome(lambda: find_pure_generalized_nash(gwa, eps))
             assert got == _outcome(lambda: _reference_find(gwa, eps))
             found += len(got)
     assert found > 200, found
+
+
+# Reference check for the test below: is_generalized_nash's own loop as it
+# stood before the shared unilateral scan, comparing Fractions and building
+# its witness by hand.
+
+def _reference_generalized_nash(gwa, profile, epsilon=0):
+    eps = _check_epsilon(epsilon)
+    rows = awareness._profile_rows(gwa, profile)
+    for player, game_name, labels in awareness._active_pieces(gwa):
+        tree = gwa.game(game_name).tree
+        pidx = tree.players.index(player)
+        base = awareness._expected_from_rows(gwa, game_name, rows)[pidx]
+        for moves in itertools.product(*(tree.label_moves(l)
+                                         for l in labels)):
+            trial = dict(rows)
+            for label, move in zip(labels, moves):
+                key = (player, game_name, label)
+                trial[key] = (key, _pure_alternatives((move,)))
+            value = awareness._expected_from_rows(gwa, game_name, trial)[pidx]
+            if value > base + eps:
+                described = "; ".join(
+                    f"{m} at {l}" for l, m in zip(labels, moves))
+                return Verdict(False, Witness(
+                    kind="subjective-deviation",
+                    description=(
+                        f"player {player} gains in game {game_name} by "
+                        f"playing {described}"),
+                    data={
+                        "player": player,
+                        "game": game_name,
+                        "strategy": dict(zip(labels, moves)),
+                        "utility_before": base,
+                        "utility_after": value,
+                        "gain": value - base,
+                    }))
+    return Verdict(True)
+
+
+def test_check_matches_reference_loop():
+    """The shared scan keeps is_generalized_nash's verdicts and whole
+    witnesses: kind, description, and data in key order."""
+    rng = random.Random(1998)
+    outcomes = {True: 0, False: 0}
+    for gwa in _reference_structures():
+        for pure in (True, True, False, False):
+            profile = random_generalized_profile(gwa, rng, pure)
+            for eps in (F(0), F(1, 2)):
+                got = is_generalized_nash(gwa, profile, eps)
+                want = _reference_generalized_nash(gwa, profile, eps)
+                assert got.holds == want.holds
+                outcomes[got.holds] += 1
+                if got.holds:
+                    assert got.witness is None
+                    continue
+                assert (got.witness.kind, got.witness.description) == (
+                    want.witness.kind, want.witness.description)
+                assert list(got.witness.data.items()) == list(
+                    want.witness.data.items())
+                assert all(type(got.witness.data[k]) is Fraction for k in
+                           ("utility_before", "utility_after", "gain"))
+    assert min(outcomes.values()) > 200, outcomes
 
 
 def test_find_errors_match_reference_loop():

@@ -145,8 +145,10 @@ def test_matching_pennies_uniform():
     assert best_response_value(game, "p1", uniform) == 0
     assert best_response_value(game, 1, uniform) == 0
     assert not is_nash(game, MixedProfile.pure(game, ("H", "H"))).holds
-    with pytest.raises(InputError):
-        best_response_value(game, "p9", uniform)
+    # a bool is not a player index, though isinstance(True, int) holds
+    for player in ("p9", True, False, 2, -1):
+        with pytest.raises(InputError, match="unknown player id"):
+            best_response_value(game, player, uniform)
 
 
 def test_bargaining_all_stay_is_nash():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from _gen import random_bayesian_game, random_distribution
+from _gen import random_one_shot_game
 from eqcheck import machines, repeated
 from eqcheck.errors import InputError, WorkBoundExceeded
 from eqcheck.fileformat import parse_document, serialize_document
@@ -412,26 +412,10 @@ def _profiles(game):
         *(tuple(m.id for m in space) for space in game.spaces)))
 
 
-def _random_one_shot_game(rng):
-    """A random_bayesian_game under 1-3 randomized machines per player with
-    fractional (sometimes zero) weights and fractional costs."""
-    under = random_bayesian_game(rng)
-    spaces = []
-    for types, actions in zip(under.types, under.actions):
-        spaces.append(tuple(
-            OneShotMachine(
-                f"m{m}", "randomized",
-                {t: dict(zip(actions, random_distribution(rng, len(actions))))
-                 for t in types},
-                {t: F(rng.randint(0, 9), rng.randint(1, 5)) for t in types})
-            for m in range(rng.randint(1, 3))))
-    return ComputationalGame("one-shot", spaces, underlying=under)
-
-
 def test_integer_kernel_matches_fraction_reference():
     rng = random.Random(2008)
     for _ in range(80):
-        game = _random_one_shot_game(rng)
+        game = random_one_shot_game(rng)
         for ids in _profiles(game):
             got = comp_expected_utility(game, ids)
             assert got == _reference_comp_utility(game, ids)
@@ -522,7 +506,7 @@ def test_enumeration_rejects_bad_epsilon():
 def test_enumeration_matches_reference_scan():
     rng = random.Random(1998)
     for _ in range(40):
-        game = _random_one_shot_game(rng)
+        game = random_one_shot_game(rng)
         for eps in (0, F(1, 10)):
             assert exhaustive_machine_equilibria(game, eps) == [
                 ids for ids in _profiles(game)
@@ -557,7 +541,7 @@ def test_enumeration_bound_counts_machine_profiles_only():
 
 def test_trusted_induced_game_matches_validated_build():
     rng = random.Random(2010)
-    games = [_random_one_shot_game(rng) for _ in range(10)] + [
+    games = [random_one_shot_game(rng) for _ in range(10)] + [
         build_roshambo_game(), build_primality_game(5, F(1, 2)),
         build_repeated_dilemma_game(6, DELTA, COST, charged=(True, False))]
     for game in games:

@@ -5,17 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from _gen import (random_normal_form, reference_after, reference_extrema,
+                  reference_joints)
 from eqcheck.catalog import (bargaining_game, matching_pennies,
                              prisoners_dilemma, zero_one_game)
 from eqcheck.errors import InputError, WorkBoundExceeded
-from eqcheck.games import (MixedProfile, NormalFormGame, bounded_product,
-                           expected_utility, is_nash)
+from eqcheck.games import (MixedProfile, bounded_product, expected_utility,
+                           is_nash)
 from eqcheck.robustness import (ResilienceSemantics, RobustnessQuery,
-                                best_member_utilities, check_immunity,
-                                check_resilience, check_robust,
-                                enumerate_pure_robust,
-                                utilities_under_joint_deviation,
-                                worst_outsider_utilities)
+                                check_immunity, check_resilience,
+                                check_robust, enumerate_pure_robust,
+                                utilities_under_joint_deviation)
 
 F = Fraction
 
@@ -196,15 +196,6 @@ def test_witness_replay():
         assert after[i] > base[i]
 
 
-def test_extrema_helpers_cover_unilateral_case():
-    game = prisoners_dilemma()
-    profile = MixedProfile.pure(game, ("C", "C"))
-    best = best_member_utilities(game, profile, ("p1",))
-    assert best == {"p1": F(5)}
-    worst = worst_outsider_utilities(game, profile, ("p1",))
-    assert worst == {"p2": F(-5)}
-
-
 def _random_profile(game, rng):
     rows = []
     for acts in game.actions:
@@ -237,8 +228,7 @@ def test_sampled_mixed_deviations_never_beat_pure_extrema():
     coalition = (0, 2)
     joints = list(itertools.product(
         range(len(game.actions[0])), range(len(game.actions[2]))))
-    best = best_member_utilities(game, profile, coalition)
-    worst = worst_outsider_utilities(game, profile, coalition)
+    best, worst = reference_extrema(game, profile, coalition)
     for _ in range(40):
         weights = [rng.randint(0, 4) for _ in joints]
         if sum(weights) == 0:
@@ -284,27 +274,14 @@ def test_joint_deviation_rejects_malformed_input():
 
 # Reference scans for the differential test below: one plain loop per check
 # that builds a MixedProfile for every joint deviation and evaluates it with
-# expected_utility.
-
-def _reference_after(game, profile, deviators, joint):
-    weights = [list(row) for row in profile.weights]
-    for i, a in zip(deviators, joint):
-        row = [F(0)] * len(game.actions[i])
-        row[a] = F(1)
-        weights[i] = row
-    return expected_utility(game, MixedProfile(weights))
-
-
-def _reference_joints(game, group):
-    return itertools.product(*[range(len(game.actions[i])) for i in group])
-
+# expected_utility (_gen.reference_after).
 
 def _reference_resilience(game, profile, k, semantics, eps):
     base = expected_utility(game, profile)
     for size in range(1, k + 1):
         for coalition in itertools.combinations(range(game.n_players), size):
-            for joint in _reference_joints(game, coalition):
-                after = _reference_after(game, profile, coalition, joint)
+            for joint in reference_joints(game, coalition):
+                after = reference_after(game, profile, coalition, joint)
                 improved = [after[i] > base[i] + eps for i in coalition]
                 failed = any(improved) \
                     if semantics is ResilienceSemantics.STRONG \
@@ -319,41 +296,14 @@ def _reference_immunity(game, profile, t, eps):
     base = expected_utility(game, profile)
     for size in range(1, t + 1):
         for deviators in itertools.combinations(range(game.n_players), size):
-            for joint in _reference_joints(game, deviators):
-                after = _reference_after(game, profile, deviators, joint)
+            for joint in reference_joints(game, deviators):
+                after = reference_after(game, profile, deviators, joint)
                 for victim in range(game.n_players):
                     if (victim not in deviators
                             and after[victim] < base[victim] - eps):
                         return deviators, joint, victim, (
                             base[victim], after[victim])
     return None
-
-
-def _reference_extrema(game, profile, group):
-    best, worst = {}, {}
-    for joint in _reference_joints(game, group):
-        after = _reference_after(game, profile, group, joint)
-        for i in range(game.n_players):
-            if i in group:
-                if i not in best or after[i] > best[i]:
-                    best[i] = after[i]
-            elif i not in worst or after[i] < worst[i]:
-                worst[i] = after[i]
-    return ({game.players[i]: v for i, v in best.items()},
-            {game.players[i]: v for i, v in worst.items()})
-
-
-def _random_normal_form(rng):
-    n = rng.randint(2, 4)
-    players = tuple(f"q{i}" for i in range(n))
-    actions = tuple(
-        tuple(f"a{j}" for j in range(rng.randint(1, 3 if n < 4 else 2)))
-        for _ in players)
-    payoffs = {
-        key: tuple(rng.randint(-2, 2) for _ in players)
-        for key in itertools.product(*(range(len(a)) for a in actions))
-    }
-    return NormalFormGame(players, actions, payoffs)
 
 
 def _names(game, group, joint):
@@ -369,7 +319,7 @@ def test_deviation_scan_matches_reference_loops():
         cases.append((game, MixedProfile.pure(game, pure)))
         cases.append((game, _random_profile(game, rng)))
     for _ in range(20):
-        game = _random_normal_form(rng)
+        game = random_normal_form(rng)
         cases.append((game, _random_profile(game, rng)))
         pure = tuple(rng.randrange(len(a)) for a in game.actions)
         cases.append((game, MixedProfile.pure(game, pure)))
@@ -413,13 +363,6 @@ def test_deviation_scan_matches_reference_loops():
                 assert data["harmed"] == game.players[victim]
                 assert (data["utility_before"], data["utility_after"]) == (
                     before, after)
-        for size in range(1, n + 1):
-            for group in itertools.combinations(range(n), size):
-                best, worst = _reference_extrema(game, profile, group)
-                got_best = best_member_utilities(game, profile, group)
-                got_worst = worst_outsider_utilities(game, profile, group)
-                assert list(got_best.items()) == list(best.items())
-                assert list(got_worst.items()) == list(worst.items())
     # the cases must exercise failing verdicts, not only passing ones
     assert failures > 50, failures
 
@@ -446,7 +389,7 @@ def _outcome(call):
 def test_pure_enumeration_matches_reference_loop():
     rng = random.Random(11)
     games = [zero_one_game(3), bargaining_game(3), prisoners_dilemma()]
-    games += [_random_normal_form(rng) for _ in range(16)]
+    games += [random_normal_form(rng) for _ in range(16)]
     found = 0
     for game in games:
         n = game.n_players
