@@ -149,9 +149,11 @@ class NormalFormGame:
             if not isinstance(vec, (list, tuple)) or len(vec) != n:
                 raise InputError(
                     f"payoffs[{key}]: expected {n} payoffs, got {vec!r}")
-            table[key] = tuple(
-                as_fraction(v, f"payoffs[{key}][{self.players[i]}]")
-                for i, v in enumerate(vec))
+            try:
+                table[key] = tuple(map(as_fraction, vec))
+            except InputError:  # refused again below, now with its name
+                for player, v in zip(self.players, vec):
+                    as_fraction(v, f"payoffs[{key}][{player}]")
         self.payoffs = table
 
     @property
@@ -474,8 +476,11 @@ class BayesianGame:
                 raise InputError(f"utilities: bad action profile in key {key!r}")
             if not isinstance(vec, (list, tuple)) or len(vec) != n:
                 raise InputError(f"utilities[{key}]: expected {n} payoffs")
-            fixed_util[(tkey, akey)] = tuple(
-                as_fraction(v, f"utilities[{key}]") for v in vec)
+            try:
+                fixed_util[(tkey, akey)] = tuple(map(as_fraction, vec))
+            except InputError:  # refused again below, now with its name
+                for v in vec:
+                    as_fraction(v, f"utilities[{key}]")
         self.utilities = fixed_util
 
     @property

@@ -5,16 +5,21 @@ A profile is k-resilient when no coalition of at most k players has a joint
 of at most t players can hurt any outsider by deviating arbitrarily.  The
 (k, t) = (1, 0) case coincides with the Nash check.
 
-Coalition deviations are enumerated as joint pure action tuples: members
-may correlate, and because each member's utility is linear in any mixture
-over joint deviations, a mixed deviation can never beat the best pure one
-(for resilience) or undercut the worst pure one (for immunity).
+Coalition deviations are joint pure action tuples: members may correlate,
+and because each member's utility is linear in any mixture over joint
+deviations, a mixed deviation can never beat the best pure one (for
+resilience) or undercut the worst pure one (for immunity).  The checks
+scan them in order, so their witness is the first counterexample; the
+pure enumeration takes, per context of each group, each member's best
+or each outsider's worst payoff and drops the profiles that it beats.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
+from operator import itemgetter
 
 from .errors import InputError
 from .games import (DEFAULT_WORK_BOUND, MixedProfile, NormalFormGame,
@@ -80,24 +85,17 @@ def _groups(n, max_size):
         yield from itertools.combinations(range(n), size)
 
 
-def _joint_deviations(game, groups, after):
-    """(group, joint, utilities) for every joint pure action of every group,
-    joint actions in lexicographic index order: the one deviation scan
-    behind every check and enumeration in this module.
-    after(group, joint) is the utility vector under that deviation."""
-    for group in groups:
-        ranges = [range(len(game.actions[i])) for i in group]
-        for joint in itertools.product(*ranges):
-            yield group, joint, after(group, joint)
-
-
 def _first_breach(game, groups, after, breach):
-    """The first (group, joint, utilities, hit) of the scan for which
-    hit = breach(group, utilities) is not None, or None."""
-    for group, joint, utilities in _joint_deviations(game, groups, after):
-        hit = breach(group, utilities)
-        if hit is not None:
-            return group, joint, utilities, hit
+    """The first (group, joint, utilities, hit) with hit = breach(group,
+    utilities) not None, or None: the checks' ordered scan, joints in
+    lexicographic index order, utilities = after(group, joint)."""
+    for group in groups:
+        for joint in itertools.product(
+                *(range(len(game.actions[i])) for i in group)):
+            utilities = after(group, joint)
+            hit = breach(group, utilities)
+            if hit is not None:
+                return group, joint, utilities, hit
     return None
 
 
@@ -260,15 +258,62 @@ def check_robust(game: NormalFormGame, profile: MixedProfile,
         sub_verdicts={"resilience": resilience, "immunity": immunity})
 
 
+def _beaten(values, en, ed):
+    """Positions in values, int pairs, that their top beats by over en/ed."""
+    tn, td = values[0]
+    for vn, vd in values:
+        if vn * td > tn * vd:
+            tn, td = vn, vd
+    return [j for j, (vn, vd) in enumerate(values)
+            if tn * vd * ed > (vn * ed + en * vd) * td]
+
+
+def _clear_breaches(game, live, eps, group, sign, seats, every=False):
+    """Clear the live flag (one per profile, by lexicographic index) of each
+    profile that a joint of group beats in its context, the assignment of
+    every player outside group: some seat's payoff times sign (with every,
+    each seat's) rises by more than eps.  Only a context that holds a live
+    profile is read, each entry once, as int pairs for _first_gain's rule."""
+    if 1 not in live:
+        return
+    n, sizes = game.n_players, [len(a) for a in game.actions]
+    strides = [math.prod(sizes[i + 1:]) for i in range(n)]
+
+    def lex(players):  # every joint of players, in order, and its offset
+        return (itertools.product(*(range(sizes[i]) for i in players)),
+                map(sum, itertools.product(*(range(
+                    0, sizes[i] * strides[i], strides[i]) for i in players))))
+    outside = [i for i in range(n) if i not in group]
+    joints, offsets = map(list, lex(group))
+    # context + joint back to player order; one index would not give a tuple
+    order = outside + list(group)
+    unmix = itemgetter(*map(order.index, range(n))) if n > 1 else tuple
+    en, ed = eps.numerator, eps.denominator
+    for context, base in zip(*lex(outside)):
+        where = tuple(map(base.__add__, offsets))
+        if not any(map(live.__getitem__, where)):
+            continue
+        keys = map(unmix, map(context.__add__, joints))
+        rows = [[(sign * v[i].numerator, v[i].denominator) for i in seats]
+                for v in map(game.payoffs.__getitem__, keys)]
+        if every:
+            beaten = [j for j, b in enumerate(rows) if live[where[j]] and any(
+                all(an * bd * ed > (bn * ed + en * bd) * ad
+                    for (an, ad), (bn, bd) in zip(a, b)) for a in rows)]
+        else:
+            beaten = [j for c in zip(*rows) for j in _beaten(c, en, ed)]
+        for j in beaten:
+            live[where[j]] = 0
+
+
 def enumerate_pure_robust(game: NormalFormGame, query: RobustnessQuery,
                           work_bound=DEFAULT_WORK_BOUND):
     """All pure profiles passing check_robust, in lexicographic action order.
 
-    Returns a list of action-name tuples.  One pass over the profiles: the
-    arguments are checked and the work guards run once, in check_robust's
-    order, and each candidate goes through the checks' own deviation scan
-    with its utilities read straight from the payoff table, so no profile
-    object is built and no expected utility is summed.
+    Returns a list of action-name tuples.  The arguments are checked and the
+    work guards run once, in check_robust's order; then one _clear_breaches
+    pass per coalition and per deviator set drops the profiles that fail.
+    No profile object is built and no witness is sought.
     """
     bounded_product((len(a) for a in game.actions), work_bound,
                     "pure profiles")
@@ -277,24 +322,14 @@ def enumerate_pure_robust(game: NormalFormGame, query: RobustnessQuery,
     if query.k:
         _check_k(game, query.k, query.semantics, work_bound)
     _check_t(game, query.t, work_bound)
+    n = game.n_players
+    live = bytearray(b"\1") * math.prod(len(a) for a in game.actions)
     # k = 0 or t = 0 gives no groups, and that half of the check passes
-    coalitions = tuple(_groups(game.n_players, query.k))
-    deviators = tuple(_groups(game.n_players, query.t))
-    payoffs = game.payoffs
-    found = []
-    for pure in game.pure_profiles():
-        def after(group, joint):
-            key = list(pure)
-            for i, a in zip(group, joint):
-                key[i] = a
-            return payoffs[tuple(key)]
-
-        base = payoffs[pure]
-        if _first_breach(game, coalitions, after,
-                         _gainer(base, eps, query.semantics)) is not None:
-            continue
-        if _first_breach(game, deviators, after,
-                         _harmer(base, eps)) is not None:
-            continue
-        found.append(game.profile_names(pure))
-    return found
+    for group in _groups(n, query.k):
+        _clear_breaches(game, live, eps, group, 1, group, len(group) > 1 and
+                        query.semantics is ResilienceSemantics.WEAK)
+    for group in _groups(n, query.t):
+        _clear_breaches(game, live, eps, group, -1,
+                        [i for i in range(n) if i not in group])
+    return [game.profile_names(pure)
+            for pure in itertools.compress(game.pure_profiles(), live)]

@@ -198,16 +198,17 @@ def reference_extrema(game, profile, group):
             {game.players[i]: v for i, v in worst.items()})
 
 
-def random_normal_form(rng):
-    """2-4 players, 1-3 actions each (1-2 at four players), integer
-    payoffs in [-2, 2]."""
+def random_normal_form(rng, draw=None):
+    """2-4 players, 1-3 actions each (1-2 at four players), payoffs from
+    draw(), by default integers in [-2, 2]."""
+    draw = draw or (lambda: rng.randint(-2, 2))
     n = rng.randint(2, 4)
     players = tuple(f"q{i}" for i in range(n))
     actions = tuple(
         tuple(f"a{j}" for j in range(rng.randint(1, 3 if n < 4 else 2)))
         for _ in players)
     payoffs = {
-        key: tuple(rng.randint(-2, 2) for _ in players)
+        key: tuple(draw() for _ in players)
         for key in itertools.product(*(range(len(a)) for a in actions))
     }
     return NormalFormGame(players, actions, payoffs)

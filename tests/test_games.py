@@ -260,6 +260,40 @@ def test_table_keys_are_in_range_int_indices(table, bad):
                      utilities)
 
 
+class _Half(Fraction):
+    """A Fraction subclass, which the constructors keep as given."""
+
+
+@pytest.mark.parametrize("bad, kind", [
+    (0.5, "float"), (True, "bool"), ("1", "str"), (None, "NoneType"),
+], ids=repr)
+def test_refused_payoff_values_are_named(bad, kind):
+    """A payoff or utility value that is not an int or Fraction is refused
+    with the entry (and, for payoffs, the player) that holds it."""
+    payoffs = {key: (F(1), F(2)) for key in itertools.product(range(2), repeat=2)}
+    payoffs[(0, 1)] = (F(1), bad)
+    message = f"payoffs[(0, 1)][p2]: expected an exact rational, got {kind}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        NormalFormGame(("p1", "p2"), (("a", "b"), ("c", "d")), payoffs)
+    game = two_type_game()
+    utilities = dict(game.utilities)
+    utilities[((0,), (0,))] = (bad,)
+    message = f"utilities[((0,), (0,))]: expected an exact rational, got {kind}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        BayesianGame(game.players, game.types, game.actions, game.prior,
+                     utilities)
+
+
+def test_fraction_subclass_payoffs_are_kept_as_given():
+    half = _Half(1, 2)
+    game = NormalFormGame(("solo",), (("x", "y"),), {(0,): (half,), (1,): (1,)})
+    assert game.payoffs[(0,)][0] is half
+    utilities = {((t,), (a,)): (half,) for t in (0, 1) for a in (0, 1)}
+    bayes = BayesianGame(("solo",), (("low", "high"),), (("x", "y"),),
+                         {(0,): half, (1,): half}, utilities)
+    assert bayes.utilities[((1,), (1,))][0] is half
+
+
 def test_follow_mediator_is_bayes_nash():
     """Following the relay protocol survives all library deviations when the
     general's preference is private."""

@@ -13,6 +13,7 @@ implementation is involved.
 """
 
 import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from eqcheck.games import (BayesianGame, BayesianStrategyProfile,
 from eqcheck.machines import (ComputationalGame, OneShotMachine,
                               build_repeated_dilemma_game, is_machine_nash)
 from eqcheck.repeated import DEFAULT_SPACE
+from eqcheck.robustness import (ResilienceSemantics, RobustnessQuery,
+                                check_robust, enumerate_pure_robust)
 from eqcheck.trees import ExtensiveGame
 
 F = Fraction
@@ -201,3 +204,76 @@ def test_generalized_nash_verdicts_survive_affine_maps():
                  for pure in (True, True, False)]
         _same_verdicts(is_generalized_nash, gwa, scaled, a, cases, rng, seen)
     _assert_spread(seen)
+
+
+def _robust_holds(verdict):
+    subs = verdict.sub_verdicts
+    return verdict.holds, subs["resilience"].holds, subs["immunity"].holds
+
+
+def test_robust_sets_and_verdicts_survive_affine_maps():
+    """For every (k, t) and both semantics: the pure robust set, and
+    check_robust's verdict and both sub-verdicts on a pure and a mixed
+    profile."""
+    rng = random.Random(1806)
+    seen = collections.Counter()
+    for _ in range(14):
+        game = _mapped_normal(random_normal_form(rng), _redraw(rng))
+        a, f = _affine(rng, game.n_players)
+        scaled = _mapped_normal(game, f)
+        profiles = (
+            MixedProfile.pure(game, tuple(
+                rng.randrange(len(acts)) for acts in game.actions)),
+            MixedProfile([random_distribution(rng, len(acts))
+                          for acts in game.actions]))
+        n = game.n_players
+        for eps in _epsilons(rng):
+            for k, t, semantics in itertools.product(
+                    range(n + 1), range(n), ResilienceSemantics):
+                query = RobustnessQuery(k, t, eps, semantics)
+                moved = RobustnessQuery(k, t, a * eps, semantics)
+                found = enumerate_pure_robust(game, query)
+                assert enumerate_pure_robust(scaled, moved) == found, (
+                    k, t, semantics, eps)
+                seen["found" if found else "none"] += 1
+                for profile in profiles:
+                    holds = _robust_holds(check_robust(game, profile, query))
+                    assert _robust_holds(
+                        check_robust(scaled, profile, moved)) == holds
+                    seen[holds] += 1
+    # sets with and without profiles, and every verdict split that the
+    # sub-verdicts allow, all occur
+    assert min(seen[key] for key in (
+        "found", "none", (True, True, True), (False, False, True),
+        (False, True, False), (False, False, False))) >= 10, seen
+
+
+def test_strictly_dominated_action_leaves_the_pure_nash_set():
+    """A new action of one player that each of their old actions strictly
+    beats, whatever the others play, joins no pure (1, 0)-robust profile
+    and removes none, wherever it sits in the player's list."""
+    rng = random.Random(1977)
+    seen = collections.Counter()
+    query = RobustnessQuery(1, 0)
+    for _ in range(40):
+        game = _mapped_normal(random_normal_form(rng), _redraw(rng))
+        i = rng.randrange(game.n_players)
+        at = rng.randint(0, len(game.actions[i]))
+        actions = list(game.actions)
+        actions[i] = actions[i][:at] + ("dominated",) + actions[i][at:]
+        payoffs = {}
+        for key in itertools.product(*(range(len(acts)) for acts in actions)):
+            if key[i] != at:
+                old = key[:i] + (key[i] - (key[i] > at),) + key[i + 1:]
+                payoffs[key] = game.payoffs[old]
+                continue
+            worst = min(game.payoffs[key[:i] + (a,) + key[i + 1:]][i]
+                        for a in range(len(game.actions[i])))
+            vec = [_big(rng) for _ in actions]
+            vec[i] = worst - F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+            payoffs[key] = tuple(vec)
+        want = enumerate_pure_robust(game, query)
+        wider = NormalFormGame(game.players, actions, payoffs)
+        assert enumerate_pure_robust(wider, query) == want
+        seen[bool(want)] += 1
+    assert seen[True] >= 20, seen

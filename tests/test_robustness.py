@@ -7,15 +7,18 @@ import pytest
 
 from _gen import (random_normal_form, reference_after, reference_extrema,
                   reference_joints)
+from eqcheck import awareness
+from eqcheck.awareness import canonical_representation
 from eqcheck.catalog import (bargaining_game, matching_pennies,
                              prisoners_dilemma, zero_one_game)
 from eqcheck.errors import InputError, WorkBoundExceeded
-from eqcheck.games import (MixedProfile, bounded_product, expected_utility,
-                           is_nash)
+from eqcheck.games import (MixedProfile, NormalFormGame, bounded_product,
+                           expected_utility, is_nash)
 from eqcheck.robustness import (ResilienceSemantics, RobustnessQuery,
                                 check_immunity, check_resilience,
                                 check_robust, enumerate_pure_robust,
                                 utilities_under_joint_deviation)
+from test_tables import _go_stop_chain
 
 F = Fraction
 
@@ -402,6 +405,87 @@ def test_pure_enumeration_matches_reference_loop():
                         assert got == _reference_enumeration(game, query)
                         found += len(got)
     assert found > 200, found
+
+
+# ties, halves, thirds and sixths: boundary cases for > against >= and
+# for epsilon 1/6 on either side of a comparison
+_TIES = (F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
+
+
+def test_pure_enumeration_matches_reference_on_fractional_payoffs():
+    """Payoffs with denominators up to 10^6, and payoffs from a small set
+    full of ties, where the enumeration's int comparison must order values
+    exactly as Fractions do."""
+    rng = random.Random(1806)
+    games = []
+    for draw in (lambda: F(rng.randint(-10 ** 6, 10 ** 6),
+                           rng.randint(1, 10 ** 6)),
+                 lambda: rng.choice(_TIES)):
+        games += [random_normal_form(rng, draw) for _ in range(10)]
+    assert sum(len(a) == 1 for game in games for a in game.actions) > 3
+    found = 0
+    for game in games:
+        n = game.n_players
+        for k in range(n + 1):
+            for t in range(n):
+                for semantics in ResilienceSemantics:
+                    for eps in (F(0), F(1, 6), F(1, 10 ** 6)):
+                        query = RobustnessQuery(k, t, eps, semantics)
+                        got = enumerate_pure_robust(game, query)
+                        assert got == _reference_enumeration(game, query), (
+                            game.payoffs, k, t, semantics, eps)
+                        found += len(got)
+    assert found > 200, found
+
+
+class _CountingTable(dict):
+    """A payoff table that counts the entries read from it."""
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+
+def _enumeration_reads(game, query, work_bound=10_000_000):
+    """(profiles, entries read) of enumerate_pure_robust on game."""
+    game.payoffs = table = _CountingTable(game.payoffs)
+    try:
+        return enumerate_pure_robust(game, query, work_bound), table.reads
+    finally:
+        game.payoffs = dict(table)
+
+
+def test_pure_enumeration_reads_each_entry_once_per_group():
+    """Each coalition or deviator set reads each table entry at most once,
+    however many of its profiles survive."""
+    canon = canonical_representation(_go_stop_chain(10))
+    _, pair = awareness._pair_game(canon, awareness._active_pieces(canon))
+    found, reads = _enumeration_reads(pair, RobustnessQuery(1, 0), math.inf)
+    assert (len(pair.payoffs), len(found)) == (1024, 241)
+    assert reads <= (2 + 1) * 1024, reads
+    # 3 x 3 x 3 with two payoff levels, mostly the top one, so profiles
+    # survive long; three pass
+    rng = random.Random(2)
+    game = NormalFormGame(("p", "q", "r"), (("0", "1", "2"),) * 3, {
+        key: tuple(rng.choice((0, 1, 1, 1)) for _ in key)
+        for key in itertools.product(range(3), repeat=3)})
+    query = RobustnessQuery(2, 1)
+    found, reads = _enumeration_reads(game, query)
+    assert found == _reference_enumeration(game, query) and len(found) == 3
+    assert reads <= (3 + 3 + 3 + 1) * 27, reads
 
 
 def _query(k, t, epsilon=0):
