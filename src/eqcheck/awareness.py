@@ -36,11 +36,10 @@ from .games import (DEFAULT_WORK_BOUND, NormalFormGame, _check_epsilon,
                     _first_gain, _gain_verdict, _trusted, bounded_product)
 from .rationals import as_fraction
 from .robustness import RobustnessQuery, enumerate_pure_robust
-from .trees import (NATURE, ExtensiveGame, _payoff_vector,
+from .trees import (NATURE, ExtensiveGame, _label_row, _payoff_vector,
                     _pure_alternatives, _read, _walk)
 from .verdicts import Verdict, Witness
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -296,26 +295,11 @@ def _profile_rows(gwa: GameWithAwareness, profile: GeneralizedProfile):
                 raise InputError(
                     f"profile: player {player} in game {game_name} has no "
                     f"moves for information set {label!r}")
-            dist = entry[label]
-            allowed = tree.label_moves(label)
-            for m in dist:
-                if m not in allowed:
-                    raise InputError(
-                        f"profile: player {player} in game {game_name}, "
-                        f"information set {label!r}: unknown move {m!r}")
-            row = []
-            total = ZERO
-            for m in allowed:
-                q = dist.get(m, ZERO)
-                total += q
-                row.append((m, q))
-            if total != 1:
-                raise InputError(
-                    f"profile: player {player} in game {game_name}, "
-                    f"information set {label!r}: weights sum to {total}, "
-                    f"not 1")
             key = (player, game_name, label)
-            rows[key] = (key, (tuple(row),))
+            rows[key] = (key, (_label_row(
+                entry[label], tree.label_moves(label),
+                f"profile: player {player} in game {game_name}, "
+                f"information set {label!r}"),))
     return rows
 
 
@@ -494,11 +478,12 @@ def find_pure_generalized_nash(gwa: GameWithAwareness, epsilon=0,
                     work_bound, "pure profiles")
     query = RobustnessQuery(1, 0, epsilon)     # checks epsilon, pairs or not
     if not pieces:      # a game without players has nothing to enumerate
-        return [GeneralizedProfile.pure({})]
+        return [_trusted(GeneralizedProfile, strategies={})]
     choices, pair_game = _pair_game(gwa, pieces)
-    # action names are indices into each pair's choices
-    return [GeneralizedProfile.pure({
-        (player, game_name): dict(zip(labels, per[int(name)]))
+    # action names index each pair's choices, whose moves need no checks
+    return [_trusted(GeneralizedProfile, strategies={
+        (player, game_name): {
+            label: {move: ONE} for label, move in zip(labels, per[int(name)])}
         for (player, game_name, labels), per, name
         in zip(pieces, choices, names)})
         for names in enumerate_pure_robust(pair_game, query,

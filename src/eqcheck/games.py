@@ -4,9 +4,10 @@ Payoffs and probabilities are fractions.Fraction values.  Utilities are
 summed exactly as ints over common denominators: by _int_sums for mixed
 profiles and tree folds, by _prior_sums for Bayesian ex-ante and one-shot
 machine utilities, and every result is a Fraction.  _first_gain is the
-one unilateral scan behind is_nash, is_bayes_nash, is_machine_nash and
-is_generalized_nash: it compares each deviation's utility exactly, as
-ints, against the base utility plus epsilon (a nonnegative rational).
+one deviation scan behind is_nash, is_bayes_nash, is_machine_nash,
+is_generalized_nash, check_resilience and check_immunity: it compares
+each value exactly, as ints, against the base value plus epsilon (a
+nonnegative rational); only enumerate_pure_robust compares on its own.
 
 Deviation checks only ever range over pure deviations: against a fixed
 opponent profile a player's utility is linear in their own mixture, so no
@@ -365,7 +366,7 @@ def _check_epsilon(epsilon):
 
 
 def _first_gain(deviations, eps):
-    """The one unilateral scan: the first (seat, alternative, before, after)
+    """The one deviation scan: the first (seat, alternative, before, after)
     of the lazy (seat, alternative, base, value) deviations whose value,
     like base an int (numerator, denominator) pair, beats base + eps, with
     before and after as Fractions; None when no deviation gains."""

@@ -14,7 +14,7 @@ Complexity is always declared data, never measured.
 A machine equilibrium is a Nash equilibrium of the induced machine game,
 so exhaustive_machine_equilibria is that game's pure (1, 0) enumeration
 (robustness.enumerate_pure_robust); is_machine_nash feeds one profile's
-unilateral machine switches to games._first_gain, the one unilateral scan.
+unilateral machine switches to games._first_gain, the one deviation scan.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ Coalition deviations are joint pure action tuples: members may correlate,
 and because each member's utility is linear in any mixture over joint
 deviations, a mixed deviation can never beat the best pure one (for
 resilience) or undercut the worst pure one (for immunity).  The checks
-scan them in order, so their witness is the first counterexample; the
-pure enumeration takes, per context of each group, each member's best
-or each outsider's worst payoff and drops the profiles that it beats.
+scan them in order through games._first_gain, the one deviation scan,
+so their witness is the first counterexample.  Only the pure
+enumeration compares on its own: per context of each group, it takes
+each member's best or each outsider's worst payoff and drops the
+profiles that it beats.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from operator import itemgetter
 
 from .errors import InputError
 from .games import (DEFAULT_WORK_BOUND, MixedProfile, NormalFormGame,
-                    _check_epsilon, _check_profile_shape, _mixed_after,
-                    _subset_choices, bounded_product, expected_utility)
+                    _check_epsilon, _check_profile_shape, _first_gain,
+                    _mixed_after, _subset_choices, bounded_product,
+                    expected_utility)
 from .verdicts import Verdict, Witness
 
 
@@ -85,41 +88,16 @@ def _groups(n, max_size):
         yield from itertools.combinations(range(n), size)
 
 
-def _first_breach(game, groups, after, breach):
-    """The first (group, joint, utilities, hit) with hit = breach(group,
-    utilities) not None, or None: the checks' ordered scan, joints in
-    lexicographic index order, utilities = after(group, joint)."""
-    for group in groups:
+def _joint_scan(game, profile, max_size):
+    """(group, joint, after) for every joint deviation of every group of at
+    most max_size players, in the checks' order: groups by size, then
+    members, joints in lexicographic index order.  after, the utilities
+    when group plays joint, is computed only when the scan reaches it."""
+    after = _mixed_after(game, profile)
+    for group in _groups(game.n_players, max_size):
         for joint in itertools.product(
                 *(range(len(game.actions[i])) for i in group)):
-            utilities = after(group, joint)
-            hit = breach(group, utilities)
-            if hit is not None:
-                return group, joint, utilities, hit
-    return None
-
-
-def _gainer(base, eps, semantics):
-    """Resilience breach test: True when the coalition deviates."""
-    bar = [b + eps for b in base]
-    pick = any if semantics is ResilienceSemantics.STRONG else all
-
-    def breach(coalition, after):
-        return True if pick([after[i] > bar[i] for i in coalition]) else None
-    return breach
-
-
-def _harmer(base, eps):
-    """Immunity breach test: the first outsider pushed below their base
-    utility minus eps."""
-    bar = [b - eps for b in base]
-
-    def breach(deviators, after):
-        for victim, floor in enumerate(bar):
-            if victim not in deviators and after[victim] < floor:
-                return victim
-        return None
-    return breach
+            yield group, joint, after(group, joint)
 
 
 def _deviation_names(game, group, joint):
@@ -167,20 +145,20 @@ def check_resilience(game: NormalFormGame, profile: MixedProfile, k,
     _check_k(game, k, semantics, work_bound)
 
     base = expected_utility(game, profile)
-    found = _first_breach(game, _groups(game.n_players, k),
-                          _mixed_after(game, profile),
-                          _gainer(base, eps, semantics))
+    # some member gains by over eps (STRONG) exactly when the best gain
+    # does, and every member (WEAK) exactly when the worst gain does
+    pick = max if semantics is ResilienceSemantics.STRONG else min
+    found = _first_gain((
+        ((group, joint, after), None, (0, 1),
+         pick(after[i] - base[i] for i in group).as_integer_ratio())
+        for group, joint, after in _joint_scan(game, profile, k)), eps)
     if found is None:
         return Verdict(True)
-    coalition, joint, after, _ = found
+    coalition, joint, after = found[0]
     members = tuple(game.players[i] for i in coalition)
-    gains = {
-        game.players[i]: {
-            "utility_before": base[i],
-            "utility_after": after[i],
-        }
-        for i in coalition
-    }
+    gains = {game.players[i]: {"utility_before": base[i],
+                               "utility_after": after[i]}
+             for i in coalition}
     return Verdict(False, Witness(
         kind="coalition-deviation",
         description=(
@@ -205,11 +183,16 @@ def check_immunity(game: NormalFormGame, profile: MixedProfile, t,
         return Verdict(True)
 
     base = expected_utility(game, profile)
-    found = _first_breach(game, _groups(game.n_players, t),
-                          _mixed_after(game, profile), _harmer(base, eps))
+    # an outsider is harmed when their negated utility gains over eps
+    found = _first_gain((
+        ((group, joint, after), victim,
+         (-base[victim].numerator, base[victim].denominator),
+         (-after[victim].numerator, after[victim].denominator))
+        for group, joint, after in _joint_scan(game, profile, t)
+        for victim in range(game.n_players) if victim not in group), eps)
     if found is None:
         return Verdict(True)
-    deviators, joint, after, victim = found
+    (deviators, joint, after), victim = found[:2]
     names = tuple(game.players[i] for i in deviators)
     harmed = game.players[victim]
     return Verdict(False, Witness(

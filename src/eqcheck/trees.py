@@ -221,24 +221,30 @@ def _strategy_rows(game: ExtensiveGame, strategy: Mapping):
     for label in game.labels:
         if label not in strategy:
             raise InputError(f"strategy: missing information set {label!r}")
-        dist = strategy[label]
-        allowed = game.label_moves(label)
-        for m in dist:
-            if m not in allowed:
-                raise InputError(f"strategy[{label}]: unknown move {m!r}")
-        row = []
-        total = ZERO
-        for m in allowed:
-            q = as_fraction(dist.get(m, 0), f"strategy[{label}][{m}]")
-            if q < 0:
-                raise InputError(f"strategy[{label}][{m}]: negative weight")
-            total += q
-            row.append((m, q))
-        if total != 1:
-            raise InputError(
-                f"strategy[{label}]: weights sum to {total}, not 1")
-        rows[label] = (label, (tuple(row),))
+        rows[label] = (label, (_label_row(
+            strategy[label], game.label_moves(label), f"strategy[{label}]"),))
     return rows
+
+
+def _label_row(dist, allowed, where):
+    """The walk row of move distribution dist at a label whose moves are
+    allowed: its (move, weight) pairs in that order, each weight an exact
+    nonnegative rational, summing to 1.  Errors are prefixed with where."""
+    for m in dist:
+        if m not in allowed:
+            raise InputError(f"{where}: unknown move {m!r}")
+    row = []
+    for m in allowed:
+        q = dist.get(m, ZERO)
+        if type(q) is not Fraction:
+            q = as_fraction(q, f"{where}[{m}]")
+        if q < 0:
+            raise InputError(f"{where}[{m}]: negative weight")
+        row.append((m, q))
+    total = sum(q for _, q in row)
+    if total != 1:
+        raise InputError(f"{where}: weights sum to {total}, not 1")
+    return tuple(row)
 
 
 class _Fork:

@@ -7,7 +7,7 @@ import pytest
 
 from _gen import (random_normal_form, reference_after, reference_extrema,
                   reference_joints)
-from eqcheck import awareness
+from eqcheck import awareness, games
 from eqcheck.awareness import canonical_representation
 from eqcheck.catalog import (bargaining_game, matching_pennies,
                              prisoners_dilemma, zero_one_game)
@@ -309,27 +309,41 @@ def _reference_immunity(game, profile, t, eps):
     return None
 
 
+# ties, halves, thirds and sixths: boundary cases for > against >= and
+# for epsilon 1/6 on either side of a comparison
+_TIES = (F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
+
+
 def _names(game, group, joint):
     return ({game.players[i]: game.actions[i][a] for i, a in zip(group, joint)},
             tuple(game.players[i] for i in group))
 
 
 def test_deviation_scan_matches_reference_loops():
+    """Integer payoffs at epsilon 0 and 1/2, then payoffs with denominators
+    up to 10^6 and payoffs from a small set full of ties at epsilon 0, 1/6
+    and 1/10^6, where the scan's int comparison must order values exactly
+    as Fractions do."""
     rng = random.Random(3)
     cases = []
+    whole, fine = (F(0), F(1, 2)), (F(0), F(1, 6), F(1, 10 ** 6))
     for game, pure in ((zero_one_game(3), ("0",) * 3),
                        (bargaining_game(5), ("stay",) * 5)):
-        cases.append((game, MixedProfile.pure(game, pure)))
-        cases.append((game, _random_profile(game, rng)))
-    for _ in range(20):
-        game = random_normal_form(rng)
-        cases.append((game, _random_profile(game, rng)))
+        cases.append((game, MixedProfile.pure(game, pure), whole))
+        cases.append((game, _random_profile(game, rng), whole))
+    draws = [None] * 20 + [
+        lambda: F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)),
+        lambda: rng.choice(_TIES)] * 10
+    for draw in draws:
+        game = random_normal_form(rng, draw)
+        epsilons = whole if draw is None else fine
+        cases.append((game, _random_profile(game, rng), epsilons))
         pure = tuple(rng.randrange(len(a)) for a in game.actions)
-        cases.append((game, MixedProfile.pure(game, pure)))
-    failures = 0
-    for game, profile in cases:
+        cases.append((game, MixedProfile.pure(game, pure), epsilons))
+    failures = {whole: 0, fine: 0}
+    for game, profile, epsilons in cases:
         n = game.n_players
-        for eps in (F(0), F(1, 2)):
+        for eps in epsilons:
             for k in range(1, n + 1):
                 for semantics in ResilienceSemantics:
                     verdict = check_resilience(
@@ -339,7 +353,7 @@ def test_deviation_scan_matches_reference_loops():
                     assert verdict.holds == (expected is None)
                     if expected is None:
                         continue
-                    failures += 1
+                    failures[epsilons] += 1
                     coalition, joint, gains = expected
                     deviation, members = _names(game, coalition, joint)
                     data = verdict.witness.data
@@ -356,7 +370,7 @@ def test_deviation_scan_matches_reference_loops():
                 assert verdict.holds == (expected is None)
                 if expected is None:
                     continue
-                failures += 1
+                failures[epsilons] += 1
                 deviators, joint, victim, (before, after) = expected
                 deviation, names = _names(game, deviators, joint)
                 data = verdict.witness.data
@@ -367,7 +381,36 @@ def test_deviation_scan_matches_reference_loops():
                 assert (data["utility_before"], data["utility_after"]) == (
                     before, after)
     # the cases must exercise failing verdicts, not only passing ones
-    assert failures > 50, failures
+    assert failures[whole] > 50 and failures[fine] > 100, failures
+
+
+def test_one_profile_checks_evaluate_nothing_past_their_witness(monkeypatch):
+    """A failing check evaluates the base utilities once and then each
+    joint deviation in scan order up to its witness, and none after it."""
+    calls = []
+    real = games._support_utilities
+
+    def counting(game, support):
+        calls.append(support)
+        return real(game, support)
+    monkeypatch.setattr(games, "_support_utilities", counting)
+    game = zero_one_game(3)
+    profile = all_zero(game)
+    for size, key, check in (
+            (2, "coalition", lambda: check_resilience(
+                game, profile, 2, ResilienceSemantics.WEAK)),
+            (1, "deviators", lambda: check_immunity(game, profile, 1))):
+        order = [_names(game, group, joint)
+                 for s in range(1, size + 1)
+                 for group in itertools.combinations(range(3), s)
+                 for joint in reference_joints(game, group)]
+        calls.clear()
+        verdict = check()
+        assert not verdict.holds
+        data = verdict.witness.data
+        position = order.index((data["deviation"], data[key])) + 1
+        assert position < len(order)     # the scan has more to skip
+        assert len(calls) == 1 + position
 
 
 # Reference enumeration for the tests below: the profile bound, then the
@@ -405,11 +448,6 @@ def test_pure_enumeration_matches_reference_loop():
                         assert got == _reference_enumeration(game, query)
                         found += len(got)
     assert found > 200, found
-
-
-# ties, halves, thirds and sixths: boundary cases for > against >= and
-# for epsilon 1/6 on either side of a comparison
-_TIES = (F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
 
 
 def test_pure_enumeration_matches_reference_on_fractional_payoffs():
