@@ -100,13 +100,14 @@ class AugmentedGame:
 class GameWithAwareness:
     """Augmented games plus the belief map.
 
-    views maps (game name, player-owned history) to (game name, information
-    set label): the game and situation the mover believes in at that node.
+    The modeler's game is the objective one: underlying is its tree.  views
+    maps (game name, player-owned history) to (game name, information set
+    label): the game and situation the mover believes in at that node.
     Construction checks only that references resolve; the consistency
     conditions live in validate().
     """
 
-    def __init__(self, games, modeler, views, underlying):
+    def __init__(self, games, modeler, views):
         games = tuple(games)
         if not games:
             raise InputError("expected at least one augmented game")
@@ -122,9 +123,7 @@ class GameWithAwareness:
         if modeler not in self._by_name:
             raise InputError(f"unknown modeler game {modeler!r}")
         self.modeler = modeler
-        if not isinstance(underlying, ExtensiveGame):
-            raise InputError("underlying must be an ExtensiveGame")
-        self.underlying = underlying
+        self.underlying = self._by_name[modeler].tree
 
         fixed = {}
         for key, value in views.items():
@@ -507,7 +506,7 @@ def canonical_representation(game: ExtensiveGame) -> GameWithAwareness:
     views = {
         ("modeler", h): ("modeler", game.infosets[h]) for h in awareness
     }
-    return GameWithAwareness((ag,), "modeler", views, underlying=game)
+    return GameWithAwareness((ag,), "modeler", views)
 
 
 def crossing_game(unaware_prob, pay_down=(1, 1), pay_across_down=(2, 3),
@@ -635,5 +634,4 @@ def crossing_game(unaware_prob, pay_down=(1, 1), pay_across_down=(2, 3),
         ("b_view", ()): ("b_view", "A.3"),
         ("b_view", ("across_A",)): ("b_view", "B.3"),
     }
-    return GameWithAwareness(
-        (modeler, a_view, b_view), "modeler", views, underlying=objective)
+    return GameWithAwareness((modeler, a_view, b_view), "modeler", views)

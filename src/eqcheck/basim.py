@@ -38,9 +38,9 @@ import itertools
 from fractions import Fraction
 
 from .errors import InputError
-from .games import (DEFAULT_ENTRY_BOUND, DEFAULT_WORK_BOUND, BayesianGame,
-                    NormalFormGame, _bayesian_frame, _normal_frame,
-                    _subset_choices, _trusted, bounded_product)
+from .games import (DEFAULT_WORK_BOUND, BayesianGame, NormalFormGame,
+                    _bayesian_frame, _normal_frame, _subset_choices, _trusted,
+                    bounded_product)
 from .verdicts import Verdict, Witness
 
 MEDIATOR_ID = "mediator"
@@ -549,8 +549,7 @@ def build_adversary_game(n, protocol, adversaries=DEFAULT_ADVERSARIES,
     strategies, fields = _checked(n, protocol, adversaries, (preference,),
                                   "faults[p{}]: ")
     players, actions, _ = _normal_frame(
-        fields["players"], (("follow",) + tuple(adversaries),) * n,
-        DEFAULT_ENTRY_BOUND)
+        fields["players"], (("follow",) + tuple(adversaries),) * n)
     return _trusted(NormalFormGame, players=players, actions=actions,
                     payoffs=_fault_table(protocol, strategies, fields,
                                          preference))
@@ -565,7 +564,7 @@ def build_preference_bayes_game(
                                   "faults[p{}]: ")
     players, types, actions, _ = _bayesian_frame(
         fields["players"], (("0", "1"),) + (("-",),) * (n - 1),
-        (("follow",) + tuple(adversaries),) * n, DEFAULT_ENTRY_BOUND)
+        (("follow",) + tuple(adversaries),) * n)
     prior = {(t,) + (0,) * (n - 1): Fraction(1, 2) for t in range(2)}
     utilities = {
         (tkey, akey): payoffs for tkey in prior

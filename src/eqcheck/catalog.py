@@ -17,9 +17,7 @@ def zero_one_game(n=3):
     all-0 profile is a Nash equilibrium that any pair can profitably
     abandon together.
     """
-    if n < 2:
-        raise InputError("zero_one_game needs at least 2 players")
-    players = tuple(f"p{i + 1}" for i in range(n))
+    players = _players(n, "zero_one_game")
     actions = tuple(("0", "1") for _ in range(n))
     payoffs = {}
     for profile in _profiles(actions):
@@ -41,9 +39,7 @@ def bargaining_game(n=5):
     get 0.  All-stay resists every coalition (nobody can reach more than 1
     by deviating) but a single leaver hurts everyone who stays.
     """
-    if n < 2:
-        raise InputError("bargaining_game needs at least 2 players")
-    players = tuple(f"p{i + 1}" for i in range(n))
+    players = _players(n, "bargaining_game")
     actions = tuple(("stay", "leave") for _ in range(n))
     payoffs = {}
     for profile in _profiles(actions):
@@ -84,6 +80,16 @@ def matching_pennies():
         (1, 1): [Fraction(1), Fraction(-1)],
     }
     return NormalFormGame(("p1", "p2"), (("H", "T"), ("H", "T")), payoffs)
+
+
+def _players(n, builder):
+    """p1..pn, after checking that n is an int (not a bool) of at least 2."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(
+            f"{builder} needs an integer player count, got {type(n).__name__}")
+    if n < 2:
+        raise InputError(f"{builder} needs at least 2 players")
+    return tuple(f"p{i + 1}" for i in range(n))
 
 
 def _profiles(actions):

@@ -2,7 +2,7 @@
 
 One binary, subcommand style.  Exit codes: 0 when the requested check
 holds (or the command simply succeeded), 1 when a check fails, 2 on usage
-or input errors, 3 when a work or entry bound would be exceeded.
+or input errors, 3 when a work, entry or print bound would be exceeded.
 
 Machine-readable reports (--format json, --report json for the
 simulator) are versioned with "format": 1 and are byte-identical across

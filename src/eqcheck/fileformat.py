@@ -22,9 +22,9 @@ from json.encoder import encode_basestring
 from .awareness import AugmentedGame, GameWithAwareness, GeneralizedProfile
 from .basim import Scenario
 from .errors import InputError, ParseError
-from .games import (DEFAULT_ENTRY_BOUND, BayesianGame,
-                    BayesianStrategyProfile, MixedProfile, NormalFormGame,
-                    _bayesian_frame, _fixed_prior, _normal_frame, _trusted)
+from .games import (BayesianGame, BayesianStrategyProfile, MixedProfile,
+                    NormalFormGame, _bayesian_frame, _fixed_prior,
+                    _normal_frame, _trusted)
 from .machines import ComputationalGame, OneShotMachine, \
     build_repeated_dilemma_game
 from .rationals import format_rational, parse_rational
@@ -266,7 +266,7 @@ def _parse_normal_body(obj, path):
         obj["actions"], f"{path}.actions", len(players), "action")
     payoffs = _parse_payoff_table(
         obj["payoffs"], f"{path}.payoffs", actions, len(players))
-    _build(path, lambda: _normal_frame(players, actions, DEFAULT_ENTRY_BOUND))
+    _build(path, lambda: _normal_frame(players, actions))
     return _trusted(NormalFormGame, players=players, actions=actions,
                     payoffs=payoffs)
 
@@ -321,8 +321,7 @@ def _parse_bayesian_body(obj, path):
     utilities = {
         (key[:n], key[n:]): vec for key, vec in flat.items()
     }
-    _build(path, lambda: _bayesian_frame(
-        players, types, actions, DEFAULT_ENTRY_BOUND))
+    _build(path, lambda: _bayesian_frame(players, types, actions))
     return _trusted(BayesianGame, players=players, types=types,
                     actions=actions, utilities=utilities,
                     prior=_build(path, lambda: _fixed_prior(prior, types)))
@@ -592,11 +591,9 @@ def _parse_awareness_body(obj, path):
         views[key] = (_as_string(entry["target_game"], epath, "target_game"),
                       _as_string(entry["target_set"], epath, "target_set"))
 
-    by_name = {ag.name: ag for ag in games}
-    if modeler not in by_name:
+    if modeler not in {ag.name for ag in games}:
         raise ParseError(f"{path}.modeler", f"unknown game {modeler!r}")
-    return _build(path, lambda: GameWithAwareness(
-        games, modeler, views, by_name[modeler].tree))
+    return _build(path, lambda: GameWithAwareness(games, modeler, views))
 
 
 def _tree_node_body(ag: AugmentedGame, history):
@@ -626,10 +623,6 @@ def _tree_node_body(ag: AugmentedGame, history):
 
 
 def _awareness_body(gwa: GameWithAwareness):
-    if gwa.underlying is not gwa.game(gwa.modeler).tree:
-        raise InputError(
-            "only structures whose objective game is the modeler's tree can "
-            "be written as documents")
     games = []
     for ag in gwa.games:
         games.append({

@@ -114,7 +114,7 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _normal_frame(players, actions, entry_bound):
+def _normal_frame(players, actions):
     """(players, actions, entry count) after the checks every normal-form
     game needs, whoever built its table: its names and entry bound."""
     _check_names(players, "players")
@@ -123,7 +123,7 @@ def _normal_frame(players, actions, entry_bound):
     for player, acts in zip(players, actions):
         _check_names(acts, f"actions of player {player}")
     entries = bounded_product(
-        (len(a) for a in actions), entry_bound, "payoff entries")
+        (len(a) for a in actions), DEFAULT_ENTRY_BOUND, "payoff entries")
     return tuple(players), tuple(map(tuple, actions)), entries
 
 
@@ -134,9 +134,8 @@ class NormalFormGame:
     player) to a payoff vector (tuple of Fractions, one per player).
     """
 
-    def __init__(self, players, actions, payoffs, entry_bound=DEFAULT_ENTRY_BOUND):
-        self.players, self.actions, entries = _normal_frame(
-            players, actions, entry_bound)
+    def __init__(self, players, actions, payoffs):
+        self.players, self.actions, entries = _normal_frame(players, actions)
         n = len(self.players)
         if not isinstance(payoffs, Mapping):
             raise InputError("payoffs: expected a mapping from action profiles")
@@ -366,22 +365,21 @@ def _check_epsilon(epsilon):
 
 
 def _first_gain(deviations, eps):
-    """The one deviation scan: the first (seat, alternative, before, after)
-    of the lazy (seat, alternative, base, value) deviations whose value,
-    like base an int (numerator, denominator) pair, beats base + eps, with
-    before and after as Fractions; None when no deviation gains."""
+    """The one deviation scan: the first of the lazy (seat, alternative,
+    base, value) deviations whose value, like base an int (numerator,
+    denominator) pair, beats base + eps; None when no deviation gains."""
     en, ed = eps.numerator, eps.denominator
     for seat, alternative, (bn, bd), (vn, vd) in deviations:
         # vn / vd > bn / bd + en / ed, every denominator positive
         if vn * bd * ed > (bn * ed + en * bd) * vd:
-            return seat, alternative, Fraction(bn, bd), Fraction(vn, vd)
+            return seat, alternative, (bn, bd), (vn, vd)
     return None
 
 
 def _gain_verdict(found, kind, description, **fields):
     """The failing Verdict of a _first_gain hit: its data holds fields,
-    then utility_before, utility_after and gain."""
-    before, after = found[2:]
+    then utility_before, utility_after and gain, as Fractions."""
+    before, after = (Fraction(*pair) for pair in found[2:])
     return Verdict(False, Witness(kind=kind, description=description, data={
         **fields, "utility_before": before, "utility_after": after,
         "gain": after - before}))
@@ -410,7 +408,7 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, epsilon=0) -> Verdict:
         player=player, action=action)
 
 
-def _bayesian_frame(players, types, actions, entry_bound):
+def _bayesian_frame(players, types, actions):
     """(players, types, actions, entry count) after the checks every
     Bayesian game needs, whoever built its tables: names and entry bound."""
     _check_names(players, "players")
@@ -423,8 +421,8 @@ def _bayesian_frame(players, types, actions, entry_bound):
         _check_names(names, f"types of player {player}")
         _check_names(acts, f"actions of player {player}")
     entries = bounded_product(
-        [len(t) for t in types] + [len(a) for a in actions], entry_bound,
-        "utility entries")
+        [len(t) for t in types] + [len(a) for a in actions],
+        DEFAULT_ENTRY_BOUND, "utility entries")
     return tuple(players), types, actions, entries
 
 
@@ -454,10 +452,9 @@ class BayesianGame:
     over (type profile, action profile) pairs.
     """
 
-    def __init__(self, players, types, actions, prior, utilities,
-                 entry_bound=DEFAULT_ENTRY_BOUND):
+    def __init__(self, players, types, actions, prior, utilities):
         self.players, self.types, self.actions, entries = _bayesian_frame(
-            players, types, actions, entry_bound)
+            players, types, actions)
         n = len(self.players)
         self.prior = _fixed_prior(prior, self.types)
 
@@ -487,12 +484,6 @@ class BayesianGame:
     @property
     def n_players(self):
         return len(self.players)
-
-    def player_index(self, player):
-        try:
-            return self.players.index(player)
-        except ValueError:
-            raise InputError(f"unknown player id {player!r}") from None
 
 
 class BayesianStrategyProfile:

@@ -13,8 +13,9 @@ Complexity is always declared data, never measured.
 
 A machine equilibrium is a Nash equilibrium of the induced machine game,
 so exhaustive_machine_equilibria is that game's pure (1, 0) enumeration
-(robustness.enumerate_pure_robust); is_machine_nash feeds one profile's
-unilateral machine switches to games._first_gain, the one deviation scan.
+(robustness.enumerate_pure_robust); is_machine_nash and the threshold scan
+feed one profile's unilateral machine switches (_switches) to
+games._first_gain, the one deviation scan.
 """
 
 from __future__ import annotations
@@ -225,24 +226,26 @@ def _utility_ints(game, machines):
         for total, machine, charged in zip(totals, machines, game.charged)]
 
 
+def _switches(game, profile):
+    """A machine profile's unilateral switches for games._first_gain, in
+    space order: (player index, machine id, base, value), utilities as
+    int pairs, each evaluated only when the scan reaches it."""
+    den, base = _utility_ints(game, profile)
+    for i, space in enumerate(game.spaces):
+        for machine in space:
+            if machine.id != profile[i].id:
+                d, value = _utility_ints(
+                    game, profile[:i] + (machine,) + profile[i + 1:])
+                yield i, machine.id, (base[i], den), (value[i], d)
+
+
 def is_machine_nash(game: ComputationalGame, machine_ids, epsilon=0) -> Verdict:
     """No player gains more than epsilon by switching to another machine in
     their declared space.  Utilities stay ints over their denominators
     into games._first_gain; Fractions are built only for a witness."""
     eps = _check_epsilon(epsilon)
     ids = tuple(machine_ids)
-    profile = game.profile(ids)
-    den, base = _utility_ints(game, profile)
-
-    def switches():
-        for i, space in enumerate(game.spaces):
-            for machine in space:
-                if machine.id != ids[i]:
-                    d, value = _utility_ints(
-                        game, profile[:i] + (machine,) + profile[i + 1:])
-                    yield i, machine.id, (base[i], den), (value[i], d)
-
-    found = _first_gain(switches(), eps)
+    found = _first_gain(_switches(game, game.profile(ids)), eps)
     if found is None:
         return Verdict(True)
     i, better = found[:2]
@@ -387,8 +390,7 @@ def _is_prime(n):
     return True
 
 
-def build_primality_game(bit_length, cost_per_bit,
-                         entry_bound=DEFAULT_ENTRY_BOUND):
+def build_primality_game(bit_length, cost_per_bit):
     """One player is shown an integer with exactly bit_length bits (uniform
     prior) and may call it prime, call it composite, or play safe.
 
@@ -398,8 +400,8 @@ def build_primality_game(bit_length, cost_per_bit,
     cost stays below 9; above 9 playing safe is.
 
     The builder generates canonical data itself, so it skips the
-    constructors' re-validation and keeps only its own entry_bound guard.
-    Documents and user-built objects are still fully validated.
+    constructors' re-validation and keeps only its own DEFAULT_ENTRY_BOUND
+    guard.  Documents and user-built objects are still fully validated.
     """
     if (not isinstance(bit_length, int) or isinstance(bit_length, bool)
             or bit_length < 1):
@@ -412,7 +414,7 @@ def build_primality_game(bit_length, cost_per_bit,
     lo = 1 if bit_length == 1 else 1 << (bit_length - 1)
     hi = 1 << bit_length
     count = hi - lo
-    bounded_product((count, 3), entry_bound, "utility entries")
+    bounded_product((count, 3), DEFAULT_ENTRY_BOUND, "utility entries")
 
     types = tuple(str(x) for x in range(lo, hi))
     actions = ("guess-prime", "guess-composite", "safe")
@@ -537,7 +539,8 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
             game = _trusted(
                 ComputationalGame, mode="repeated", spaces=(space, space),
                 underlying=None, repeated_spec=spec, charged=charged)
-            if is_machine_nash(game, profile, eps).holds:
+            pair = tuple(machines[name] for name in profile)
+            if _first_gain(_switches(game, pair), eps) is None:
                 least[scan] = rounds
         if None not in least.values():
             break

@@ -14,9 +14,10 @@ whichever Python runs this.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, WorkBoundExceeded
 
 # typographic minus, accepted on input and normalized to ASCII
 _MINUS = "−"
@@ -53,11 +54,18 @@ def parse_rational(value, where: str = "value") -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Canonical string form: "5", "-5", or "1/3"."""
+    """Canonical string form: "5", "-5", or "1/3"; WorkBoundExceeded if a
+    part has more digits than str() converts (sys.get_int_max_str_digits)."""
     frac = value if type(value) is Fraction else Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    try:
+        if frac.denominator == 1:
+            return str(frac.numerator)
+        return f"{frac.numerator}/{frac.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise WorkBoundExceeded(
+            f"a rational with over {limit} digits is too long to print",
+            bound=limit) from None
 
 
 def as_fraction(value, where: str = "value") -> Fraction:

@@ -382,16 +382,16 @@ def _pure_alternatives(moves):
     return tuple(((m, ONE),) for m in moves)
 
 
-def induced_normal_form(game: ExtensiveGame,
-                        entry_bound=DEFAULT_ENTRY_BOUND) -> NormalFormGame:
-    """The strategic form over pure strategies, chance averaged out.
+def induced_normal_form(game: ExtensiveGame) -> NormalFormGame:
+    """The strategic form over pure strategies, chance averaged out; more
+    than DEFAULT_ENTRY_BOUND profiles are refused before any walk.
 
     One shared-prefix walk fixes a label's move where it is first reached,
     so each distinct reached assignment is walked and summed once; every
     profile then reads its payoffs from the walk's trie.
     """
     per_player = [pure_strategies(game, p) for p in game.players]
-    bounded_product((len(s) for s in per_player), entry_bound,
+    bounded_product((len(s) for s in per_player), DEFAULT_ENTRY_BOUND,
                     "induced payoff entries")
     actions = tuple(tuple(name for name, _ in strats) for strats in per_player)
     # labels player by player: a profile's moves, flattened, are one

@@ -111,19 +111,63 @@ def test_find_respects_work_bound():
         find_pure_generalized_nash(crossing(), work_bound=3)
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda m: AugmentedGame("", m.tree, m.awareness),
+                 "augmented game: name must be a nonempty string",
+                 id="empty-name"),
+    pytest.param(lambda m: AugmentedGame("g", "tree", {}),
+                 "augmented game g: tree must be an ExtensiveGame",
+                 id="not-a-tree"),
+    pytest.param(lambda m: AugmentedGame("g", m.tree, {}),
+                 "augmented game g: awareness must cover exactly the "
+                 "player-owned histories", id="awareness-cover"),
+    pytest.param(lambda m: AugmentedGame("g", m.tree, m.awareness,
+                                         virtual_moves=((),)),
+                 "augmented game g: virtual moves are (history, move) pairs",
+                 id="virtual-move-pair"),
+    pytest.param(lambda m: GameWithAwareness((), "modeler", {}),
+                 "expected at least one augmented game", id="no-games"),
+    pytest.param(lambda m: GameWithAwareness((m.tree,), "modeler", {}),
+                 "games must be AugmentedGame values", id="bare-tree"),
+    pytest.param(lambda m: GameWithAwareness((m, m), "modeler", {}),
+                 "augmented game names must be unique", id="duplicate-name"),
+    pytest.param(lambda m: GameWithAwareness((m,), "nowhere", {}),
+                 "unknown modeler game 'nowhere'", id="unknown-modeler"),
+    pytest.param(lambda m: GameWithAwareness((m,), "modeler",
+                                             {"x": ("modeler", "A")}),
+                 "views: bad key 'x'", id="view-key"),
+    pytest.param(lambda m: GameWithAwareness(
+                     (m,), "modeler", {("nowhere", ()): ("modeler", "A")}),
+                 "views: unknown game 'nowhere'", id="view-game"),
+    pytest.param(lambda m: GameWithAwareness(
+                     (m,), "modeler",
+                     {("modeler", ("down_A",)): ("modeler", "A")}),
+                 "views[modeler, ('down_A',)]: not a player-owned history",
+                 id="view-node"),
+    pytest.param(lambda m: GameWithAwareness((m,), "modeler",
+                                             {("modeler", ()): "A"}),
+                 "views[modeler, ()]: expected a (game, information set) "
+                 "pair, got 'A'", id="view-target"),
+    pytest.param(lambda m: GameWithAwareness((m,), "modeler", {}).game("b"),
+                 "unknown game 'b'", id="unknown-game"),
+])
+def test_structure_constructor_refusals(build, message):
+    with pytest.raises(InputError) as info:
+        build(crossing().game("modeler"))
+    assert str(info.value) == message
+
+
 def _mutated(gwa, replacements):
     views = dict(gwa.views)
     views.update(replacements)
-    return GameWithAwareness(
-        gwa.games, gwa.modeler, views, underlying=gwa.underlying)
+    return GameWithAwareness(gwa.games, gwa.modeler, views)
 
 
 def test_validate_missing_view():
     gwa = crossing()
     views = dict(gwa.views)
     del views[("b_view", ("across_A",))]
-    broken = GameWithAwareness(
-        gwa.games, gwa.modeler, views, underlying=gwa.underlying)
+    broken = GameWithAwareness(gwa.games, gwa.modeler, views)
     verdict = broken.validate()
     assert not verdict.holds
     assert verdict.witness.data["condition"] == "missing-view"
@@ -169,8 +213,7 @@ def test_validate_awareness_level():
     games = (gwa.game("modeler"),
              AugmentedGame("a_view", a_view.tree, hacked),
              gwa.game("b_view"))
-    broken = GameWithAwareness(
-        games, "modeler", gwa.views, underlying=gwa.underlying)
+    broken = GameWithAwareness(games, "modeler", gwa.views)
     verdict = broken.validate()
     assert verdict.witness.data["condition"] == "awareness-level"
 
@@ -183,7 +226,7 @@ def test_virtual_move_flags_do_not_change_play():
         virtual_moves=((("unaware",), "across_A"),))
     alt = GameWithAwareness(
         (gwa.game("modeler"), flagged, gwa.game("b_view")),
-        "modeler", gwa.views, underlying=gwa.underlying)
+        "modeler", gwa.views)
     assert alt.validate().holds
     found = find_pure_generalized_nash(alt)
     reference = find_pure_generalized_nash(gwa)
@@ -227,7 +270,7 @@ def _two_view_structure():
     g1 = AugmentedGame("g1", t1, {(): every})
     g2 = AugmentedGame("g2", t2, {(): every})
     views = {("g1", ()): ("g2", "L2"), ("g2", ()): ("g2", "L2")}
-    return GameWithAwareness((g1, g2), "g2", views, underlying=t2)
+    return GameWithAwareness((g1, g2), "g2", views)
 
 
 def test_believed_move_unavailable_in_place():
@@ -250,14 +293,12 @@ def test_walk_names_each_unresolved_belief():
         tree.terminal_histories)
     g = AugmentedGame("g", tree, {(): every, ("x",): every})
     profile = GeneralizedProfile.pure({("A", "g"): {"LA": "x"}})
-    missing = GameWithAwareness(
-        (g,), "g", {("g", ()): ("g", "LA")}, underlying=tree)
+    missing = GameWithAwareness((g,), "g", {("g", ()): ("g", "LA")})
     with pytest.raises(InputError, match="no belief entry"):
         outcome_distribution(missing, "g", profile)
     # B's node believes A's information set, which no piece of B covers
     wrong = GameWithAwareness(
-        (g,), "g", {("g", ()): ("g", "LA"), ("g", ("x",)): ("g", "LA")},
-        underlying=tree)
+        (g,), "g", {("g", ()): ("g", "LA"), ("g", ("x",)): ("g", "LA")})
     with pytest.raises(InputError, match="no profile entry covers"):
         outcome_distribution(wrong, "g", profile)
 
@@ -412,8 +453,7 @@ def test_find_errors_match_reference_loop():
     # B's node believes A's information set, which no piece of B covers;
     # the walk meets it only once A plays x
     uncovered = GameWithAwareness(
-        (g,), "g", {("g", ()): ("g", "LA"), ("g", ("x",)): ("g", "LA")},
-        underlying=tree)
+        (g,), "g", {("g", ()): ("g", "LA"), ("g", ("x",)): ("g", "LA")})
     cases = [
         (gwa, -1, None, InputError),
         (gwa, 0.5, None, InputError),
@@ -461,8 +501,7 @@ def test_find_errors_do_not_depend_on_payoffs():
         {("x", ()): ("x", "LA"), ("y", ()): ("x", "LA"),
          ("y", ("m0",)): ("y", "LB"),
          # B's node believes A's information set: no B piece covers it
-         ("y", ("m1",)): ("x", "LA")},
-        underlying=y)
+         ("y", ("m1",)): ("x", "LA")})
     assert gwa.active_pairs() == (("A", "x"), ("B", "y"))
     assert gwa.validate().witness.data["condition"] == "wrong-player"
     # in x, m1 pays A less than m0, so a scan that stops at the first gain

@@ -589,6 +589,23 @@ def test_json_reports_are_json_dumps_text(capsys, argv):
                              ensure_ascii=False) + "\n"
 
 
+@pytest.mark.parametrize("style", ["text", "json"])
+def test_repeated_run_too_long_to_print_exits_3(capsys, tmp_path, style):
+    """At 4400 rounds the exact discounted payoffs have more digits than
+    str() converts: exit 3 and one line, not a traceback."""
+    with open(path("frpd.json")) as f:
+        spec = json.load(f)
+    spec["rounds"] = 4400
+    long_spec = tmp_path / "frpd_4400.json"
+    long_spec.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "repeated", "run", "--spec",
+                             str(long_spec), "--m1", "all_d",
+                             "--m2", "tit_for_tat", "--format", style)
+    assert (code, out) == (3, "")
+    assert err == ("error: a rational with over 4300 digits is too long "
+                   "to print\n")
+
+
 def test_work_bound_counts_past_printable_ints(capsys):
     """Counts too long for str() (4300 digits) still end in exit 3."""
     code, out, err = run_cli(capsys, "simulate", "ba", "--n", "7000",

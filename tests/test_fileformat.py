@@ -326,14 +326,11 @@ def test_awareness_document_errors():
     assert err.path.endswith(".child")
 
 
-def test_awareness_serializer_needs_modeler_underlying():
-    from eqcheck.awareness import GameWithAwareness
+def test_awareness_objective_game_is_the_modelers_tree():
     gwa = crossing_game(F(3, 10))
-    twisted = GameWithAwareness(
-        gwa.games, "modeler", gwa.views,
-        underlying=gwa.game("a_view").tree)
-    with pytest.raises(InputError):
-        serialize_document(twisted)
+    parsed = parse_document(serialize_document(gwa)).value
+    for structure in (gwa, parsed):
+        assert structure.underlying is structure.game(structure.modeler).tree
 
 
 def test_generalized_profile_duplicate_pair():

@@ -212,6 +212,38 @@ def test_bayesian_game_validation():
         BayesianStrategyProfile.pure(two_type_game(), (("x",),))
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([[[F(-1), F(2)]]],
+     "strategy of player index 0, type index 0: negative weight"),
+    ([[[F(1, 2), F(1, 3)]]],
+     "strategy of player index 0, type index 0: weights do not sum to 1"),
+    ([], "profile has 0 players, game has 1"),
+    ([[[1, 0]]], "player solo: profile covers 1 types, game has 2"),
+    ([[[1], [1]]],
+     "player solo, type low: profile has 1 weights for 2 actions"),
+], ids=["negative", "sum", "players", "types", "actions"])
+def test_bayes_profile_refusals(weights, message):
+    """The profile's own checks, then _bayes_rows' shape checks against
+    the game."""
+    with pytest.raises(InputError) as info:
+        bayes_expected_utility(two_type_game(),
+                               BayesianStrategyProfile(weights))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("builder", [zero_one_game, bargaining_game])
+@pytest.mark.parametrize("n, kind", [
+    (3.0, "float"), ("3", "str"), (None, "NoneType"), (True, "bool")])
+def test_catalog_builders_refuse_non_int_player_counts(builder, n, kind):
+    with pytest.raises(InputError) as info:
+        builder(n)
+    assert str(info.value) == (
+        f"{builder.__name__} needs an integer player count, got {kind}")
+    with pytest.raises(InputError) as info:
+        builder(1)
+    assert str(info.value) == f"{builder.__name__} needs at least 2 players"
+
+
 @pytest.mark.parametrize("choice, message", [
     (-1, "player solo: action index -1 out of range"),
     (2, "player solo: action index 2 out of range"),

@@ -286,13 +286,15 @@ def test_primality_validation():
     with pytest.raises(InputError):
         build_primality_game(65, 1)
     with pytest.raises(WorkBoundExceeded):
-        build_primality_game(16, 1, entry_bound=100)
+        build_primality_game(24, 1)
 
 
 def test_primality_guard_counts_utility_entries():
-    with pytest.raises(WorkBoundExceeded,
-                       match="^98304 utility entries exceed the bound 100$"):
-        build_primality_game(16, 1, entry_bound=100)
+    # 2^23 integers of 24 bits, three actions each
+    with pytest.raises(
+            WorkBoundExceeded,
+            match="^25165824 utility entries exceed the bound 10000000$"):
+        build_primality_game(24, 1)
 
 
 def test_primality_rejects_bool_bit_length():
@@ -329,6 +331,134 @@ def test_computational_game_validation():
         comp_expected_utility(roshambo, ("const0",))
     with pytest.raises(InputError):
         is_machine_nash(roshambo, ("const0", "const0"), epsilon=-1)
+
+
+def _mute(machine_id, act):
+    return OneShotMachine(machine_id, "deterministic", act,
+                          dict.fromkeys(act, 0))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(
+        lambda r, d: ComputationalGame("both", r.spaces,
+                                       underlying=r.underlying),
+        "mode must be one-shot or repeated", id="mode"),
+    pytest.param(
+        lambda r, d: ComputationalGame("one-shot", (r.spaces[0], ()),
+                                       underlying=r.underlying),
+        "player index 1: empty machine space", id="empty-space"),
+    pytest.param(
+        lambda r, d: ComputationalGame("one-shot", r.spaces[:1],
+                                       underlying=r.underlying),
+        "one machine space per player required", id="space-count"),
+    pytest.param(
+        lambda r, d: ComputationalGame("one-shot", (r.spaces[0], d.spaces[1]),
+                                       underlying=r.underlying),
+        "one-shot spaces must contain OneShotMachine values",
+        id="automaton-in-one-shot"),
+    pytest.param(
+        lambda r, d: ComputationalGame("one-shot", ((_mute("m", {}),),
+                                                    r.spaces[1]),
+                                       underlying=r.underlying),
+        "machine m: no action for type '-' of player p1", id="missing-type"),
+    pytest.param(
+        lambda r, d: ComputationalGame(
+            "one-shot", (r.spaces[0], (_mute("m", {"-": {"3": 1}}),)),
+            underlying=r.underlying),
+        "machine m: action '3' not in the underlying game",
+        id="unknown-action"),
+    pytest.param(
+        lambda r, d: ComputationalGame("repeated", d.spaces),
+        "repeated mode needs a RepeatedGameSpec", id="no-spec"),
+    pytest.param(
+        lambda r, d: ComputationalGame("repeated", d.spaces * 2,
+                                       repeated_spec=d.repeated_spec),
+        "repeated mode is 2-player", id="space-pairs"),
+    pytest.param(
+        lambda r, d: ComputationalGame("repeated", (d.spaces[0], r.spaces[1]),
+                                       repeated_spec=d.repeated_spec),
+        "repeated spaces must contain automata", id="one-shot-in-repeated"),
+    pytest.param(
+        lambda r, d: ComputationalGame("repeated", d.spaces,
+                                       repeated_spec=d.repeated_spec,
+                                       charged=(True,)),
+        "charged must be a pair of booleans", id="charged-length"),
+    pytest.param(
+        lambda r, d: ComputationalGame("repeated", d.spaces,
+                                       repeated_spec=d.repeated_spec,
+                                       charged=(1, 0)),
+        "charged must be a pair of booleans", id="charged-ints"),
+])
+def test_computational_game_refusals(build, message):
+    roshambo = build_roshambo_game()
+    dilemma = build_repeated_dilemma_game(3, DELTA, COST)
+    with pytest.raises(InputError) as info:
+        build(roshambo, dilemma)
+    assert str(info.value) == message
+
+
+def _automaton(**changes):
+    args = dict(machine_id="x", states=("s",), initial="s",
+                output={"s": "C"}, transition={("s", "C"): "s"})
+    args.update(changes)
+    return RepeatedGameAutomaton(**args)
+
+
+def _spec(**changes):
+    args = dict(stage=default_stage_game(), rounds=3, discount=DELTA,
+                memory_cost=COST)
+    args.update(changes)
+    return RepeatedGameSpec(**args)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: _automaton(machine_id=""),
+                 "automaton id must be a nonempty string", id="empty-id"),
+    pytest.param(lambda: _automaton(states=()),
+                 "automaton x: states must be nonempty and unique",
+                 id="no-states"),
+    pytest.param(lambda: _automaton(states=("s", "s")),
+                 "automaton x: states must be nonempty and unique",
+                 id="duplicate-states"),
+    pytest.param(lambda: _automaton(initial="z"),
+                 "automaton x: unknown initial state 'z'", id="initial"),
+    pytest.param(lambda: _automaton(output={}),
+                 "automaton x: no output for state 's'", id="output"),
+    pytest.param(lambda: _automaton(transition={("s",): "s"}),
+                 "automaton x: bad transition key ('s',)",
+                 id="transition-key"),
+    pytest.param(lambda: _automaton(transition={("s", "C"): "z"}),
+                 "automaton x: transition to unknown state 'z'",
+                 id="transition-target"),
+    pytest.param(lambda: _automaton(transition={("s", "C"): []}),
+                 "automaton x: transition to unknown state []",
+                 id="unhashable-target"),
+    pytest.param(lambda: _spec(rounds=0),
+                 "rounds must be a positive integer", id="rounds-zero"),
+    pytest.param(lambda: _spec(rounds=True),
+                 "rounds must be a positive integer", id="rounds-bool"),
+    pytest.param(lambda: _spec(discount=1),
+                 "discount must lie strictly between 0 and 1", id="discount"),
+    pytest.param(lambda: _spec(memory_cost=-1),
+                 "memory_cost must be nonnegative", id="memory-cost"),
+])
+def test_repeated_constructor_refusals(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_zeroed_complexity_frees_memory_in_repeated_mode():
+    game = build_repeated_dilemma_game(3, DELTA, COST, charged=(True, False))
+    free = zeroed_complexity(game)
+    spec = free.repeated_spec
+    assert (spec.stage, spec.rounds, spec.discount, spec.memory_cost) == (
+        game.repeated_spec.stage, 3, DELTA, 0)
+    assert (free.mode, free.spaces, free.charged) == (
+        "repeated", game.spaces, (True, False))
+    ids = ("tit_for_tat", "all_d")
+    assert comp_expected_utility(free, ids) == run_automata(
+        spec, *free.profile(ids))
 
 
 def test_repeated_game_checks_automaton_outputs_when_built():
@@ -861,6 +991,16 @@ def test_threshold_scan_work_bound():
     with pytest.raises(WorkBoundExceeded) as info:
         tit_for_tat_threshold(DELTA, COST, 1000)
     assert (info.value.required, info.value.bound) == (10_010_000, 10_000_000)
+
+
+def test_threshold_scan_builds_no_witness(monkeypatch):
+    """A failing horizon only asks whether the profile holds."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the threshold scan built a witness")
+
+    monkeypatch.setattr(machines, "_gain_verdict", refuse)
+    report = tit_for_tat_threshold(DELTA, COST, 100)
+    assert (report.symmetric, report.asymmetric) == (9, 10)
 
 
 def test_stage_tables_live_only_as_long_as_their_stage():

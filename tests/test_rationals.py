@@ -1,10 +1,11 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from eqcheck.errors import InputError
+from eqcheck.errors import InputError, WorkBoundExceeded
 from eqcheck.rationals import as_fraction, format_rational, parse_rational
 
 
@@ -44,6 +45,18 @@ def test_error_message_names_the_field():
 def test_format_round_trip():
     for text in ("5", "-5", "1/3", "-9/10", "0"):
         assert format_rational(parse_rational(text)) == text
+
+
+def test_format_refuses_parts_too_long_to_print():
+    """str() converts at most sys.get_int_max_str_digits() digits."""
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** limit  # limit + 1 digits
+    assert format_rational(Fraction(big // 10, 3)) == f"{big // 10}/3"
+    for value in (Fraction(big), Fraction(-big, 3), Fraction(3, big)):
+        with pytest.raises(WorkBoundExceeded) as exc:
+            format_rational(value)
+        assert str(exc.value) == (
+            f"a rational with over {limit} digits is too long to print")
 
 
 def test_as_fraction_accepts_exact_types_only():

@@ -18,7 +18,7 @@ from eqcheck.robustness import (ResilienceSemantics, RobustnessQuery,
                                 check_immunity, check_resilience,
                                 check_robust, enumerate_pure_robust,
                                 utilities_under_joint_deviation)
-from test_tables import _go_stop_chain
+from test_trees import _go_stop_chain
 
 F = Fraction
 

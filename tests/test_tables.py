@@ -17,7 +17,7 @@ from eqcheck.awareness import (AugmentedGame, GameWithAwareness,
 from eqcheck.errors import InputError
 from eqcheck.trees import (NATURE, ExtensiveGame, expected_payoffs,
                            induced_normal_form, pure_strategies)
-from test_trees import _deep_chain, _fractional_tree
+from test_trees import _deep_chain, _fractional_tree, _go_stop_chain
 
 F = Fraction
 
@@ -125,8 +125,7 @@ def test_pair_tables_match_on_crossing_games():
     # a_view's unaware B borrows the modeler's B piece, whose down_B it
     # cannot play: the error of the first combination that plays it
     views[("a_view", ("unaware", "across_A"))] = ("modeler", "B")
-    broken = GameWithAwareness(gwa.games, gwa.modeler, views,
-                               underlying=gwa.underlying)
+    broken = GameWithAwareness(gwa.games, gwa.modeler, views)
     got = _pair_table(broken)
     assert got == _reference_pair_table(broken)
     assert got[0] is InputError and "unavailable" in got[1]
@@ -152,7 +151,7 @@ def test_error_leaf_is_raised_at_its_first_combination():
     g = AugmentedGame("g", tree, dict.fromkeys(tree.moves, every))
     views = {("g", h): ("g", tree.infosets[h]) for h in tree.moves}
     views[("g", ("p", "b"))] = views[("g", ("p", "a", "v"))] = ("g", "LA")
-    gwa = GameWithAwareness((g,), "g", views, underlying=tree)
+    gwa = GameWithAwareness((g,), "g", views)
     assert [awareness._active_pieces(gwa)] == [
         (("B", "g", ("LB1", "LB2")), ("A", "g", ("LA",)))]
     got = _pair_table(gwa)
@@ -160,21 +159,6 @@ def test_error_leaf_is_raised_at_its_first_combination():
     assert got == (InputError, "game g: node ('p', 'b') believes (g, "
                                "'LA'), which no profile entry covers; run "
                                "validate()")
-
-
-def _go_stop_chain(n):
-    """n nodes, A and B alternating from the root: stop ends the game,
-    go moves on, and going past the last node pays (n, n)."""
-    moves, owner, infosets, payoffs = {}, {}, {}, {}
-    h = ()
-    for d in range(n):
-        moves[h] = ("go", "stop")
-        owner[h] = "AB"[d % 2]
-        infosets[h] = f"I{d}"
-        payoffs[h + ("stop",)] = (d, n - d)
-        h += ("go",)
-    payoffs[h] = (n, n)
-    return ExtensiveGame(("A", "B"), moves, owner, infosets, payoffs)
 
 
 def _count_paths(monkeypatch):

@@ -15,17 +15,32 @@ from eqcheck.trees import (NATURE, ExtensiveGame, expected_payoffs,
 F = Fraction
 
 
+def _entry_args(**changes):
+    """entry_tree's constructor arguments, with changes."""
+    args = dict(
+        players=("E", "I"),
+        moves={(): ("out", "in"), ("in",): ("fight", "yield")},
+        owner={(): "E", ("in",): "I"},
+        infosets={(): "E0", ("in",): "I0"},
+        payoffs={
+            ("out",): (0, 2),
+            ("in", "fight"): (-1, -1),
+            ("in", "yield"): (1, 1),
+        })
+    args.update(changes)
+    return args
+
+
 def entry_tree():
     """Entrant moves first; the incumbent reacts without seeing history."""
-    moves = {(): ("out", "in"), ("in",): ("fight", "yield")}
-    owner = {(): "E", ("in",): "I"}
-    infosets = {(): "E0", ("in",): "I0"}
-    payoffs = {
-        ("out",): (0, 2),
-        ("in", "fight"): (-1, -1),
-        ("in", "yield"): (1, 1),
-    }
-    return ExtensiveGame(("E", "I"), moves, owner, infosets, payoffs)
+    return ExtensiveGame(**_entry_args())
+
+
+def _coin_args(probs):
+    """A one-player tree whose root is a chance node with probs."""
+    return dict(players=("P",), moves={(): ("l", "r")}, owner={(): NATURE},
+                infosets={}, payoffs={("l",): (0,), ("r",): (1,)},
+                nature_probs={(): probs})
 
 
 def coin_tree():
@@ -90,8 +105,74 @@ def test_induced_normal_form_payoffs():
 
 
 def test_induced_normal_form_respects_entry_bound():
-    with pytest.raises(WorkBoundExceeded):
-        induced_normal_form(entry_tree(), entry_bound=3)
+    # 12 nodes per player: 4,096 pure strategies each
+    with pytest.raises(
+            WorkBoundExceeded,
+            match="^16777216 induced payoff entries exceed the bound 10000000$"):
+        induced_normal_form(_go_stop_chain(24))
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(
+        _entry_args(moves={"root": ("out", "in"), ("in",): ("fight", "yield")}),
+        "moves: histories must be tuples of move names, got 'root'",
+        id="history-not-a-tuple"),
+    pytest.param(
+        _entry_args(players=("E", NATURE)),
+        "players: 'nature' is reserved for chance nodes", id="nature-player"),
+    pytest.param(
+        _entry_args(moves={(): (), ("in",): ("fight", "yield")}),
+        "moves[()]: expected a nonempty move list", id="no-moves"),
+    pytest.param(
+        _entry_args(moves={(): ("out", ""), ("in",): ("fight", "yield")}),
+        "moves[()]: moves must be nonempty strings", id="empty-move"),
+    pytest.param(
+        _entry_args(moves={(): ("out", "out"), ("in",): ("fight", "yield")}),
+        "moves[()]: duplicate moves", id="duplicate-move"),
+    pytest.param(
+        _entry_args(payoffs={("out",): (0, 2), ("in",): (0, 0)}),
+        "history ('in',) is both internal and terminal",
+        id="internal-and-terminal"),
+    pytest.param(
+        _entry_args(payoffs={("out",): (0,), ("in", "fight"): (-1, -1),
+                             ("in", "yield"): (1, 1)}),
+        "payoffs[('out',)]: expected 2 values", id="payoff-length"),
+    pytest.param(
+        _entry_args(moves={}, owner={}, infosets={},
+                    payoffs={("out",): (0, 2)}),
+        "the root (empty history) is missing", id="no-root"),
+    pytest.param(
+        _entry_args(payoffs={("out",): (0, 2), ("in", "fight"): (-1, -1),
+                             ("in", "yield"): (1, 1),
+                             ("in", "flee"): (0, 0)}),
+        "history ('in', 'flee'): move 'flee' not available at the parent",
+        id="unavailable-move"),
+    pytest.param(
+        _entry_args(owner={(): "E"}),
+        "owner: must cover exactly the internal histories", id="owner-cover"),
+    pytest.param(
+        _entry_args(infosets={(): "E0"}),
+        "infosets: must cover exactly the player-owned histories",
+        id="infoset-cover"),
+    pytest.param(
+        _entry_args(infosets={(): "E0", ("in",): ""}),
+        "infosets[('in',)]: labels must be nonempty strings",
+        id="empty-label"),
+    pytest.param(
+        _coin_args({"l": F(1, 2), "x": F(1, 2)}),
+        "nature_probs[()]: unknown move 'x'", id="chance-unknown-move"),
+    pytest.param(
+        _coin_args({"l": F(-1, 2), "r": F(3, 2)}),
+        "nature_probs[()][l]: negative probability", id="chance-negative"),
+    pytest.param(
+        _coin_args({"l": F(1, 2), "r": F(1, 3)}),
+        "nature_probs[()]: probabilities sum to 5/6, not 1",
+        id="chance-sum"),
+])
+def test_tree_constructor_refusals(args, message):
+    with pytest.raises(InputError) as info:
+        ExtensiveGame(**args)
+    assert str(info.value) == message
 
 
 def test_strategy_validation():
@@ -281,6 +362,21 @@ def test_payoff_fold_matches_fraction_loop_on_fractional_trees():
             awareness.canonical_representation(game), "modeler",
             awareness.GeneralizedProfile(pieces))
         assert lookup == want and all(type(v) is Fraction for v in lookup)
+
+
+def _go_stop_chain(n):
+    """n nodes, A and B alternating from the root: stop ends the game,
+    go moves on, and going past the last node pays (n, n)."""
+    moves, owner, infosets, payoffs = {}, {}, {}, {}
+    h = ()
+    for d in range(n):
+        moves[h] = ("go", "stop")
+        owner[h] = "AB"[d % 2]
+        infosets[h] = f"I{d}"
+        payoffs[h + ("stop",)] = (d, n - d)
+        h += ("go",)
+    payoffs[h] = (n, n)
+    return ExtensiveGame(("A", "B"), moves, owner, infosets, payoffs)
 
 
 def _deep_chain(depth):
