@@ -69,19 +69,12 @@ class AugmentedGame:
                 f"augmented game {name}: awareness must cover exactly the "
                 f"player-owned histories")
         fixed = {}
-        # canonical_representation and crossing_game pass one level object
-        # to many nodes, so each distinct level is type-checked once
-        checked = set()
         for h, level in awareness.items():
-            level = frozenset(level)
-            if level not in checked:
-                for entry in level:
-                    if not isinstance(entry, tuple):
-                        raise InputError(
-                            f"augmented game {name}: awareness at {h!r} "
-                            f"must contain histories (tuples)")
-                checked.add(level)
-            fixed[h] = level
+            fixed[h] = level = frozenset(level)
+            if not all(isinstance(entry, tuple) for entry in level):
+                raise InputError(
+                    f"augmented game {name}: awareness at {h!r} "
+                    f"must contain histories (tuples)")
         self.awareness = fixed
         flags = []
         for pair in virtual_moves:
@@ -168,7 +161,9 @@ class GameWithAwareness:
                 data={"condition": condition, "game": game_name,
                       "node": node, "detail": detail}))
 
+        members = {}    # (game name, label): its histories, in node order
         for ag, h in self._decision_nodes():
+            members.setdefault((ag.name, ag.tree.infosets[h]), []).append(h)
             key = (ag.name, h)
             if key not in self.views:
                 return fail("missing-view", ag.name, h,
@@ -192,10 +187,9 @@ class GameWithAwareness:
                             f"move {missing[0]!r} has no counterpart at "
                             f"{label!r} of game {target_name}")
 
-        for ag, h in self._decision_nodes():
-            target_name, label = self.views[(ag.name, h)]
-            target = self._by_name[target_name]
-            for h2 in target.tree.label_histories(label):
+        for target_name, label in dict.fromkeys(
+                self.views[(ag.name, h)] for ag, h in self._decision_nodes()):
+            for h2 in members[target_name, label]:
                 if self.views.get((target_name, h2)) != (target_name, label):
                     return fail("introspection", target_name, h2,
                                 f"nodes of the believed information set "
@@ -205,11 +199,11 @@ class GameWithAwareness:
         objective = set(self.underlying.internal_histories)
         objective.update(self.underlying.terminal_histories)
         for ag, h in self._decision_nodes():
-            stray = [x for x in sorted(ag.awareness[h], key=lambda t: (len(t), t))
-                     if x not in objective]
-            if stray:
+            level = ag.awareness[h]
+            if not level <= objective:
+                stray = min(level - objective, key=lambda t: (len(t), t))
                 return fail("awareness-level", ag.name, h,
-                            f"{stray[0]!r} is not a history of the objective "
+                            f"{stray!r} is not a history of the objective "
                             f"game")
         return Verdict(True)
 
@@ -502,7 +496,8 @@ def canonical_representation(game: ExtensiveGame) -> GameWithAwareness:
     awareness = {
         h: every for h in game.internal_histories if game.owner[h] != NATURE
     }
-    ag = AugmentedGame("modeler", game, awareness)
+    ag = _trusted(AugmentedGame, name="modeler", tree=game,
+                  awareness=awareness, virtual_moves=frozenset())
     views = {
         ("modeler", h): ("modeler", game.infosets[h]) for h in awareness
     }
@@ -565,9 +560,9 @@ def crossing_game(unaware_prob, pay_down=(1, 1), pay_across_down=(2, 3),
         objective.terminal_histories)
     reduced = frozenset(h for h in full if "down_B" not in h)
 
-    modeler = AugmentedGame(
-        "modeler", objective,
-        awareness={(): full, ("across_A",): full})
+    modeler = _trusted(
+        AugmentedGame, name="modeler", tree=objective,
+        awareness={(): full, ("across_A",): full}, virtual_moves=frozenset())
 
     a_tree = ExtensiveGame(
         players,
@@ -599,14 +594,14 @@ def crossing_game(unaware_prob, pay_down=(1, 1), pay_across_down=(2, 3),
             ("unaware", "across_A", "across_B"): across_across,
         },
         nature_probs={(): {"aware": 1 - p, "unaware": p}})
-    a_view = AugmentedGame(
-        "a_view", a_tree,
+    a_view = _trusted(
+        AugmentedGame, name="a_view", tree=a_tree,
         awareness={
             ("aware",): full,
             ("unaware",): full,
             ("aware", "across_A"): full,
             ("unaware", "across_A"): reduced,
-        })
+        }, virtual_moves=frozenset())
 
     b_tree = ExtensiveGame(
         players,
@@ -620,9 +615,10 @@ def crossing_game(unaware_prob, pay_down=(1, 1), pay_across_down=(2, 3),
             ("down_A",): down,
             ("across_A", "across_B"): across_across,
         })
-    b_view = AugmentedGame(
-        "b_view", b_tree,
-        awareness={(): reduced, ("across_A",): reduced})
+    b_view = _trusted(
+        AugmentedGame, name="b_view", tree=b_tree,
+        awareness={(): reduced, ("across_A",): reduced},
+        virtual_moves=frozenset())
 
     views = {
         ("modeler", ()): ("a_view", "A.1"),

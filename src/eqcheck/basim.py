@@ -29,7 +29,7 @@ protocol or adversary in the library raises.
 
 Everything is deterministic: identical scenarios yield identical
 transcripts.  sweep and the adversary-game builders check their arguments
-once and build their scenarios trusted, sharing one strategy per name.
+once and share one strategy per name across their scenarios.
 """
 
 from __future__ import annotations

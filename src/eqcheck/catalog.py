@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import InputError
-from .games import NormalFormGame
+from .games import NormalFormGame, _normal_frame, _trusted
 
 
 def zero_one_game(n=3):
@@ -17,8 +17,8 @@ def zero_one_game(n=3):
     all-0 profile is a Nash equilibrium that any pair can profitably
     abandon together.
     """
-    players = _players(n, "zero_one_game")
-    actions = tuple(("0", "1") for _ in range(n))
+    players, actions, _ = _normal_frame(
+        _players(n, "zero_one_game"), (("0", "1"),) * n)
     payoffs = {}
     for profile in _profiles(actions):
         ones = sum(profile)
@@ -28,8 +28,9 @@ def zero_one_game(n=3):
             vec = [2 if a == 1 else 0 for a in profile]
         else:
             vec = [0] * n
-        payoffs[profile] = [Fraction(v) for v in vec]
-    return NormalFormGame(players, actions, payoffs)
+        payoffs[profile] = tuple(map(Fraction, vec))
+    return _trusted(NormalFormGame, players=players, actions=actions,
+                    payoffs=payoffs)
 
 
 def bargaining_game(n=5):
@@ -39,8 +40,8 @@ def bargaining_game(n=5):
     get 0.  All-stay resists every coalition (nobody can reach more than 1
     by deviating) but a single leaver hurts everyone who stays.
     """
-    players = _players(n, "bargaining_game")
-    actions = tuple(("stay", "leave") for _ in range(n))
+    players, actions, _ = _normal_frame(
+        _players(n, "bargaining_game"), (("stay", "leave"),) * n)
     payoffs = {}
     for profile in _profiles(actions):
         leavers = sum(profile)
@@ -48,8 +49,9 @@ def bargaining_game(n=5):
             vec = [2] * n
         else:
             vec = [1 if a == 1 else 0 for a in profile]
-        payoffs[profile] = [Fraction(v) for v in vec]
-    return NormalFormGame(players, actions, payoffs)
+        payoffs[profile] = tuple(map(Fraction, vec))
+    return _trusted(NormalFormGame, players=players, actions=actions,
+                    payoffs=payoffs)
 
 
 def prisoners_dilemma():
@@ -65,21 +67,21 @@ def prisoners_dilemma():
         (1, 0): (5, -5),
         (1, 1): (-3, -3),
     }
-    payoffs = {
-        key: [Fraction(v) for v in vec] for key, vec in table.items()
-    }
-    return NormalFormGame(("p1", "p2"), (("C", "D"), ("C", "D")), payoffs)
+    payoffs = {key: tuple(map(Fraction, vec)) for key, vec in table.items()}
+    return _trusted(NormalFormGame, players=("p1", "p2"),
+                    actions=(("C", "D"), ("C", "D")), payoffs=payoffs)
 
 
 def matching_pennies():
     """Zero-sum matching game; the only equilibrium is mixed."""
     payoffs = {
-        (0, 0): [Fraction(1), Fraction(-1)],
-        (0, 1): [Fraction(-1), Fraction(1)],
-        (1, 0): [Fraction(-1), Fraction(1)],
-        (1, 1): [Fraction(1), Fraction(-1)],
+        (0, 0): (Fraction(1), Fraction(-1)),
+        (0, 1): (Fraction(-1), Fraction(1)),
+        (1, 0): (Fraction(-1), Fraction(1)),
+        (1, 1): (Fraction(1), Fraction(-1)),
     }
-    return NormalFormGame(("p1", "p2"), (("H", "T"), ("H", "T")), payoffs)
+    return _trusted(NormalFormGame, players=("p1", "p2"),
+                    actions=(("H", "T"), ("H", "T")), payoffs=payoffs)
 
 
 def _players(n, builder):

@@ -543,9 +543,8 @@ def _parse_tree_node(obj, path, history, acc, n_players):
         moves.append(move)
         if "prob" in edge:
             probs[move] = _rational(edge["prob"], epath, "prob")
-        if edge.get("virtual") is not None:
-            if _as_bool(edge["virtual"], epath, "virtual"):
-                acc["virtual"].append((history, move))
+        if "virtual" in edge and _as_bool(edge["virtual"], epath, "virtual"):
+            acc["virtual"].append((history, move))
         _parse_tree_node(edge["child"], f"{epath}.child", history + (move,),
                          acc, n_players)
     acc["moves"][history] = tuple(moves)

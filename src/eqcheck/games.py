@@ -105,9 +105,15 @@ def _subset_choices(n, max_size, choices):
 def _trusted(cls, **fields):
     """An instance of cls holding fields as given, without running __init__.
 
-    Only for values the package built itself in canonical form (tuples,
-    Fractions, a prior without zero entries); documents and user-built
-    objects go through the validating constructors.
+    Input is validated once, at the boundary: documents and caller-built
+    objects go through the validating constructors, and every value the
+    package computes itself is built here, its fields exactly what the
+    constructor would store (tuples, Fractions, fresh dicts, a prior
+    without zero entries).  Two kinds of value keep their constructor:
+    one that combines a caller's input with library parts, such as
+    build_repeated_dilemma_game's spec and game, since a caller's stage
+    must still refuse library automata whose actions it lacks; and
+    ExtensiveGame and GameWithAwareness, whose constructors derive fields.
     """
     obj = cls.__new__(cls)
     vars(obj).update(fields)

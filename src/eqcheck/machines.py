@@ -58,10 +58,11 @@ class OneShotMachine:
         self.kind = kind
         fixed_act = {}
         for t, dist in act.items():
-            fixed = {
-                a: as_fraction(q, f"machine {machine_id}, type {t}, action {a}")
-                for a, q in dist.items()
-            }
+            try:
+                fixed = {a: as_fraction(q) for a, q in dist.items()}
+            except InputError:  # refused again below, now with its name
+                for a, q in dist.items():
+                    as_fraction(q, f"machine {machine_id}, type {t}, action {a}")
             d, weights = _over_lcm(list(fixed.values()))
             if any(w < 0 for w in weights) or sum(weights) != d:
                 raise InputError(
@@ -76,7 +77,10 @@ class OneShotMachine:
         self.act = fixed_act
         fixed_cost = {}
         for t, c in complexity.items():
-            c = as_fraction(c, f"machine {machine_id}, complexity of type {t}")
+            try:
+                c = as_fraction(c)
+            except InputError:  # refused again, now with its name
+                as_fraction(c, f"machine {machine_id}, complexity of type {t}")
             if c < 0:
                 raise InputError(
                     f"machine {machine_id}: negative complexity for type {t!r}")
@@ -275,11 +279,7 @@ def exhaustive_machine_equilibria(game: ComputationalGame, epsilon=0,
 def induced_machine_game(game: ComputationalGame,
                          work_bound=DEFAULT_WORK_BOUND) -> NormalFormGame:
     """The strategic form over machine choices; payoffs are the exact
-    machine-profile utilities (complexity charges included).
-
-    The table is built without re-validation: its names come from the
-    validated machine spaces and its entries are Fractions computed here.
-    """
+    machine-profile utilities (complexity charges included)."""
     bounded_product((len(space) for space in game.spaces), work_bound,
                     "machine profiles")
     actions = tuple(tuple(m.id for m in space) for space in game.spaces)
@@ -294,16 +294,15 @@ def induced_machine_game(game: ComputationalGame,
 def zeroed_complexity(game: ComputationalGame) -> ComputationalGame:
     """The same game with every complexity charge removed."""
     if game.mode == "repeated":
-        spec = game.repeated_spec
-        free = RepeatedGameSpec(spec.stage, spec.rounds, spec.discount, 0)
-        return ComputationalGame(
-            "repeated", game.spaces, repeated_spec=free, charged=game.charged)
-    spaces = []
-    for space in game.spaces:
-        spaces.append(tuple(
-            OneShotMachine(m.id, m.kind, m.act, {t: ZERO for t in m.complexity})
-            for m in space))
-    return ComputationalGame("one-shot", spaces, underlying=game.underlying)
+        free = _trusted(RepeatedGameSpec,
+                        **{**vars(game.repeated_spec), "memory_cost": ZERO})
+        return _trusted(ComputationalGame, **{**vars(game), "repeated_spec": free})
+    spaces = tuple(tuple(
+        _trusted(OneShotMachine, id=m.id, kind=m.kind,
+                 act={t: dict(dist) for t, dist in m.act.items()},
+                 complexity=dict.fromkeys(m.complexity, ZERO))
+        for m in space) for space in game.spaces)
+    return _trusted(ComputationalGame, **{**vars(game), "spaces": spaces})
 
 
 # --- bundled one-shot machine games ---------------------------------------
@@ -338,22 +337,20 @@ def build_roshambo_game(deterministic_cost=1, randomized_cost=2):
         for j in range(3):
             v = _roshambo_payoff(i, j)
             utilities[((0, 0), (i, j))] = (Fraction(v), Fraction(-v))
-    under = BayesianGame(
-        players,
-        types=(("-",), ("-",)),
-        actions=(acts, acts),
-        prior={(0, 0): Fraction(1)},
+    under = _trusted(
+        BayesianGame, players=players, types=(("-",), ("-",)),
+        actions=(acts, acts), prior={(0, 0): Fraction(1)},
         utilities=utilities)
-    space = []
-    for value in range(3):
-        space.append(OneShotMachine(
-            f"const{value}", "deterministic",
-            {"-": {str(value): Fraction(1)}}, {"-": det_cost}))
-    space.append(OneShotMachine(
-        "uniform", "randomized",
-        {"-": {a: Fraction(1, 3) for a in acts}}, {"-": rand_cost}))
-    space = tuple(space)
-    return ComputationalGame("one-shot", (space, space), underlying=under)
+    space = tuple(
+        _trusted(OneShotMachine, id=f"const{value}", kind="deterministic",
+                 act={"-": {str(value): Fraction(1)}},
+                 complexity={"-": det_cost})
+        for value in range(3)) + (
+        _trusted(OneShotMachine, id="uniform", kind="randomized",
+                 act={"-": {a: Fraction(1, 3) for a in acts}},
+                 complexity={"-": rand_cost}),)
+    return _trusted(ComputationalGame, mode="one-shot", spaces=(space, space),
+                    underlying=under, repeated_spec=None, charged=(True, True))
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -397,11 +394,8 @@ def build_primality_game(bit_length, cost_per_bit):
     A correct call pays 10, a wrong one -10, safe pays 1.  The space holds
     a perfect tester charged cost_per_bit * bit_length and a free machine
     that always plays safe.  Testing is the unique equilibrium while its
-    cost stays below 9; above 9 playing safe is.
-
-    The builder generates canonical data itself, so it skips the
-    constructors' re-validation and keeps only its own DEFAULT_ENTRY_BOUND
-    guard.  Documents and user-built objects are still fully validated.
+    cost stays below 9; above 9 playing safe is.  The DEFAULT_ENTRY_BOUND
+    guard runs before anything is built.
     """
     if (not isinstance(bit_length, int) or isinstance(bit_length, bool)
             or bit_length < 1):
@@ -514,7 +508,8 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
                     work_bound, "simulated rounds")
     if stage is None:
         stage = default_stage_game()
-    # validated once, at N = 1; later horizons only change round counters
+    # the caller's stage meets every library action at N = 1; later
+    # horizons only change round counters
     first = build_repeated_dilemma_game(1, delta, cost, space_names,
                                         (True, True), stage)
     eps = _check_epsilon(epsilon)

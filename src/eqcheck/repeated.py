@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .catalog import prisoners_dilemma
 from .errors import InputError
-from .games import NormalFormGame, _over_lcm
+from .games import NormalFormGame, _over_lcm, _trusted
 from .rationals import as_fraction
 
 
@@ -172,7 +172,8 @@ def _chassis(machine_id, output_c, output_d):
         ("saw_C", "C"): "saw_C", ("saw_C", "D"): "saw_D",
         ("saw_D", "C"): "saw_C", ("saw_D", "D"): "saw_D",
     }
-    return RepeatedGameAutomaton(machine_id, states, "saw_C", output, transition)
+    return _trusted(RepeatedGameAutomaton, id=machine_id, states=states,
+                    initial="saw_C", output=output, transition=transition)
 
 
 def all_cooperate():
@@ -199,7 +200,8 @@ def grim_trigger():
         ("calm", "C"): "calm", ("calm", "D"): "triggered",
         ("triggered", "C"): "triggered", ("triggered", "D"): "triggered",
     }
-    return RepeatedGameAutomaton("grim", states, "calm", output, transition)
+    return _trusted(RepeatedGameAutomaton, id="grim", states=states,
+                    initial="calm", output=output, transition=transition)
 
 
 def defect_last(rounds):
@@ -220,7 +222,8 @@ def defect_last(rounds):
         nxt = states[min(m + 1, rounds)]
         transition[(s, "C")] = nxt
         transition[(s, "D")] = nxt
-    return RepeatedGameAutomaton("defect_last", states, "r0", output, transition)
+    return _trusted(RepeatedGameAutomaton, id="defect_last", states=states,
+                    initial="r0", output=output, transition=transition)
 
 
 def retaliating_defect_last(rounds):
@@ -245,9 +248,10 @@ def retaliating_defect_last(rounds):
         transition[(s, "D")] = "punish"
     transition[("punish", "C")] = "punish"
     transition[("punish", "D")] = "punish"
-    initial = counting[0] if counting else "punish"
-    return RepeatedGameAutomaton(
-        "retaliating_defect_last", states, initial, output, transition)
+    return _trusted(
+        RepeatedGameAutomaton, id="retaliating_defect_last", states=states,
+        initial=counting[0] if counting else "punish", output=output,
+        transition=transition)
 
 
 # factories keyed by id; round-counting machines take the round count

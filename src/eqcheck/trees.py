@@ -88,9 +88,11 @@ class ExtensiveGame:
             if not isinstance(vec, (list, tuple)) or len(vec) != len(self.players):
                 raise InputError(
                     f"payoffs[{h!r}]: expected {len(self.players)} values")
-            terminal[h] = tuple(
-                as_fraction(v, f"payoffs[{h!r}][{self.players[i]}]")
-                for i, v in enumerate(vec))
+            try:
+                terminal[h] = tuple(map(as_fraction, vec))
+            except InputError:  # refused again below, now with its name
+                for player, v in zip(self.players, vec):
+                    as_fraction(v, f"payoffs[{h!r}][{player}]")
         self.payoffs = terminal
 
         known = set(internal) | set(terminal)
@@ -194,12 +196,6 @@ class ExtensiveGame:
 
     def label_moves(self, label):
         return self._info(label)[1]
-
-    def label_histories(self, label):
-        self._info(label)
-        return tuple(
-            h for h in self.internal_histories
-            if self.owner[h] != NATURE and self.infosets[h] == label)
 
     def player_labels(self, player):
         if player not in self.players:

@@ -404,6 +404,27 @@ def test_simulate_run(capsys):
     assert "holds" in out
 
 
+def test_simulate_run_undecided(capsys, tmp_path):
+    """A silent general under echo-first leaves the others undecided: the
+    verdict is undetermined, and the run exits 1."""
+    scenario = tmp_path / "silent_general.json"
+    scenario.write_text(json.dumps({
+        "format": 1, "kind": "scenario", "n": 4, "preference": 1,
+        "faults": {"p0": "silent"}}))
+    args = ("simulate", "run", "--protocol", "echo-first",
+            "--scenario", str(scenario))
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "  p0: decided 1 (round 1) [faulty: silent]" in lines
+    assert "  p1: undecided" in lines
+    assert "agreement and validity: undetermined" in lines
+    code, out, err = run_cli(capsys, *args, "--report", "json")
+    assert (code, err) == (1, "")
+    verdict = json.loads(out)["verdict"]
+    assert (verdict["holds"], verdict["incomplete"]) == (False, True)
+
+
 def test_simulate_ba_mediator(capsys):
     args = ("simulate", "ba", "--n", "4", "--t", "1",
             "--protocol", "mediator", "--report", "json")

@@ -333,6 +333,39 @@ def test_awareness_objective_game_is_the_modelers_tree():
         assert structure.underlying is structure.game(structure.modeler).tree
 
 
+def _crossing_with_virtual(flag):
+    """crossing_p3.json's object with "virtual": flag on a_view's edge
+    across_A below the unaware chance move."""
+    with open(data.path("crossing_p3.json"), encoding="utf-8") as handle:
+        obj = json.load(handle)
+    assert obj["games"][1]["name"] == "a_view"
+    unaware = obj["games"][1]["root"]["moves"][1]
+    edge = unaware["child"]["moves"][1]
+    assert (unaware["move"], edge["move"]) == ("unaware", "across_A")
+    edge["virtual"] = flag
+    return obj
+
+
+def test_virtual_flag_round_trips():
+    flagged = _parse_obj(_crossing_with_virtual(True)).value
+    assert flagged.game("a_view").virtual_moves == {
+        (("unaware",), "across_A")}
+    text = serialize_document(flagged)
+    assert json.loads(text) == _crossing_with_virtual(True)
+    assert serialize_document(parse_document(text)) == text
+    cleared = _parse_obj(_crossing_with_virtual(False)).value
+    assert cleared.game("a_view").virtual_moves == frozenset()
+    with open(data.path("crossing_p3.json"), encoding="utf-8") as handle:
+        assert serialize_document(cleared) == handle.read()
+
+
+@pytest.mark.parametrize("flag", [None, 1, "true"], ids=repr)
+def test_virtual_flag_must_be_a_boolean(flag):
+    err = _error(_crossing_with_virtual(flag))
+    assert err.path == "$.games[1].root.moves[1].child.moves[1].virtual"
+    assert str(err) == f"{err.path}: expected a boolean"
+
+
 def test_generalized_profile_duplicate_pair():
     profile = GeneralizedProfile.pure({("A", "g"): {"L": "x"}})
     obj = json.loads(serialize_document(profile))

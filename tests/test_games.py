@@ -10,7 +10,7 @@ from _gen import random_bayesian_game
 from eqcheck.basim import PROTOCOLS, build_preference_bayes_game
 from eqcheck.catalog import (bargaining_game, matching_pennies,
                              prisoners_dilemma, zero_one_game)
-from eqcheck.errors import InputError
+from eqcheck.errors import InputError, WorkBoundExceeded
 from eqcheck.games import (ZERO, BayesianGame, BayesianStrategyProfile,
                            MixedProfile, NormalFormGame, _check_epsilon,
                            _subset_choices, bayes_expected_utility, best_response_value,
@@ -231,6 +231,70 @@ def test_bayes_profile_refusals(weights, message):
     assert str(info.value) == message
 
 
+def _solo_table(**changes):
+    """A one-player, two-action NormalFormGame's arguments, with changes."""
+    args = dict(players=("solo",), actions=(("a", "b"),),
+                payoffs={(0,): (F(1),), (1,): (F(2),)})
+    args.update(changes)
+    return args
+
+
+def _two_type_args(**changes):
+    """two_type_game's constructor arguments, with changes."""
+    game = two_type_game()
+    args = dict(players=game.players, types=game.types, actions=game.actions,
+                prior=dict(game.prior), utilities=dict(game.utilities))
+    args.update(changes)
+    return args
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    pytest.param(NormalFormGame, _solo_table(actions=()),
+                 "actions: expected one action list per player",
+                 id="action-lists"),
+    pytest.param(NormalFormGame, _solo_table(payoffs=[(F(1),), (F(2),)]),
+                 "payoffs: expected a mapping from action profiles",
+                 id="payoffs-mapping"),
+    pytest.param(NormalFormGame, _solo_table(payoffs={(0,): (F(1),)}),
+                 "payoffs: table has 1 entries, needs exactly 2",
+                 id="payoffs-count"),
+    pytest.param(NormalFormGame,
+                 _solo_table(payoffs={(0,): (F(1), F(1)), (1,): (F(2),)}),
+                 "payoffs[(0,)]: expected 1 payoffs, got "
+                 "(Fraction(1, 1), Fraction(1, 1))", id="payoffs-length"),
+    pytest.param(NormalFormGame,
+                 _solo_table(payoffs={(0,): F(1), (1,): (F(2),)}),
+                 "payoffs[(0,)]: expected 1 payoffs, got Fraction(1, 1)",
+                 id="payoffs-vector"),
+    pytest.param(BayesianGame, _two_type_args(types=()),
+                 "types: expected one list per player", id="type-lists"),
+    pytest.param(BayesianGame,
+                 _two_type_args(prior={(0,): F(-1, 2), (1,): F(3, 2)}),
+                 "prior[(0,)]: negative probability", id="prior-negative"),
+    pytest.param(BayesianGame,
+                 _two_type_args(utilities={((0,), (0,)): (F(4),)}),
+                 "utilities: table has 1 entries, needs 4",
+                 id="utilities-count"),
+    pytest.param(BayesianGame, _two_type_args(utilities={
+                     ((0,), (0,)): (F(4),), ((0,), (1,)): (F(0),),
+                     ((1,), (0,)): (F(0),), ((1,),): (F(2),)}),
+                 "utilities: bad key ((1,),)", id="utilities-key"),
+    pytest.param(BayesianGame, _two_type_args(utilities={
+                     ((0,), (0,)): (F(4),), ((0,), (1,)): (F(0),),
+                     ((1,), (0,)): (F(0),), ((1, 0), (1,)): (F(2),)}),
+                 "utilities: bad key ((1, 0), (1,))", id="utilities-key-width"),
+    pytest.param(BayesianGame, _two_type_args(utilities={
+                     ((0,), (0,)): (F(4),), ((0,), (1,)): (F(0),),
+                     ((1,), (0,)): (F(0),), ((1,), (1,)): (F(2), F(2))}),
+                 "utilities[((1,), (1,))]: expected 1 payoffs",
+                 id="utilities-length"),
+])
+def test_table_shape_refusals(cls, args, message):
+    with pytest.raises(InputError) as info:
+        cls(**args)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("builder", [zero_one_game, bargaining_game])
 @pytest.mark.parametrize("n, kind", [
     (3.0, "float"), ("3", "str"), (None, "NoneType"), (True, "bool")])
@@ -242,6 +306,16 @@ def test_catalog_builders_refuse_non_int_player_counts(builder, n, kind):
     with pytest.raises(InputError) as info:
         builder(1)
     assert str(info.value) == f"{builder.__name__} needs at least 2 players"
+
+
+@pytest.mark.parametrize("builder", [zero_one_game, bargaining_game])
+def test_catalog_builders_keep_the_entry_bound(builder):
+    """The builders skip NormalFormGame's checks, so they run its entry
+    bound themselves, before any payoff is built."""
+    with pytest.raises(WorkBoundExceeded) as info:
+        builder(24)
+    assert str(info.value) == (
+        "16777216 payoff entries exceed the bound 10000000")
 
 
 @pytest.mark.parametrize("choice, message", [

@@ -27,6 +27,8 @@ F = Fraction
 DEFAULT_NAMES = machines.DEFAULT_SPACE
 DELTA = F(9, 10)
 COST = F(1, 10)
+# values as_fraction refuses, with the type name its message gives
+_NOT_RATIONAL = ((0.5, "float"), (True, "bool"), ("1/2", "str"))
 
 
 def test_run_automata_alld_vs_tft():
@@ -319,6 +321,42 @@ def test_one_shot_machine_validation():
     assert machine_action(machine, "t") == {"a": F(1, 3), "b": F(2, 3)}
     with pytest.raises(InputError):
         machine_action(machine, "u")
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: OneShotMachine("", "randomized", {}, {}),
+                 "machine id must be a nonempty string", id="empty-id"),
+    *(pytest.param(
+        lambda bad=bad: OneShotMachine(
+            "m", "randomized", {"t": {"a": F(1, 2), "b": bad}}, {"t": 0}),
+        f"machine m, type t, action b: expected an exact rational, got {kind}",
+        id=f"weight-{kind}") for bad, kind in _NOT_RATIONAL),
+    *(pytest.param(
+        lambda bad=bad: OneShotMachine(
+            "m", "randomized", {"t": {"a": 1}, "u": {"a": 1}},
+            {"t": 0, "u": bad}),
+        f"machine m, complexity of type u: expected an exact rational, "
+        f"got {kind}", id=f"complexity-{kind}") for bad, kind in _NOT_RATIONAL),
+    pytest.param(lambda: OneShotMachine(
+                     "m", "randomized", {"t": {"a": 1}, "u": {"a": 1}},
+                     {"t": -1, "u": 0.5}),
+                 "machine m: negative complexity for type 't'",
+                 id="complexity-order"),
+    pytest.param(lambda: OneShotMachine(
+                     "m", "randomized", {"t": {"a": 1}}, {"u": 0}),
+                 "machine m: act and complexity must cover the same types",
+                 id="type-cover"),
+    pytest.param(lambda: build_roshambo_game(-1, 2),
+                 "machine costs must be nonnegative", id="roshambo-det-cost"),
+    pytest.param(lambda: build_roshambo_game(1, F(-1, 2)),
+                 "machine costs must be nonnegative", id="roshambo-rand-cost"),
+    pytest.param(lambda: build_primality_game(4, F(-1, 8)),
+                 "cost_per_bit must be nonnegative", id="primality-cost"),
+])
+def test_one_shot_machine_refusals(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_computational_game_validation():

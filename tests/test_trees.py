@@ -175,6 +175,19 @@ def test_tree_constructor_refusals(args, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("bad, kind", [
+    (0.5, "float"), (True, "bool"), ("1", "str")], ids=repr)
+def test_tree_payoff_value_refusals(bad, kind):
+    """A payoff value that is not an int or Fraction is refused with its
+    history and player, after the values before it were accepted."""
+    payoffs = dict(_entry_args()["payoffs"])
+    payoffs[("in", "fight")] = (-1, bad)
+    with pytest.raises(InputError) as info:
+        ExtensiveGame(**_entry_args(payoffs=payoffs))
+    assert str(info.value) == (
+        f"payoffs[('in', 'fight')][I]: expected an exact rational, got {kind}")
+
+
 def test_strategy_validation():
     game = entry_tree()
     with pytest.raises(InputError):
