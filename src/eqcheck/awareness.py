@@ -68,13 +68,17 @@ class AugmentedGame:
             raise InputError(
                 f"augmented game {name}: awareness must cover exactly the "
                 f"player-owned histories")
+        # the tree's own histories are tuples of move names already
+        own = tree.moves.keys() | tree.payoffs.keys()
         fixed = {}
         for h, level in awareness.items():
             fixed[h] = level = frozenset(level)
-            if not all(isinstance(entry, tuple) for entry in level):
-                raise InputError(
-                    f"augmented game {name}: awareness at {h!r} "
-                    f"must contain histories (tuples)")
+            for entry in level - own:
+                if (not isinstance(entry, tuple)
+                        or not all(isinstance(m, str) and m for m in entry)):
+                    raise InputError(
+                        f"augmented game {name}: awareness at {h!r} "
+                        f"must contain histories (tuples)")
         self.awareness = fixed
         flags = []
         for pair in virtual_moves:

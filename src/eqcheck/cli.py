@@ -20,9 +20,9 @@ from .errors import EqcheckError, InputError, WorkBoundExceeded
 from .fileformat import document_body, json_text, load_document
 from .games import DEFAULT_WORK_BOUND
 from .machines import (comp_expected_utility, exhaustive_machine_equilibria,
-                       is_machine_nash, tit_for_tat_threshold)
+                       is_machine_nash, repeated_payoffs,
+                       tit_for_tat_threshold)
 from .rationals import format_rational, parse_rational
-from .repeated import run_automata
 from .robustness import (ResilienceSemantics, RobustnessQuery, check_robust,
                          enumerate_pure_robust)
 from .verdicts import to_jsonable
@@ -152,8 +152,7 @@ def _cmd_repeated_run(args):
     game = doc.to_compgame()
     ids = (args.m1, args.m2)
     machines = game.profile(ids)
-    gross = run_automata(doc.spec, machines[0], machines[1])
-    net = comp_expected_utility(game, ids)
+    gross, net = repeated_payoffs(game, ids)
     report = {
         "spec": args.spec,
         "machines": list(ids),

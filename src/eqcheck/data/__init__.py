@@ -1,76 +1,17 @@
 """Bundled example documents, ready to feed to the command line.
 
-Every file here is the canonical serialization of an object built by the
-library; bundled_objects() rebuilds them all so tests can confirm the
-shipped bytes match a fresh serialization byte for byte.
+names() lists the shipped files and path() gives one file's location.
+Every file is the canonical serialization of an object the library builds.
 """
 
-from __future__ import annotations
-
 import os
-from fractions import Fraction
-
-from ..awareness import GeneralizedProfile, crossing_game
-from ..basim import Scenario
-from ..catalog import (bargaining_game, matching_pennies, prisoners_dilemma,
-                       zero_one_game)
-from ..fileformat import (ProfileDocument, RepeatedSpecDocument,
-                          load_document, serialize_document)
-from ..machines import (build_primality_game, build_roshambo_game,
-                        zeroed_complexity)
-from ..repeated import DEFAULT_SPACE, RepeatedGameSpec
 
 _DIR = os.path.dirname(__file__)
 
 
-def bundled_objects():
-    """Shipped file name -> the object whose serialization it holds."""
-    frpd = RepeatedSpecDocument(
-        RepeatedGameSpec(prisoners_dilemma(), rounds=9,
-                         discount=Fraction(9, 10),
-                         memory_cost=Fraction(1, 10)),
-        DEFAULT_SPACE, (True, True))
-    crossing_eq = GeneralizedProfile.pure({
-        ("B", "modeler"): {"B": "down_B"},
-        ("A", "a_view"): {"A.1": "across_A"},
-        ("A", "b_view"): {"A.3": "down_A"},
-        ("B", "b_view"): {"B.3": "across_B"},
-    })
-    return {
-        "zero_one_3.json": zero_one_game(3),
-        "bargaining_5.json": bargaining_game(5),
-        "prisoners_dilemma.json": prisoners_dilemma(),
-        "matching_pennies.json": matching_pennies(),
-        "all_zero.json": ProfileDocument(pure=("0", "0", "0")),
-        "all_stay.json": ProfileDocument(pure=("stay",) * 5),
-        "defect_both.json": ProfileDocument(pure=("D", "D")),
-        "roshambo.json": build_roshambo_game(),
-        "roshambo_zero_cost.json": zeroed_complexity(build_roshambo_game()),
-        "primality_4bit.json": build_primality_game(4, Fraction(1, 2)),
-        "frpd.json": frpd,
-        "crossing_p3.json": crossing_game(Fraction(3, 10)),
-        "crossing_p7.json": crossing_game(Fraction(7, 10)),
-        "crossing_eq.json": crossing_eq,
-        "ba_scenario.json": Scenario(4, 1),
-    }
-
-
 def names():
-    return tuple(sorted(bundled_objects()))
+    return tuple(sorted(n for n in os.listdir(_DIR) if n.endswith(".json")))
 
 
 def path(name):
     return os.path.join(_DIR, name)
-
-
-def load(name):
-    """Parse one shipped document into its materialized value."""
-    return load_document(path(name))
-
-
-def write_bundle(target_dir):
-    """Regenerate every shipped file under target_dir."""
-    for name, obj in sorted(bundled_objects().items()):
-        with open(os.path.join(target_dir, name), "w",
-                  encoding="utf-8") as handle:
-            handle.write(serialize_document(obj))

@@ -104,7 +104,7 @@ class ComputationalGame:
     """A machine-choice game in one of the two supported modes."""
 
     def __init__(self, mode, spaces, underlying=None, repeated_spec=None,
-                 charged=None):
+                 charged=(True, True)):
         if mode not in ("one-shot", "repeated"):
             raise InputError("mode must be one-shot or repeated")
         self.mode = mode
@@ -160,9 +160,8 @@ class ComputationalGame:
                                 f"not in the stage game")
             self.underlying = None
             self.repeated_spec = repeated_spec
-            if charged is None:
-                charged = (True, True)
-            if len(charged) != 2 or any(not isinstance(c, bool) for c in charged):
+            if (not isinstance(charged, (tuple, list)) or len(charged) != 2
+                    or any(not isinstance(c, bool) for c in charged)):
                 raise InputError("charged must be a pair of booleans")
             self.charged = tuple(charged)
 
@@ -222,12 +221,28 @@ def _utility_ints(game, machines):
     same for every profile of the game."""
     if game.mode == "one-shot":
         return _over_lcm(_one_shot_utilities(game, machines))
-    spec = game.repeated_spec
-    *totals, den = _run_totals(spec, *machines)
-    cn, cd = spec.memory_cost.numerator, spec.memory_cost.denominator
+    *totals, den = _run_totals(game.repeated_spec, *machines)
+    return _net_of_memory(game, machines, totals, den)
+
+
+def _net_of_memory(game, machines, totals, den):
+    """A repeated run's totals over den, less each charged player's memory
+    cost: (den times the cost's denominator, numerators)."""
+    cn, cd = game.repeated_spec.memory_cost.as_integer_ratio()
     return den * cd, [
         total * cd - (cn * machine.n_states * den if charged else 0)
         for total, machine, charged in zip(totals, machines, game.charged)]
+
+
+def repeated_payoffs(game: ComputationalGame, machine_ids):
+    """(discounted payoffs, utilities net of memory charges) of a
+    repeated-mode profile, both from one run of its two automata: the
+    first pair is run_automata's, the second comp_expected_utility's."""
+    machines = game.profile(machine_ids)
+    *totals, den = _run_totals(game.repeated_spec, *machines)
+    net_den, nets = _net_of_memory(game, machines, totals, den)
+    return (tuple(Fraction(v, den) for v in totals),
+            tuple(Fraction(v, net_den) for v in nets))
 
 
 def _switches(game, profile):
@@ -454,7 +469,7 @@ def build_repeated_dilemma_game(rounds, discount, memory_cost,
     spec = RepeatedGameSpec(stage, rounds, discount, memory_cost)
     space = library_space(space_names, rounds)
     return ComputationalGame(
-        "repeated", (space, space), repeated_spec=spec, charged=tuple(charged))
+        "repeated", (space, space), repeated_spec=spec, charged=charged)
 
 
 class ThresholdReport:

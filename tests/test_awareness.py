@@ -123,6 +123,18 @@ def test_find_respects_work_bound():
     pytest.param(lambda m: AugmentedGame("g", m.tree, {}),
                  "augmented game g: awareness must cover exactly the "
                  "player-owned histories", id="awareness-cover"),
+    pytest.param(lambda m: AugmentedGame(
+                     "g", m.tree, dict.fromkeys(m.awareness, {(1,), ("b",)})),
+                 "augmented game g: awareness at () must contain histories "
+                 "(tuples)", id="awareness-int-move"),
+    pytest.param(lambda m: AugmentedGame(
+                     "g", m.tree, {**m.awareness, ("across_A",): {("",)}}),
+                 "augmented game g: awareness at ('across_A',) must contain "
+                 "histories (tuples)", id="awareness-empty-move"),
+    pytest.param(lambda m: AugmentedGame(
+                     "g", m.tree, {**m.awareness, (): {"down_A"}}),
+                 "augmented game g: awareness at () must contain histories "
+                 "(tuples)", id="awareness-not-a-tuple"),
     pytest.param(lambda m: AugmentedGame("g", m.tree, m.awareness,
                                          virtual_moves=((),)),
                  "augmented game g: virtual moves are (history, move) pairs",
@@ -177,6 +189,24 @@ def test_structure_constructor_refusals(build, message):
 def test_crossing_game_payoff_refusals(payoffs, message):
     with pytest.raises(InputError) as info:
         crossing_game(F(3, 10), **payoffs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: crossing_game(F(3, 2)),
+                 "unaware_prob must lie in [0, 1]", id="probability"),
+    pytest.param(lambda: GeneralizedProfile({("A", "g"): {"": {"x": 1}}}),
+                 "profile[('A', 'g')]: bad information set ''",
+                 id="empty-label"),
+    pytest.param(lambda: is_generalized_nash(
+                     crossing(), GeneralizedProfile.pure(
+                         {**E1_ASSIGNMENTS, ("A", "a_view"): {}})),
+                 "profile: player A in game a_view has no moves for "
+                 "information set 'A.1'", id="missing-label"),
+])
+def test_profile_and_probability_refusals(call, message):
+    with pytest.raises(InputError) as info:
+        call()
     assert str(info.value) == message
 
 

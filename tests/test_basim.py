@@ -235,6 +235,22 @@ def test_scenario_validation():
         sweep(3, 1, MEDIATOR, adversaries=("gremlin",))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: basim.AdversaryStrategy("", lambda *args: args),
+                 "adversary strategy: name must be a nonempty string",
+                 id="adversary-name"),
+    pytest.param(lambda: Scenario(4, 1, faults={"p1": 5}),
+                 "faults[p1]: expected a strategy name or AdversaryStrategy",
+                 id="fault-value"),
+    pytest.param(lambda: sweep(4, -1, MEDIATOR),
+                 "t must be a nonnegative integer", id="negative-t"),
+])
+def test_fault_and_sweep_refusals(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_adversary_game_matches_empirical_immunity():
     for protocol in (MEDIATOR, ECHO):
         game = build_adversary_game(3, protocol)

@@ -1,10 +1,13 @@
 import json
 import re
+import runpy
+import sys
+import warnings
 
 import pytest
 
 import eqcheck.data as data
-from eqcheck import cli
+from eqcheck import cli, machines, repeated
 from eqcheck.cli import main
 
 
@@ -137,6 +140,21 @@ def test_profile_with_unknown_player_exits_2(capsys, tmp_path):
         "--profile", str(doc), "--k", "1", "--t", "0")
     assert (code, out) == (2, "")
     assert err == "error: profile: unknown player 'p9'\n"
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    """python -m eqcheck.cli exits with main's code and prints its bytes."""
+    argv = ["check", "robust", "--game", path("zero_one_3.json"),
+            "--profile", path("all_zero.json"), "--k", "2", "--t", "0"]
+    want = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["eqcheck.cli", *argv])
+    with pytest.raises(SystemExit) as info, warnings.catch_warnings():
+        # the module is already imported; runpy warns and runs it afresh
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("eqcheck.cli", run_name="__main__")
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out, captured.err) == want
+    assert want[0] == 1
 
 
 def test_bad_usage_and_help(capsys):
@@ -313,6 +331,35 @@ def test_repeated_run(capsys):
     report = json.loads(out)
     assert report["states"] == [2, 2]
     assert report["discounted_payoffs"][0] == report["discounted_payoffs"][1]
+
+
+@pytest.mark.parametrize("style", ["text", "json"])
+def test_repeated_run_simulates_once(capsys, monkeypatch, style):
+    """Both report lines come from one run of the two automata."""
+    runs = []
+    simulate = repeated._run_totals
+
+    def counted(*args):
+        runs.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(repeated, "_run_totals", counted)
+    monkeypatch.setattr(machines, "_run_totals", counted)
+    spec = path("frpd.json")
+    code, out, err = run_cli(capsys, "repeated", "run", "--spec", spec,
+                             "--m1", "all_d", "--m2", "tit_for_tat",
+                             "--format", style)
+    assert (code, err, len(runs)) == (0, "", 1)
+    gross = ["-9339646797/1000000000", "-18339646797/1000000000"]
+    net = ["-9539646797/1000000000", "-18539646797/1000000000"]
+    assert out == ("run all_d vs tit_for_tat for 9 rounds\n"
+                   f"discounted payoffs: {', '.join(gross)}\n"
+                   f"utilities net of memory charges: {', '.join(net)}\n"
+                   if style == "text" else json.dumps({
+                       "format": 1, "command": ["repeated", "run"],
+                       "spec": spec, "machines": ["all_d", "tit_for_tat"],
+                       "states": [2, 2], "discounted_payoffs": gross,
+                       "utilities": net}, indent=2) + "\n")
 
 
 def test_repeated_threshold(capsys):

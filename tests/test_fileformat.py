@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import eqcheck.data as data
+from _bundle import bundled_objects, write_bundle
 from _gen import random_extensive_game
 from eqcheck.awareness import (GeneralizedProfile, canonical_representation,
                                crossing_game)
@@ -44,7 +45,8 @@ def test_bundled_documents_round_trip_byte_identical():
 
 
 def test_write_bundle_reproduces_shipped_bytes(tmp_path):
-    data.write_bundle(tmp_path)
+    assert tuple(sorted(bundled_objects())) == data.names()
+    write_bundle(tmp_path)
     for name in data.names():
         fresh = (tmp_path / name).read_bytes()
         with open(data.path(name), "rb") as handle:
@@ -411,6 +413,15 @@ def _bundled_obj(name):
         return json.load(handle)
 
 
+def _replaced(obj, node, bad):
+    """obj with the JSON node at the key path node set to bad."""
+    parent = obj
+    for key in node[:-1]:
+        parent = parent[key]
+    parent[node[-1]] = bad
+    return obj
+
+
 def test_format_and_kind_only_at_the_top_level():
     obj = _bundled_obj("frpd.json")
     obj["stage"]["format"] = 99
@@ -475,11 +486,7 @@ def test_nested_rational_map_errors(doc, node, bad, path, message):
         obj = json.loads(_INLINE_DOCS[doc])
     else:
         obj = _bundled_obj(doc)
-    parent = obj
-    for key in node[:-1]:
-        parent = parent[key]
-    parent[node[-1]] = bad
-    err = _error(obj)
+    err = _error(_replaced(obj, node, bad))
     assert (err.path, str(err)) == (path, f"{path}: {message}")
 
 
@@ -529,12 +536,88 @@ def test_bad_rational_leaves_name_their_path(doc, node, path, bad, message):
         if good_or_bad is None:
             _parse_obj(obj)  # the unmutated document parses
             continue
-        parent = obj
-        for key in node[:-1]:
-            parent = parent[key]
-        parent[node[-1]] = bad
-        err = _error(obj)
+        err = _error(_replaced(obj, node, bad))
         assert (err.path, str(err)) == (path, f"{path}: {message}")
+
+
+# A wrong shape at each counted or typed site outside the rational leaves:
+# (document, JSON node, replacement, ParseError.path, message)
+_SHAPE_ERRORS = [
+    pytest.param("prisoners_dilemma.json", ("players",), "p1", "$.players",
+                 "expected a JSON array", id="not-an-array"),
+    pytest.param("prisoners_dilemma.json", ("players", 1), "", "$.players[1]",
+                 "expected a nonempty string", id="empty-string"),
+    pytest.param("prisoners_dilemma.json", ("actions",), [["C", "D"]],
+                 "$.actions", "expected one action list per player",
+                 id="action-lists"),
+    pytest.param("prisoners_dilemma.json", ("payoffs", 1), [["1", "1"]],
+                 "$.payoffs[1]", "expected 2 entries at depth 1",
+                 id="table-depth"),
+    pytest.param("bayesian", ("prior", 0, "types"), ["lo"],
+                 "$.prior[0].types", "expected one type per player",
+                 id="prior-types"),
+    pytest.param("roshambo.json", ("machines",), [], "$.machines",
+                 "expected one machine list per player", id="machine-lists"),
+    pytest.param("crossing_p3.json",
+                 ("games", 0, "root", "moves", 0, "child", "payoffs"), ["1"],
+                 "$.games[0].root.moves[0].child.payoffs",
+                 "expected 2 payoffs", id="tree-payoffs"),
+    pytest.param("crossing_p3.json", ("games", 0, "root", "moves"), [],
+                 "$.games[0].root.moves", "expected at least one move",
+                 id="no-moves"),
+    pytest.param("crossing_p3.json", ("games",), [], "$.games",
+                 "expected at least one game", id="no-games"),
+]
+
+
+@pytest.mark.parametrize("doc, node, bad, path, message", _SHAPE_ERRORS)
+def test_document_shape_errors(doc, node, bad, path, message):
+    obj = (json.loads(_LEAF_DOCS[doc]) if doc in _LEAF_DOCS
+           else _bundled_obj(doc))
+    err = _error(_replaced(obj, node, bad))
+    assert (err.path, str(err)) == (path, f"{path}: {message}")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: GameDocument("mystery", None),
+                 "unknown document kind 'mystery'", id="document-kind"),
+    pytest.param(lambda: ProfileDocument(),
+                 "profile: exactly one of pure/weights required",
+                 id="profile-neither"),
+    pytest.param(lambda: BayesProfileDocument(
+                     {"p1": {"lo": {"x": 1}, "hi": {"x": 1}}}
+                 ).bind(_tiny_bayesian()),
+                 "strategies: missing player 'p2'", id="missing-player"),
+    pytest.param(lambda: BayesProfileDocument(
+                     {"p1": {"lo": {"x": 1}}, "p2": {"-": {"x": 1}}}
+                 ).bind(_tiny_bayesian()),
+                 "strategies[p1]: missing type 'hi'", id="missing-type"),
+    pytest.param(lambda: BayesProfileDocument(
+                     {"p1": {"lo": {"z": 1}, "hi": {"x": 1}},
+                      "p2": {"-": {"x": 1}}}).bind(_tiny_bayesian()),
+                 "strategies[p1][lo]: unknown action 'z'",
+                 id="unknown-action"),
+])
+def test_document_value_refusals(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_repeated_spec_charges_both_players_by_default():
+    obj = _bundled_obj("frpd.json")
+    assert obj.pop("charged_players") == [True, True]
+    doc = _parse_obj(obj).value
+    assert doc.charged == (True, True)
+    with open(data.path("frpd.json"), encoding="utf-8") as handle:
+        assert serialize_document(doc) == handle.read()
+
+
+def test_awareness_writer_skips_nodes_without_a_belief_entry():
+    obj = _bundled_obj("crossing_p3.json")
+    del obj["F"][0]
+    assert serialize_document(_parse_obj(obj).value) == json.dumps(
+        obj, indent=2, ensure_ascii=False) + "\n"
 
 
 def _json_dumps_document(value):

@@ -17,7 +17,7 @@ from eqcheck.games import (ZERO, BayesianGame, BayesianStrategyProfile,
                            expected_utility, is_bayes_nash, is_nash)
 from eqcheck.machines import build_repeated_dilemma_game, induced_machine_game
 from eqcheck.robustness import utilities_under_joint_deviation
-from eqcheck.verdicts import Verdict, Witness
+from eqcheck.verdicts import Verdict, Witness, to_jsonable
 
 F = Fraction
 
@@ -64,6 +64,37 @@ def test_profile_constructors_agree():
         MixedProfile.from_mapping(game, {"p1": {"C": 1}})
     with pytest.raises(InputError):
         MixedProfile.pure(game, ("C", "X"))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: MixedProfile.from_mapping(
+                     prisoners_dilemma(), {"p1": {"Z": 1}, "p2": {"D": 1}}),
+                 "player p1: unknown action 'Z'", id="unknown-action"),
+    pytest.param(lambda: expected_utility(prisoners_dilemma(),
+                                          MixedProfile(((F(1),),))),
+                 "profile has 1 players, game has 2", id="player-count"),
+    pytest.param(lambda: BayesianStrategyProfile.pure(two_type_game(), ()),
+                 "pure strategy profile: one choice map per player",
+                 id="choice-maps"),
+])
+def test_profile_shape_refusals(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: Verdict(False), ValueError,
+                 "a failing verdict must carry a witness", id="no-witness"),
+    pytest.param(lambda: Verdict(True, incomplete=True), ValueError,
+                 "an incomplete verdict cannot hold", id="incomplete-holds"),
+    pytest.param(lambda: to_jsonable({"x": object()}), TypeError,
+                 "cannot serialize object", id="not-serializable"),
+])
+def test_verdict_invariants(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_subset_choices_matches_binomial_sum():
@@ -249,6 +280,9 @@ def _two_type_args(**changes):
 
 
 @pytest.mark.parametrize("cls, args, message", [
+    pytest.param(NormalFormGame, _solo_table(players=("",)),
+                 "players: names must be nonempty strings, got ''",
+                 id="empty-name"),
     pytest.param(NormalFormGame, _solo_table(actions=()),
                  "actions: expected one action list per player",
                  id="action-lists"),

@@ -426,6 +426,19 @@ def _mute(machine_id, act):
                                        repeated_spec=d.repeated_spec,
                                        charged=(1, 0)),
         "charged must be a pair of booleans", id="charged-ints"),
+    pytest.param(
+        lambda r, d: ComputationalGame("repeated", d.spaces,
+                                       repeated_spec=d.repeated_spec,
+                                       charged=5),
+        "charged must be a pair of booleans", id="charged-int"),
+    pytest.param(
+        lambda r, d: ComputationalGame("repeated", d.spaces,
+                                       repeated_spec=d.repeated_spec,
+                                       charged=None),
+        "charged must be a pair of booleans", id="charged-none"),
+    pytest.param(
+        lambda r, d: build_repeated_dilemma_game(3, DELTA, COST, charged=5),
+        "charged must be a pair of booleans", id="builder-charged-int"),
 ])
 def test_computational_game_refusals(build, message):
     roshambo = build_roshambo_game()

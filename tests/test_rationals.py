@@ -16,6 +16,8 @@ def test_parse_plain_forms():
     assert parse_rational("-2/4") == Fraction(-1, 2)
     assert parse_rational("  7/3 ") == Fraction(7, 3)
     assert parse_rational(4) == 4
+    half = Fraction(1, 2)
+    assert parse_rational(half) is half
 
 
 def test_parse_unicode_minus():

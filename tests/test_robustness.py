@@ -105,6 +105,25 @@ def test_parameter_validation():
         RobustnessQuery(1, 0, epsilon=-1)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: RobustnessQuery(1, -1),
+                 "t must be a nonnegative integer", id="negative-t"),
+    pytest.param(lambda: RobustnessQuery(1, 0, semantics="weak"),
+                 "semantics must be a ResilienceSemantics value",
+                 id="query-semantics"),
+    pytest.param(lambda: check_resilience(
+                     prisoners_dilemma(),
+                     MixedProfile.pure(prisoners_dilemma(), ("D", "D")), 1,
+                     semantics="weak"),
+                 "semantics must be a ResilienceSemantics value",
+                 id="resilience-semantics"),
+])
+def test_parameter_refusals(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_enumerate_pure_robust_dilemma():
     game = prisoners_dilemma()
     assert enumerate_pure_robust(game, RobustnessQuery(1, 0)) == [("D", "D")]

@@ -203,6 +203,20 @@ def test_strategy_validation():
             game, {"E0": {"in": 1}, "I0": {"fight": 1}, "Z": {"a": 1}})
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: outcome_distribution(
+                     entry_tree(), {"E0": {"in": 1},
+                                    "I0": {"fight": F(-1), "yield": 2}}),
+                 "strategy[I0][fight]: negative weight", id="negative"),
+    pytest.param(lambda: entry_tree().label_moves("nope"),
+                 "unknown information set 'nope'", id="unknown-label"),
+])
+def test_strategy_and_label_refusals(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_tree_construction_errors():
     with pytest.raises(InputError):
         ExtensiveGame((), {}, {}, {}, {(): (1,)})
