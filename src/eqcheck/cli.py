@@ -152,7 +152,7 @@ def _cmd_repeated_run(args):
     game = doc.to_compgame()
     ids = (args.m1, args.m2)
     machines = game.profile(ids)
-    gross, net = repeated_payoffs(game, ids)
+    gross, net = repeated_payoffs(game, machines)
     report = {
         "spec": args.spec,
         "machines": list(ids),

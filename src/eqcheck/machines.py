@@ -234,11 +234,11 @@ def _net_of_memory(game, machines, totals, den):
         for total, machine, charged in zip(totals, machines, game.charged)]
 
 
-def repeated_payoffs(game: ComputationalGame, machine_ids):
+def repeated_payoffs(game: ComputationalGame, machines):
     """(discounted payoffs, utilities net of memory charges) of a
-    repeated-mode profile, both from one run of its two automata: the
-    first pair is run_automata's, the second comp_expected_utility's."""
-    machines = game.profile(machine_ids)
+    repeated-mode profile of machines, as game.profile returns them, both
+    from one run of its two automata: the first pair is run_automata's,
+    the second comp_expected_utility's."""
     *totals, den = _run_totals(game.repeated_spec, *machines)
     net_den, nets = _net_of_memory(game, machines, totals, den)
     return (tuple(Fraction(v, den) for v in totals),
