@@ -15,9 +15,10 @@ the belief map sends back to the game itself; the player's moves at nodes
 where they believe a different game are governed by that other game's
 strategy entry.
 
-The pure search is the (1, 0) enumeration (robustness.enumerate_pure_robust)
-of the pair game, whose players are the active pairs, as machine
-equilibria are that of the induced machine game.  Its table comes from
+The pure search is the (1, 0) enumeration (robustness._pure_robust) of
+the pair game, whose players are the active pairs, as machine equilibria
+are that of the induced machine game.  _active_pieces derives the active
+domain, which every check and search reads.  Its table comes from
 one shared-prefix walk per game (trees._walk), keyed by (owner, believed
 game, label) through the belief map, so each distinct reached assignment
 is walked and summed once.  One resolver raises the belief errors of that
@@ -28,14 +29,13 @@ the error of the first combination, in table order, whose walk meets one.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .errors import InputError
 from .games import (DEFAULT_WORK_BOUND, NormalFormGame, _check_epsilon,
                     _first_gain, _gain_verdict, _trusted, bounded_product)
 from .rationals import as_fraction
-from .robustness import RobustnessQuery, enumerate_pure_robust
+from .robustness import _pure_robust
 from .trees import (NATURE, ExtensiveGame, _label_row, _payoff_vector,
                     _pure_alternatives, _read, _walk)
 from .verdicts import Verdict, Witness
@@ -72,13 +72,17 @@ class AugmentedGame:
         own = tree.moves.keys() | tree.payoffs.keys()
         fixed = {}
         for h, level in awareness.items():
-            fixed[h] = level = frozenset(level)
-            for entry in level - own:
-                if (not isinstance(entry, tuple)
-                        or not all(isinstance(m, str) and m for m in entry)):
-                    raise InputError(
-                        f"augmented game {name}: awareness at {h!r} "
-                        f"must contain histories (tuples)")
+            try:
+                fixed[h] = level = frozenset(level)
+            except TypeError:   # not iterable, or holds unhashable entries
+                level = None
+            if level is None or not all(
+                    isinstance(entry, tuple)
+                    and all(isinstance(m, str) and m for m in entry)
+                    for entry in level - own):
+                raise InputError(
+                    f"augmented game {name}: awareness at {h!r} "
+                    f"must contain histories (tuples)")
         self.awareness = fixed
         flags = []
         for pair in virtual_moves:
@@ -214,25 +218,15 @@ class GameWithAwareness:
     def active_pairs(self):
         """(player, game) pairs the belief map actually targets, in game
         declaration order and information-set order."""
-        targets = set(self.views.values())
-        pairs = []
-        for ag in self.games:
-            for label in ag.tree.labels:
-                if (ag.name, label) in targets:
-                    pair = (ag.tree.label_owner(label), ag.name)
-                    if pair not in pairs:
-                        pairs.append(pair)
-        return tuple(pairs)
+        return tuple((player, game_name)
+                     for player, game_name, _ in _active_pieces(self))
 
     def active_labels(self, player, game_name):
         """Information sets of the player in the game that the belief map
         targets; the pair's strategy entry must cover exactly these."""
-        ag = self.game(game_name)
-        targets = set(self.views.values())
-        return tuple(
-            label for label in ag.tree.labels
-            if (game_name, label) in targets
-            and ag.tree.label_owner(label) == player)
+        self.game(game_name)    # refuses an unknown game
+        return {piece[:2]: piece[2] for piece in _active_pieces(self)}.get(
+            (player, game_name), ())
 
 
 class GeneralizedProfile:
@@ -277,17 +271,17 @@ class GeneralizedProfile:
 
 def _profile_rows(gwa: GameWithAwareness, profile: GeneralizedProfile):
     """Validated walk entries keyed (player, game, label) over the
-    structure's active domain: (key, (row,)), the row its (move, weight)
-    pairs in label-move order."""
+    structure's active domain, piece by piece in _active_pieces order:
+    (key, (row,)), the row its (move, weight) pairs in label-move order."""
     rows = {}
-    for player, game_name in gwa.active_pairs():
+    for player, game_name, labels in _active_pieces(gwa):
         entry = profile.strategies.get((player, game_name))
         if entry is None:
             raise InputError(
                 f"profile: missing strategy for player {player} in game "
                 f"{game_name}")
         tree = gwa.game(game_name).tree
-        for label in gwa.active_labels(player, game_name):
+        for label in labels:
             if label not in entry:
                 raise InputError(
                     f"profile: player {player} in game {game_name} has no "
@@ -361,10 +355,18 @@ def expected_utilities(gwa: GameWithAwareness, game_name,
 
 
 def _active_pieces(gwa: GameWithAwareness):
-    """(player, game name, active labels) for every active pair, in active
-    order."""
-    return tuple((player, game_name, gwa.active_labels(player, game_name))
-                 for player, game_name in gwa.active_pairs())
+    """The active domain: (player, game name, labels) for every (player,
+    game) pair the belief map targets, in game declaration order and
+    information-set order, each with its targeted labels in label order."""
+    targets = set(gwa.views.values())
+    pieces = {}
+    for ag in gwa.games:
+        for label in ag.tree.labels:
+            if (ag.name, label) in targets:
+                pieces.setdefault((ag.tree.label_owner(label), ag.name),
+                                  []).append(label)
+    return tuple((player, game_name, tuple(labels))
+                 for (player, game_name), labels in pieces.items())
 
 
 def is_generalized_nash(gwa: GameWithAwareness, profile: GeneralizedProfile,
@@ -381,7 +383,10 @@ def is_generalized_nash(gwa: GameWithAwareness, profile: GeneralizedProfile,
     rows = _profile_rows(gwa, profile)
 
     def deviations():
-        for player, game_name, labels in _active_pieces(gwa):
+        # the keys of rows are the active pieces' labels, piece by piece
+        for (player, game_name), keys in itertools.groupby(
+                rows, lambda key: key[:2]):
+            labels = [label for _, _, label in keys]
             tree = gwa.game(game_name).tree
             pidx = tree.players.index(player)
             base = _expected_from_rows(gwa, game_name, rows)[pidx]
@@ -466,25 +471,22 @@ def find_pure_generalized_nash(gwa: GameWithAwareness, epsilon=0,
     shared while combinations reach the same moves: each distinct reached
     assignment is walked and summed once.  A structure that fails
     validate() raises the belief error of the first combination that
-    meets one, whatever the payoffs.  work_bound caps the combinations;
-    the enumeration's own guard, which counts deviations, is lifted.
+    meets one, whatever the payoffs.  work_bound caps the combinations.
     """
     pieces = _active_pieces(gwa)
     bounded_product((len(gwa.game(game_name).tree.label_moves(label))
                      for _, game_name, labels in pieces for label in labels),
                     work_bound, "pure profiles")
-    query = RobustnessQuery(1, 0, epsilon)     # checks epsilon, pairs or not
+    eps = _check_epsilon(epsilon)
     if not pieces:      # a game without players has nothing to enumerate
         return [_trusted(GeneralizedProfile, strategies={})]
     choices, pair_game = _pair_game(gwa, pieces)
-    # action names index each pair's choices, whose moves need no checks
+    # a profile's keys index each pair's choices, whose moves need no checks
     return [_trusted(GeneralizedProfile, strategies={
         (player, game_name): {
-            label: {move: ONE} for label, move in zip(labels, per[int(name)])}
-        for (player, game_name, labels), per, name
-        in zip(pieces, choices, names)})
-        for names in enumerate_pure_robust(pair_game, query,
-                                           work_bound=math.inf)]
+            label: {move: ONE} for label, move in zip(labels, per[a])}
+        for (player, game_name, labels), per, a in zip(pieces, choices, key)})
+        for key in _pure_robust(pair_game, 1, 0, eps, False)]
 
 
 def canonical_representation(game: ExtensiveGame) -> GameWithAwareness:

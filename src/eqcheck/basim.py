@@ -66,15 +66,10 @@ class AdversaryStrategy:
         return self._transform(outbox, round_no, node, scenario)
 
 
-def crash_adversary(crash_round=2):
-    """Honest before the crash round, silent from it on."""
-    if not _is_int(crash_round) or crash_round < 1:
-        raise InputError("crash round must be a positive integer")
-
-    def transform(outbox, round_no, node, scenario):
-        return dict(outbox) if round_no < crash_round else {}
-
-    return AdversaryStrategy("crash", transform)
+def crash_adversary():
+    """Honest in round 1, silent from round 2 on."""
+    return AdversaryStrategy("crash", lambda outbox, round_no, *_: (
+        dict(outbox) if round_no < 2 else {}))
 
 
 def flip_adversary():

@@ -7,7 +7,7 @@ machine utilities, and every result is a Fraction.  _first_gain is the
 one deviation scan behind is_nash, is_bayes_nash, is_machine_nash,
 is_generalized_nash, check_resilience and check_immunity: it compares
 each value exactly, as ints, against the base value plus epsilon (a
-nonnegative rational); only enumerate_pure_robust compares on its own.
+nonnegative rational); only robustness._pure_robust compares on its own.
 
 Deviation checks only ever range over pure deviations: against a fixed
 opponent profile a player's utility is linear in their own mixture, so no

@@ -13,15 +13,14 @@ Complexity is always declared data, never measured.
 
 A machine equilibrium is a Nash equilibrium of the induced machine game,
 so exhaustive_machine_equilibria is that game's pure (1, 0) enumeration
-(robustness.enumerate_pure_robust); is_machine_nash and the threshold scan
-feed one profile's unilateral machine switches (_switches) to
+(robustness._pure_robust); is_machine_nash and the threshold scan feed
+one profile's unilateral machine switches (_switches) to
 games._first_gain, the one deviation scan.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,7 +33,7 @@ from .rationals import as_fraction
 from .repeated import (AUTOMATON_LIBRARY, DEFAULT_SPACE, ROUND_COUNTERS,
                        RepeatedGameAutomaton, RepeatedGameSpec, _run_totals,
                        default_stage_game, library_space)
-from .robustness import RobustnessQuery, enumerate_pure_robust
+from .robustness import _pure_robust
 from .verdicts import Verdict
 
 ZERO = Fraction(0)
@@ -279,16 +278,14 @@ def exhaustive_machine_equilibria(game: ComputationalGame, epsilon=0,
                                   work_bound=DEFAULT_WORK_BOUND):
     """All machine profiles passing is_machine_nash, in space order: the
     pure (1, 0)-robust profiles of the induced machine game, whose table
-    evaluates each profile once.
-
-    work_bound caps the machine profiles only; the enumeration's own guard,
-    which counts deviations, is lifted.
+    evaluates each profile once.  work_bound caps the machine profiles.
     """
     bounded_product((len(space) for space in game.spaces), work_bound,
                     "machine profiles")
-    query = RobustnessQuery(1, 0, epsilon)
-    return enumerate_pure_robust(
-        induced_machine_game(game, work_bound), query, work_bound=math.inf)
+    eps = _check_epsilon(epsilon)
+    table = induced_machine_game(game, work_bound)
+    return [table.profile_names(key)
+            for key in _pure_robust(table, 1, 0, eps, False)]
 
 
 def induced_machine_game(game: ComputationalGame,

@@ -148,7 +148,10 @@ def _run_totals(spec, first, second):
                     raise InputError(
                         f"automaton {machine.id}: action {action!r} not in "
                         f"the stage game") from None
-            raise  # equal to stage actions, yet not hashing like them
+            raise InputError(
+                f"automata {first.id} and {second.id}: actions ({a1!r}, "
+                f"{a2!r}) equal stage actions but do not hash like them"
+            ) from None
         weight *= p
         total1 = total1 * q + weight * v1
         total2 = total2 * q + weight * v2

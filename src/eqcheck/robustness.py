@@ -11,9 +11,9 @@ deviations, a mixed deviation can never beat the best pure one (for
 resilience) or undercut the worst pure one (for immunity).  The checks
 scan them in order through games._first_gain, the one deviation scan,
 so their witness is the first counterexample.  Only the pure
-enumeration compares on its own: per context of each group, it takes
-each member's best or each outsider's worst payoff and drops the
-profiles that it beats.
+enumeration, _pure_robust, compares on its own: per context of each
+group, it takes each member's best or each outsider's worst payoff and
+drops the profiles that it beats.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from operator import itemgetter
 from .errors import InputError
 from .games import (DEFAULT_WORK_BOUND, MixedProfile, NormalFormGame,
                     _check_epsilon, _check_profile_shape, _first_gain,
-                    _mixed_after, _subset_choices, bounded_product,
-                    expected_utility)
+                    _is_index_key, _mixed_after, _subset_choices,
+                    bounded_product, expected_utility)
 from .verdicts import Verdict, Witness
 
 
@@ -54,11 +54,6 @@ class RobustnessQuery:
         self.semantics = semantics
 
 
-def _is_index(value, size):
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and 0 <= value < size)
-
-
 def utilities_under_joint_deviation(game, profile, deviators, joint):
     """Utility vector when `deviators` (distinct player indices) jointly
     play the pure action-index tuple `joint` and everyone else keeps their
@@ -70,9 +65,9 @@ def utilities_under_joint_deviation(game, profile, deviators, joint):
             f"joint deviation: {len(deviators)} deviators but "
             f"{len(joint)} actions")
     for i, a in zip(deviators, joint):
-        if not _is_index(i, game.n_players):
+        if not _is_index_key((i,), (game.players,)):
             raise InputError(f"joint deviation: bad player index {i!r}")
-        if not _is_index(a, len(game.actions[i])):
+        if not _is_index_key((a,), (game.actions[i],)):
             raise InputError(
                 f"joint deviation: bad action index {a!r} for player "
                 f"{game.players[i]}")
@@ -289,14 +284,28 @@ def _clear_breaches(game, live, eps, group, sign, seats, every=False):
             live[where[j]] = 0
 
 
+def _pure_robust(game, k, t, eps, weak):
+    """check_robust's pure profiles at (k, t), WEAK when weak, as index
+    tuples in lexicographic order: one _clear_breaches pass per coalition
+    and per deviator set drops those that fail.  Arguments are trusted."""
+    n = game.n_players
+    live = bytearray(b"\1") * math.prod(len(a) for a in game.actions)
+    # k = 0 or t = 0 gives no groups, and that half of the check passes
+    for group in _groups(n, k):
+        _clear_breaches(game, live, eps, group, 1, group,
+                        weak and len(group) > 1)
+    for group in _groups(n, t):
+        _clear_breaches(game, live, eps, group, -1,
+                        [i for i in range(n) if i not in group])
+    return list(itertools.compress(game.pure_profiles(), live))
+
+
 def enumerate_pure_robust(game: NormalFormGame, query: RobustnessQuery,
                           work_bound=DEFAULT_WORK_BOUND):
     """All pure profiles passing check_robust, in lexicographic action order.
 
     Returns a list of action-name tuples.  The arguments are checked and the
-    work guards run once, in check_robust's order; then one _clear_breaches
-    pass per coalition and per deviator set drops the profiles that fail.
-    No profile object is built and no witness is sought.
+    work guards run once, in check_robust's order, before _pure_robust.
     """
     bounded_product((len(a) for a in game.actions), work_bound,
                     "pure profiles")
@@ -305,14 +314,6 @@ def enumerate_pure_robust(game: NormalFormGame, query: RobustnessQuery,
     if query.k:
         _check_k(game, query.k, query.semantics, work_bound)
     _check_t(game, query.t, work_bound)
-    n = game.n_players
-    live = bytearray(b"\1") * math.prod(len(a) for a in game.actions)
-    # k = 0 or t = 0 gives no groups, and that half of the check passes
-    for group in _groups(n, query.k):
-        _clear_breaches(game, live, eps, group, 1, group, len(group) > 1 and
-                        query.semantics is ResilienceSemantics.WEAK)
-    for group in _groups(n, query.t):
-        _clear_breaches(game, live, eps, group, -1,
-                        [i for i in range(n) if i not in group])
+    weak = query.semantics is ResilienceSemantics.WEAK
     return [game.profile_names(pure)
-            for pure in itertools.compress(game.pure_profiles(), live)]
+            for pure in _pure_robust(game, query.k, query.t, eps, weak)]

@@ -135,6 +135,14 @@ def test_find_respects_work_bound():
                      "g", m.tree, {**m.awareness, (): {"down_A"}}),
                  "augmented game g: awareness at () must contain histories "
                  "(tuples)", id="awareness-not-a-tuple"),
+    pytest.param(lambda m: AugmentedGame(
+                     "g", m.tree, dict.fromkeys(m.awareness, 5)),
+                 "augmented game g: awareness at () must contain histories "
+                 "(tuples)", id="awareness-not-iterable"),
+    pytest.param(lambda m: AugmentedGame(
+                     "g", m.tree, dict.fromkeys(m.awareness, [["down_A"]])),
+                 "augmented game g: awareness at () must contain histories "
+                 "(tuples)", id="awareness-unhashable-entry"),
     pytest.param(lambda m: AugmentedGame("g", m.tree, m.awareness,
                                          virtual_moves=((),)),
                  "augmented game g: virtual moves are (history, move) pairs",
@@ -698,6 +706,56 @@ def test_validate_matches_reference_scan():
             seen.add(want[0])
     assert seen == {"missing-view", "unknown-target", "wrong-player",
                     "move-embedding", "introspection", "awareness-level"}
+
+
+# Reference derivation of the active domain for the test below, as
+# GameWithAwareness.active_pairs and active_labels made it before
+# _active_pieces: a list scan per pair, and the target set rebuilt for
+# every pair's labels.
+
+def _reference_active_pairs(gwa):
+    targets = set(gwa.views.values())
+    pairs = []
+    for ag in gwa.games:
+        for label in ag.tree.labels:
+            if (ag.name, label) in targets:
+                pair = (ag.tree.label_owner(label), ag.name)
+                if pair not in pairs:
+                    pairs.append(pair)
+    return tuple(pairs)
+
+
+def _reference_active_labels(gwa, player, game_name):
+    ag = gwa.game(game_name)
+    targets = set(gwa.views.values())
+    return tuple(
+        label for label in ag.tree.labels
+        if (game_name, label) in targets
+        and ag.tree.label_owner(label) == player)
+
+
+def test_active_domain_matches_reference_derivation():
+    rng = random.Random(20261023)
+    partial = 0
+    for gwa in _reference_structures():
+        for structure in [gwa] + [_scrambled(gwa, rng) for _ in range(6)]:
+            pairs = _reference_active_pairs(structure)
+            pieces = awareness._active_pieces(structure)
+            assert structure.active_pairs() == pairs
+            assert pieces == tuple(
+                (player, game_name,
+                 _reference_active_labels(structure, player, game_name))
+                for player, game_name in pairs)
+            for ag in structure.games:
+                for player in ag.tree.players:
+                    assert structure.active_labels(player, ag.name) == (
+                        _reference_active_labels(structure, player, ag.name))
+            # some information set is left out of the domain
+            partial += sum(len(labels) for *_, labels in pieces) < sum(
+                len(ag.tree.labels) for ag in structure.games)
+        with pytest.raises(InputError, match="^unknown game 'nowhere'$"):
+            gwa.active_labels(gwa.underlying.players[0], "nowhere")
+    assert partial > 300, partial
 
 
 def test_validate_is_linear_enough_for_a_deep_chain():

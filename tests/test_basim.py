@@ -704,8 +704,6 @@ def test_unknown_recipient_is_the_first_in_input_order():
      "preference must be 0 or 1"),
     (lambda: run(Scenario(4, 1), MEDIATOR, round_cap=True),
      "round_cap must be a positive integer"),
-    (lambda: basim.crash_adversary(True),
-     "crash round must be a positive integer"),
 ])
 def test_bools_are_refused_where_ints_are_asked(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):

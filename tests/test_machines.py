@@ -512,6 +512,34 @@ def test_zeroed_complexity_frees_memory_in_repeated_mode():
         spec, *free.profile(ids))
 
 
+class OddC(str):
+    """Equal to "C", but hashing unlike it."""
+    __hash__ = lambda self: 12345
+
+
+def test_actions_equal_to_stage_actions_must_hash_like_them():
+    odd = RepeatedGameAutomaton("odd", ("s",), "s", {"s": OddC("C")},
+                                {("s", "C"): "s", ("s", "D"): "s"})
+    spec = RepeatedGameSpec(default_stage_game(), 2, DELTA, 0)
+    want = ("automata odd and tit_for_tat: actions ('C', 'C') equal stage "
+            "actions but do not hash like them")
+    with pytest.raises(InputError) as info:
+        run_automata(spec, odd, tit_for_tat())
+    assert str(info.value) == want
+    game = ComputationalGame("repeated", ((odd,), (tit_for_tat(),)),
+                             repeated_spec=spec)
+    with pytest.raises(InputError) as info:
+        comp_expected_utility(game, ("odd", "tit_for_tat"))
+    assert str(info.value) == want
+    # an action outside the stage game is still named first
+    rogue = RepeatedGameAutomaton("rogue", ("s",), "s", {"s": "X"},
+                                  {("s", "C"): "s", ("s", "D"): "s"})
+    with pytest.raises(InputError) as info:
+        run_automata(spec, odd, rogue)
+    assert str(info.value) == (
+        "automaton rogue: action 'X' not in the stage game")
+
+
 def test_repeated_game_checks_automaton_outputs_when_built():
     # player 0 has no D: tit_for_tat is the first machine, in space order,
     # with an output outside its player's stage actions (all_d is next)

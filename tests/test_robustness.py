@@ -1,19 +1,27 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from _gen import (random_normal_form, reference_after, reference_extrema,
+from _gen import (random_normal_form, random_one_shot_game,
+                  random_small_game, reference_after, reference_extrema,
                   reference_joints)
 from eqcheck import awareness, games
-from eqcheck.awareness import canonical_representation
+from eqcheck.awareness import (canonical_representation, crossing_game,
+                               find_pure_generalized_nash)
 from eqcheck.catalog import (bargaining_game, matching_pennies,
                              prisoners_dilemma, zero_one_game)
 from eqcheck.errors import InputError, WorkBoundExceeded
 from eqcheck.games import (MixedProfile, NormalFormGame, bounded_product,
                            expected_utility, is_nash)
+from eqcheck.machines import (build_primality_game,
+                              build_repeated_dilemma_game,
+                              build_roshambo_game,
+                              exhaustive_machine_equilibria,
+                              induced_machine_game)
 from eqcheck.robustness import (ResilienceSemantics, RobustnessQuery,
                                 check_immunity, check_resilience,
                                 check_robust, enumerate_pure_robust,
@@ -601,3 +609,65 @@ def test_pure_enumeration_builds_no_profiles(monkeypatch):
     assert built == []
     check_robust(game, all_zero(game), RobustnessQuery(1, 0))
     assert built, "the counter must see the profiles that are built"
+
+
+# The machine and generalized Nash searches as they ran through the public
+# enumeration, with a RobustnessQuery and its deviation guard lifted.
+
+def _machine_search_via_public_enumeration(game, eps):
+    return enumerate_pure_robust(induced_machine_game(game),
+                                 RobustnessQuery(1, 0, eps), math.inf)
+
+
+def _pair_search_via_public_enumeration(gwa, eps):
+    pieces = awareness._active_pieces(gwa)
+    if not pieces:      # a game without players has nothing to enumerate
+        return [{}]
+    choices, pair_game = awareness._pair_game(gwa, pieces)
+    return [{(player, game_name): {label: {move: 1} for label, move
+                                   in zip(labels, per[int(name)])}
+             for (player, game_name, labels), per, name
+             in zip(pieces, choices, names)}
+            for names in enumerate_pure_robust(
+                pair_game, RobustnessQuery(1, 0, eps), math.inf)]
+
+
+def test_searches_call_the_shared_pass_directly(monkeypatch):
+    """exhaustive_machine_equilibria and find_pure_generalized_nash build
+    no RobustnessQuery and skip enumerate_pure_robust, and still find what
+    the public enumeration finds on their tables, refusing as before."""
+    rng = random.Random(2023)
+    machine_games = [build_roshambo_game(), build_primality_game(3, F(1, 50)),
+                     build_repeated_dilemma_game(4, F(9, 10), F(1, 10))]
+    machine_games += [random_one_shot_game(rng) for _ in range(20)]
+    structures = [crossing_game(F(i, 5)) for i in range(6)]
+    structures += [canonical_representation(random_small_game(rng))
+                   for _ in range(20)]
+    cases = [(exhaustive_machine_equilibria, game, eps,
+              _machine_search_via_public_enumeration(game, eps))
+             for game in machine_games for eps in (F(0), F(1, 2))]
+    cases += [(lambda gwa, eps: [p.strategies for p in
+                                 find_pure_generalized_nash(gwa, eps)],
+               gwa, eps, _pair_search_via_public_enumeration(gwa, eps))
+              for gwa in structures for eps in (F(0), F(1, 2))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the searches must not reach this")
+
+    for name, module in list(sys.modules.items()):
+        if name == "eqcheck" or name.startswith("eqcheck."):
+            for attr in ("enumerate_pure_robust", "RobustnessQuery"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    found = 0
+    for search, game, eps, want in cases:
+        assert search(game, eps) == want
+        found += len(want)
+    assert found > 100, found
+    for search, game in ((exhaustive_machine_equilibria, machine_games[0]),
+                         (find_pure_generalized_nash, structures[0])):
+        with pytest.raises(InputError) as info:
+            search(game, -1)
+        assert str(info.value) == "epsilon must be nonnegative"
+        with pytest.raises(WorkBoundExceeded):
+            search(game, -1, work_bound=1)

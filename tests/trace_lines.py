@@ -9,9 +9,11 @@ It installs a ``sys.settrace`` hook before anything imports ``eqcheck``
 process (the count means nothing over a part of it), and then prints each
 executable line of ``src/eqcheck/**/*.py`` that never ran, as
 ``path:line: source``, followed by the count. It uses only the standard
-library. The exit status is pytest's. Tracing makes the suite about three
-times slower, so a wall-clock budget in the acceptance tests may fail
-under it where the untraced suite passes.
+library. The exit status is pytest's when pytest fails, and otherwise 1
+if some line is unreached, so every line of the package must be reached
+for it to pass. Tracing makes the suite about three times slower, so a
+wall-clock budget in the acceptance tests may fail under it where the
+untraced suite passes.
 """
 
 import os
@@ -112,7 +114,7 @@ def main():
         print(line)
     print(f"unreached: {len(unreached)} of {total} executable lines "
           f"in {os.path.relpath(PACKAGE, ROOT)}")
-    return int(status)
+    return int(status) or int(bool(unreached))
 
 
 if __name__ == "__main__":
