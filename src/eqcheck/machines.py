@@ -31,7 +31,8 @@ from .games import (DEFAULT_ENTRY_BOUND, DEFAULT_WORK_BOUND, BayesianGame,
                     bounded_product)
 from .rationals import as_fraction
 from .repeated import (AUTOMATON_LIBRARY, DEFAULT_SPACE, ROUND_COUNTERS,
-                       RepeatedGameAutomaton, RepeatedGameSpec, _run_totals,
+                       RepeatedGameAutomaton, RepeatedGameSpec, _names,
+                       _run_totals, _stage_table, _stepper,
                        default_stage_game, library_space)
 from .robustness import _pure_robust
 from .verdicts import Verdict
@@ -244,15 +245,15 @@ def repeated_payoffs(game: ComputationalGame, machines):
             tuple(Fraction(v, net_den) for v in nets))
 
 
-def _switches(game, profile):
+def _switches(game, profile, utility=_utility_ints):
     """A machine profile's unilateral switches for games._first_gain, in
-    space order: (player index, machine id, base, value), utilities as
-    int pairs, each evaluated only when the scan reaches it."""
-    den, base = _utility_ints(game, profile)
+    space order: (player index, machine id, base, value), utility(game,
+    machines) int pairs, each evaluated only when the scan reaches it."""
+    den, base = utility(game, profile)
     for i, space in enumerate(game.spaces):
         for machine in space:
             if machine.id != profile[i].id:
-                d, value = _utility_ints(
+                d, value = utility(
                     game, profile[:i] + (machine,) + profile[i + 1:])
                 yield i, machine.id, (base[i], den), (value[i], d)
 
@@ -499,7 +500,9 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
     holds at every longer N is observed (d/101 for d = 53..98, cost 1/10 to
     1/10^6, N <= 40), not proved.  The asymmetric scan charges only the
     first player and pairs tit_for_tat with the retaliating last-round
-    defector.  work_bound caps the rounds both scans could simulate.
+    defector.  Runs are carried from N to N + 1 (see ROUND_COUNTERS), so
+    the rounds stepped grow linearly in n_max; work_bound caps the rounds
+    both scans would simulate if every run restarted.
     """
     delta = as_fraction(discount, "discount")
     if not (Fraction(1, 2) < delta < 1):
@@ -509,9 +512,10 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
         raise InputError("memory_cost must be nonnegative")
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise InputError("n_max must be a positive integer")
+    space_names = _names(space_names)
     if "tit_for_tat" not in space_names:
         raise InputError("the machine space must include tit_for_tat")
-    asym_names = tuple(space_names)
+    asym_names = space_names
     if "retaliating_defect_last" not in asym_names:
         asym_names += ("retaliating_defect_last",)
     # each horizon N runs 1 + sum_i (|space_i| - 1) profiles of N rounds
@@ -522,10 +526,42 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
         stage = default_stage_game()
     # the caller's stage meets every library action at N = 1; later
     # horizons only change round counters
-    first = build_repeated_dilemma_game(1, delta, cost, space_names,
-                                        (True, True), stage)
+    spec = build_repeated_dilemma_game(1, delta, cost, space_names,
+                                       (True, True), stage).repeated_spec
     eps = _check_epsilon(epsilon)
-    fixed = {m.id: m for m in first.spaces[0] if m.id not in ROUND_COUNTERS}
+    step = _stepper(spec)
+    fixed = {name: make(1) for name, make in AUTOMATON_LIBRARY.items()
+             if name not in ROUND_COUNTERS}
+    base_of = {name: fixed[ROUND_COUNTERS.get(name, name)]
+               for name in AUTOMATON_LIBRARY}
+    q, scale = delta.denominator, _stage_table(stage)[0]
+    runs = {}  # pair of fixed machines -> its cursors after m - 1, m rounds
+    ends = {}  # ids of a pair with a round counter -> its cursor at N
+
+    def carried(game, pair):
+        """_utility_ints at horizon N from runs carried on from N - 1, each
+        round stepped once; a pair with a round counter steps round N from
+        its base pair's run (see ROUND_COUNTERS)."""
+        n = game.repeated_spec.rounds
+        first, second = pair
+        base = base_of[first.id], base_of[second.id]
+        last = n if base == pair else n - 1
+        prev, cursor = runs.get(base) or (
+            None, (base[0].initial, base[1].initial, 0, 0, 1, 0))
+        while cursor[5] < last:
+            prev, cursor = runs[base] = cursor, step(*base, cursor, 1)
+        if cursor[5] > last:
+            cursor = prev
+        if base != pair:
+            ids = first.id, second.id
+            end = ends.get(ids)
+            if end is None or end[5] != n:  # once for both scans
+                s1 = cursor[0] if first is base[0] else first.states[n - 1]
+                s2 = cursor[1] if second is base[1] else second.states[n - 1]
+                end = ends[ids] = step(*pair, (s1, s2, *cursor[2:]), 1)
+            cursor = end
+        return _net_of_memory(game, pair, cursor[2:4], q ** n * scale)
+
     scans = {"symmetric": (space_names, (True, True),
                            ("tit_for_tat", "tit_for_tat")),
              "asymmetric": (asym_names, (True, False),
@@ -547,7 +583,7 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
                 ComputationalGame, mode="repeated", spaces=(space, space),
                 underlying=None, repeated_spec=spec, charged=charged)
             pair = tuple(machines[name] for name in profile)
-            if _first_gain(_switches(game, pair), eps) is None:
+            if _first_gain(_switches(game, pair, carried), eps) is None:
                 least[scan] = rounds
         if None not in least.values():
             break

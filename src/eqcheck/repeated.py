@@ -9,7 +9,9 @@ m = 1..N.
 run_automata computes that sum in integers.  With d = p/q and D the least
 common denominator of the stage payoffs, q^N * D * total is the integer
 sum of p^m * q^(N-m) * (D * stage_payoff(round m)), so a run adds ints
-round by round and builds one Fraction per player at the end.
+round by round and builds one Fraction per player at the end.  The one
+stepping loop, _stepper's, moves a run cursor (s1, s2, S1, S2, p^m, m) on:
+a run moves a fresh one N rounds, the threshold scan one per machine pair.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ class RepeatedGameSpec:
     """Stage game, round count, discount, and per-state memory price."""
 
     def __init__(self, stage: NormalFormGame, rounds, discount, memory_cost):
+        if not isinstance(stage, NormalFormGame):
+            raise InputError("repeated play needs a NormalFormGame stage")
         if stage.n_players != 2:
             raise InputError("repeated play needs a 2-player stage game")
         if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
@@ -120,7 +124,7 @@ def run_automata(spec: RepeatedGameSpec, first: RepeatedGameAutomaton,
     Raises InputError if a machine emits an action outside the stage game
     or lacks a transition for an opponent action it encounters; each error
     is raised in the round that reaches it, and the transitions out of
-    round N are taken too.
+    round N are taken too (one fresh cursor moved N rounds by _stepper).
     """
     total1, total2, den = _run_totals(spec, first, second)
     return Fraction(total1, den), Fraction(total2, den)
@@ -129,38 +133,50 @@ def run_automata(spec: RepeatedGameSpec, first: RepeatedGameAutomaton,
 def _run_totals(spec, first, second):
     """(S1, S2, q^N * D): run_automata's payoff pair as ints over one
     denominator, the same for every run under spec."""
+    start = first.initial, second.initial, 0, 0, 1, 0
+    run = _stepper(spec)(first, second, start, spec.rounds)
+    scale = _stage_table(spec.stage)[0]
+    return run[2], run[3], spec.discount.denominator ** spec.rounds * scale
+
+
+def _stepper(spec):
+    """advance(first, second, cursor, rounds): the run cursor (s1, s2, S1,
+    S2, p^m, m) of first against second, moved `rounds` rounds on under
+    spec's stage and discount (spec.rounds is unused): the states entering
+    round m + 1 and each player's total times q^m * D after round m."""
     acts1, acts2 = spec.stage.actions
     p, q = spec.discount.numerator, spec.discount.denominator
-    scale, scaled = _stage_table(spec.stage)
-    out1, out2 = first.output, second.output
-    step1, step2 = first.transition, second.transition
-    s1, s2 = first.initial, second.initial
-    total1 = total2 = 0
-    weight = 1
-    for _ in range(spec.rounds):
-        a1, a2 = out1[s1], out2[s2]
-        try:
-            v1, v2 = scaled[a1, a2]
-        except (KeyError, TypeError):
-            for machine, action, acts in ((first, a1, acts1),
-                                          (second, a2, acts2)):
-                if action not in acts:
-                    raise InputError(
-                        f"automaton {machine.id}: action {action!r} not in "
-                        f"the stage game") from None
-            raise InputError(
-                f"automata {first.id} and {second.id}: actions ({a1!r}, "
-                f"{a2!r}) equal stage actions but do not hash like them"
-            ) from None
-        weight *= p
-        total1 = total1 * q + weight * v1
-        total2 = total2 * q + weight * v2
-        try:
-            s1, s2 = step1[s1, a2], step2[s2, a1]
-        except KeyError:
-            # step raises the InputError naming the missing transition
-            s1, s2 = first.step(s1, a2), second.step(s2, a1)
-    return total1, total2, q ** spec.rounds * scale
+    scaled = _stage_table(spec.stage)[1]
+
+    def advance(first, second, cursor, rounds):
+        out1, out2 = first.output, second.output
+        step1, step2 = first.transition, second.transition
+        s1, s2, total1, total2, weight, m = cursor
+        for _ in range(rounds):
+            a1, a2 = out1[s1], out2[s2]
+            try:
+                v1, v2 = scaled[a1, a2]
+            except (KeyError, TypeError):
+                for machine, action, acts in ((first, a1, acts1),
+                                              (second, a2, acts2)):
+                    if action not in acts:
+                        raise InputError(
+                            f"automaton {machine.id}: action {action!r} "
+                            f"not in the stage game") from None
+                raise InputError(
+                    f"automata {first.id} and {second.id}: actions ({a1!r}, "
+                    f"{a2!r}) equal stage actions but do not hash like them"
+                ) from None
+            weight *= p
+            total1 = total1 * q + weight * v1
+            total2 = total2 * q + weight * v2
+            try:
+                s1, s2 = step1[s1, a2], step2[s2, a1]
+            except KeyError:
+                # step raises the InputError naming the missing transition
+                s1, s2 = first.step(s1, a2), second.step(s2, a1)
+        return s1, s2, total1, total2, weight, m + rounds
+    return advance
 
 
 # The constant and reactive library machines below share a two-state
@@ -217,14 +233,11 @@ def defect_last(rounds):
     if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
         raise InputError("defect_last needs a positive round count")
     states = tuple(f"r{m}" for m in range(rounds + 1))
-    output = {
-        s: ("D" if m >= rounds - 1 else "C") for m, s in enumerate(states)
-    }
-    transition = {}
-    for m, s in enumerate(states):
-        nxt = states[min(m + 1, rounds)]
-        transition[(s, "C")] = nxt
-        transition[(s, "D")] = nxt
+    output = {s: "D" if m >= rounds - 1 else "C"
+              for m, s in enumerate(states)}
+    transition = {(s, a): nxt
+                  for s, nxt in zip(states, states[1:] + states[-1:])
+                  for a in "CD"}
     return _trusted(RepeatedGameAutomaton, id="defect_last", states=states,
                     initial="r0", output=output, transition=transition)
 
@@ -240,21 +253,15 @@ def retaliating_defect_last(rounds):
     """
     if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
         raise InputError("retaliating_defect_last needs a positive round count")
-    counting = tuple(f"c{m}" for m in range(1, rounds))
-    states = counting + ("punish",)
-    output = {s: "C" for s in counting}
+    states = tuple(f"c{m}" for m in range(1, rounds)) + ("punish",)
+    output = {s: "C" for s in states[:-1]}
     output["punish"] = "D"
-    transition = {}
-    for m, s in enumerate(counting):
-        nxt = counting[m + 1] if m + 1 < len(counting) else "punish"
-        transition[(s, "C")] = nxt
-        transition[(s, "D")] = "punish"
-    transition[("punish", "C")] = "punish"
-    transition[("punish", "D")] = "punish"
+    transition = {(s, a): nxt if a == "C" else "punish"
+                  for s, nxt in zip(states, states[1:] + states[-1:])
+                  for a in "CD"}
     return _trusted(
         RepeatedGameAutomaton, id="retaliating_defect_last", states=states,
-        initial=counting[0] if counting else "punish", output=output,
-        transition=transition)
+        initial=states[0], output=output, transition=transition)
 
 
 # factories keyed by id; round-counting machines take the round count
@@ -266,18 +273,32 @@ AUTOMATON_LIBRARY = {
     "defect_last": defect_last,
     "retaliating_defect_last": retaliating_defect_last,
 }
-ROUND_COUNTERS = ("defect_last", "retaliating_defect_last")
+# counter -> base: defect_last(N) plays as all_c, retaliating_defect_last(N)
+# as grim, through round N-1; either enters round N in states[N - 1], which
+# plays D, whatever the history.  So a counter's run at horizon N is its
+# base's run at N - 1 plus that round (used by the threshold scan).
+ROUND_COUNTERS = {"defect_last": "all_c", "retaliating_defect_last": "grim"}
 
 DEFAULT_SPACE = ("all_c", "all_d", "tit_for_tat", "grim", "defect_last")
 
 
 def library_space(names, rounds):
     machines = []
-    for name in names:
-        if name not in AUTOMATON_LIBRARY:
-            raise InputError(f"unknown library automaton {name!r}")
-        machines.append(AUTOMATON_LIBRARY[name](rounds))
+    for name in _names(names):
+        try:
+            make = AUTOMATON_LIBRARY[name]
+        except (KeyError, TypeError):  # TypeError: unhashable, so unknown
+            raise InputError(f"unknown library automaton {name!r}") from None
+        machines.append(make(rounds))
     return tuple(machines)
+
+
+def _names(names):
+    try:
+        return tuple(names)
+    except TypeError:
+        raise InputError(
+            "the machine space must be a sequence of names") from None
 
 
 def default_stage_game():

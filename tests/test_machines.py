@@ -492,6 +492,18 @@ def _spec(**changes):
                  "discount must lie strictly between 0 and 1", id="discount"),
     pytest.param(lambda: _spec(memory_cost=-1),
                  "memory_cost must be nonnegative", id="memory-cost"),
+    pytest.param(lambda: _spec(stage="x"),
+                 "repeated play needs a NormalFormGame stage",
+                 id="stage-not-a-game"),
+    pytest.param(lambda: library_space((["x"],), 3),
+                 "unknown library automaton ['x']", id="unhashable-name"),
+    pytest.param(lambda: library_space(None, 3),
+                 "the machine space must be a sequence of names",
+                 id="names-not-iterable"),
+    pytest.param(lambda: build_repeated_dilemma_game(
+                     3, DELTA, COST, ("tit_for_tat", ["x"])),
+                 "unknown library automaton ['x']",
+                 id="dilemma-unhashable-name"),
 ])
 def test_repeated_constructor_refusals(build, message):
     with pytest.raises(InputError) as info:
@@ -1042,6 +1054,11 @@ def _stage(actions, players=("p1", "p2")):
      "player index 0: duplicate machine ids in space"),
     (_stage((("C", "D"), ("C", "D"))), DEFAULT_NAMES, -1,
      "epsilon must be nonnegative"),
+    ("x", DEFAULT_NAMES, 0, "repeated play needs a NormalFormGame stage"),
+    (_stage((("C", "D"), ("C", "D"))), ("tit_for_tat", ["x"]), 0,
+     "unknown library automaton ['x']"),
+    (_stage((("C", "D"), ("C", "D"))), None, 0,
+     "the machine space must be a sequence of names"),
 ])
 def test_threshold_scan_refuses_what_its_first_horizon_refuses(
         stage, names, epsilon, want):
@@ -1092,3 +1109,155 @@ def test_stage_tables_live_only_as_long_as_their_stage():
     tit_for_tat_threshold(DELTA, COST, 12)
     gc.collect()
     assert len(repeated._STAGE_TABLES) == 0
+
+
+# --- run cursors: one stepping loop, carried from horizon N to N + 1 ------
+
+def _reference_run_totals(spec, first, second):
+    """The round loop before run cursors, kept verbatim."""
+    acts1, acts2 = spec.stage.actions
+    p, q = spec.discount.numerator, spec.discount.denominator
+    scale, scaled = repeated._stage_table(spec.stage)
+    out1, out2 = first.output, second.output
+    step1, step2 = first.transition, second.transition
+    s1, s2 = first.initial, second.initial
+    total1 = total2 = 0
+    weight = 1
+    for _ in range(spec.rounds):
+        a1, a2 = out1[s1], out2[s2]
+        try:
+            v1, v2 = scaled[a1, a2]
+        except (KeyError, TypeError):
+            for machine, action, acts in ((first, a1, acts1),
+                                          (second, a2, acts2)):
+                if action not in acts:
+                    raise InputError(
+                        f"automaton {machine.id}: action {action!r} not in "
+                        f"the stage game") from None
+            raise InputError(
+                f"automata {first.id} and {second.id}: actions ({a1!r}, "
+                f"{a2!r}) equal stage actions but do not hash like them"
+            ) from None
+        weight *= p
+        total1 = total1 * q + weight * v1
+        total2 = total2 * q + weight * v2
+        try:
+            s1, s2 = step1[s1, a2], step2[s2, a1]
+        except KeyError:
+            # step raises the InputError naming the missing transition
+            s1, s2 = first.step(s1, a2), second.step(s2, a1)
+    return total1, total2, q ** spec.rounds * scale
+
+
+def _rough_automaton(rng, machine_id, own, other):
+    """_random_automaton with, sometimes, transitions dropped and an
+    output outside the stage game (hashable or not)."""
+    machine = _random_automaton(rng, machine_id, own, other)
+    output, transition = dict(machine.output), dict(machine.transition)
+    if rng.random() < 0.3:
+        output[rng.choice(machine.states)] = rng.choice(("X", ["C"]))
+    for key in rng.sample(sorted(transition), rng.randint(0, 2)):
+        del transition[key]
+    return RepeatedGameAutomaton(machine_id, machine.states, machine.initial,
+                                 output, transition)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except InputError as error:
+        return str(error)
+
+
+def test_run_cursors_match_the_reference_round_loop():
+    """_run_totals, and a cursor moved on in random legs, give the old
+    loop's totals, or its first error."""
+    rng = random.Random(1985_2008)
+    outcomes = set()
+    for k in range(300):
+        stage = _random_dilemma_stage(rng) if k % 2 else _random_stage(rng)
+        acts1, acts2 = stage.actions
+        spec = RepeatedGameSpec(stage, rng.randint(1, 60),
+                                _random_discount(rng), 0)
+        first = _rough_automaton(rng, "first", acts1, acts2)
+        second = _rough_automaton(rng, "second", acts2, acts1)
+        want = _outcome(lambda: _reference_run_totals(spec, first, second))
+        outcomes.add(type(want))
+        assert _outcome(lambda: repeated._run_totals(spec, first, second)) \
+            == want
+
+        def legs():
+            advance = repeated._stepper(spec)
+            cursor, left = (first.initial, second.initial, 0, 0, 1, 0), \
+                spec.rounds
+            while left:
+                leg = rng.randint(1, left)
+                cursor = advance(first, second, cursor, leg)
+                left -= leg
+            assert cursor[5] == spec.rounds
+            return (*cursor[2:4], spec.discount.denominator ** spec.rounds
+                    * repeated._stage_table(stage)[0])
+
+        assert _outcome(legs) == want
+    assert outcomes == {tuple, str}
+
+
+def test_round_counters_run_as_their_base_until_the_last_round():
+    """The ROUND_COUNTERS identity: against any opponent, a counter's run at
+    horizon N is its base's run over N - 1 rounds, then round N stepped
+    from the counter's state states[N - 1]."""
+    rng = random.Random(1985)
+    cd = ("C", "D")
+    stages = [default_stage_game()] + [_random_dilemma_stage(rng)
+                                       for _ in range(3)]
+    for rounds in range(1, 61):
+        spec = RepeatedGameSpec(rng.choice(stages), rounds,
+                                _random_discount(rng), 0)
+        advance = repeated._stepper(spec)
+        library = library_space(tuple(repeated.AUTOMATON_LIBRARY), rounds)
+        others = library + tuple(_random_automaton(rng, f"m{k}", cd, cd)
+                                 for k in range(4))
+        for counter in library:
+            if counter.id not in repeated.ROUND_COUNTERS:
+                continue
+            for other in others:
+                for pair in ((counter, other), (other, counter)):
+                    start = tuple(m.initial for m in pair) + (0, 0, 1, 0)
+                    whole = advance(*pair, start, rounds)
+                    bases = tuple(
+                        repeated.AUTOMATON_LIBRARY[
+                            repeated.ROUND_COUNTERS[m.id]](rounds)
+                        if m.id in repeated.ROUND_COUNTERS else m
+                        for m in pair)
+                    start = tuple(m.initial for m in bases) + (0, 0, 1, 0)
+                    s1, s2, *sums = advance(*bases, start, rounds - 1)
+                    states = tuple(
+                        m.states[rounds - 1]
+                        if m.id in repeated.ROUND_COUNTERS else s
+                        for m, s in zip(pair, (s1, s2)))
+                    assert advance(*pair, states + tuple(sums), 1) == whole
+
+
+def test_threshold_scan_steps_linearly_many_rounds(monkeypatch):
+    """Each pair's run is carried from one horizon to the next, so the
+    300-horizon scan steps a few thousand rounds; restarting every run
+    at every horizon stepped 451,492."""
+    stepped = []
+    stepper = machines._stepper
+
+    def counted(spec):
+        advance = stepper(spec)
+
+        def count(first, second, cursor, rounds):
+            stepped.append(rounds)
+            return advance(first, second, cursor, rounds)
+        return count
+
+    def refuse(*args):
+        raise AssertionError("the threshold scan restarted a run")
+
+    monkeypatch.setattr(machines, "_stepper", counted)
+    monkeypatch.setattr(machines, "_run_totals", refuse)
+    report = tit_for_tat_threshold(F(99, 100), F(1, 10 ** 6), 300)
+    assert (report.symmetric, report.asymmetric) == (None, None)
+    assert sum(stepped) <= 15 * 300
