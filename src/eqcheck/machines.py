@@ -14,8 +14,8 @@ Complexity is always declared data, never measured.
 A machine equilibrium is a Nash equilibrium of the induced machine game,
 so exhaustive_machine_equilibria is that game's pure (1, 0) enumeration
 (robustness._pure_robust); is_machine_nash and the threshold scan feed
-one profile's unilateral machine switches (_switches) to
-games._first_gain, the one deviation scan.
+unilateral machine switches (_switches) to games._first_gain, the one
+deviation scan, and charge memory in _net_of_memory alone.
 """
 
 from __future__ import annotations
@@ -222,16 +222,16 @@ def _utility_ints(game, machines):
     if game.mode == "one-shot":
         return _over_lcm(_one_shot_utilities(game, machines))
     *totals, den = _run_totals(game.repeated_spec, *machines)
-    return _net_of_memory(game, machines, totals, den)
+    return _net_of_memory(game.repeated_spec.memory_cost, game.charged,
+                          [m.n_states for m in machines], totals, den)
 
 
-def _net_of_memory(game, machines, totals, den):
-    """A repeated run's totals over den, less each charged player's memory
-    cost: (den times the cost's denominator, numerators)."""
-    cn, cd = game.repeated_spec.memory_cost.as_integer_ratio()
-    return den * cd, [
-        total * cd - (cn * machine.n_states * den if charged else 0)
-        for total, machine, charged in zip(totals, machines, game.charged)]
+def _net_of_memory(cost, charged, sizes, totals, den):
+    """A repeated run's totals over den, less cost times each charged
+    player's state count: (den times the cost's denominator, numerators)."""
+    cn, cd = cost.as_integer_ratio()
+    return den * cd, [total * cd - (cn * size * den if paid else 0)
+                      for total, size, paid in zip(totals, sizes, charged)]
 
 
 def repeated_payoffs(game: ComputationalGame, machines):
@@ -240,21 +240,23 @@ def repeated_payoffs(game: ComputationalGame, machines):
     from one run of its two automata: the first pair is run_automata's,
     the second comp_expected_utility's."""
     *totals, den = _run_totals(game.repeated_spec, *machines)
-    net_den, nets = _net_of_memory(game, machines, totals, den)
+    net_den, nets = _net_of_memory(
+        game.repeated_spec.memory_cost, game.charged,
+        [m.n_states for m in machines], totals, den)
     return (tuple(Fraction(v, den) for v in totals),
             tuple(Fraction(v, net_den) for v in nets))
 
 
-def _switches(game, profile, utility=_utility_ints):
+def _switches(spaces, profile, utility):
     """A machine profile's unilateral switches for games._first_gain, in
-    space order: (player index, machine id, base, value), utility(game,
-    machines) int pairs, each evaluated only when the scan reaches it."""
-    den, base = utility(game, profile)
-    for i, space in enumerate(game.spaces):
+    the order of spaces: (player index, machine id, base, value),
+    utility(machines) int pairs, each evaluated when the scan reaches it."""
+    den, base = utility(profile)
+    for i, space in enumerate(spaces):
         for machine in space:
             if machine.id != profile[i].id:
                 d, value = utility(
-                    game, profile[:i] + (machine,) + profile[i + 1:])
+                    profile[:i] + (machine,) + profile[i + 1:])
                 yield i, machine.id, (base[i], den), (value[i], d)
 
 
@@ -264,7 +266,9 @@ def is_machine_nash(game: ComputationalGame, machine_ids, epsilon=0) -> Verdict:
     into games._first_gain; Fractions are built only for a witness."""
     eps = _check_epsilon(epsilon)
     ids = tuple(machine_ids)
-    found = _first_gain(_switches(game, game.profile(ids)), eps)
+    found = _first_gain(_switches(
+        game.spaces, game.profile(ids),
+        lambda machines: _utility_ints(game, machines)), eps)
     if found is None:
         return Verdict(True)
     i, better = found[:2]
@@ -500,9 +504,10 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
     holds at every longer N is observed (d/101 for d = 53..98, cost 1/10 to
     1/10^6, N <= 40), not proved.  The asymmetric scan charges only the
     first player and pairs tit_for_tat with the retaliating last-round
-    defector.  Runs are carried from N to N + 1 (see ROUND_COUNTERS), so
-    the rounds stepped grow linearly in n_max; work_bound caps the rounds
-    both scans would simulate if every run restarted.
+    defector.  Machines are built once, in their 1-round forms, and runs
+    carried from N to N + 1 (see ROUND_COUNTERS): the rounds stepped grow
+    linearly in n_max.  work_bound caps the rounds both scans would step
+    if every run restarted.
     """
     delta = as_fraction(discount, "discount")
     if not (Fraction(1, 2) < delta < 1):
@@ -524,28 +529,25 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
                     work_bound, "simulated rounds")
     if stage is None:
         stage = default_stage_game()
-    # the caller's stage meets every library action at N = 1; later
-    # horizons only change round counters
+    # the caller's stage meets every library action at N = 1
     spec = build_repeated_dilemma_game(1, delta, cost, space_names,
                                        (True, True), stage).repeated_spec
     eps = _check_epsilon(epsilon)
     step = _stepper(spec)
-    fixed = {name: make(1) for name, make in AUTOMATON_LIBRARY.items()
-             if name not in ROUND_COUNTERS}
-    base_of = {name: fixed[ROUND_COUNTERS.get(name, name)]
+    machines = {name: make(1) for name, make in AUTOMATON_LIBRARY.items()}
+    base_of = {name: machines[ROUND_COUNTERS.get(name, name)]
                for name in AUTOMATON_LIBRARY}
     q, scale = delta.denominator, _stage_table(stage)[0]
     runs = {}  # pair of fixed machines -> its cursors after m - 1, m rounds
-    ends = {}  # ids of a pair with a round counter -> its cursor at N
+    ends = {}  # pair with a round counter -> its cursor at N
 
-    def carried(game, pair):
-        """_utility_ints at horizon N from runs carried on from N - 1, each
-        round stepped once; a pair with a round counter steps round N from
-        its base pair's run (see ROUND_COUNTERS)."""
-        n = game.repeated_spec.rounds
+    def carried(pair):
+        """_utility_ints at horizon N = rounds under the current scan's
+        charged flags, each round stepped once from runs carried on from
+        N - 1; a counter plays round N in its 1-round form (ROUND_COUNTERS)."""
         first, second = pair
         base = base_of[first.id], base_of[second.id]
-        last = n if base == pair else n - 1
+        last = rounds if base == pair else rounds - 1
         prev, cursor = runs.get(base) or (
             None, (base[0].initial, base[1].initial, 0, 0, 1, 0))
         while cursor[5] < last:
@@ -553,37 +555,30 @@ def tit_for_tat_threshold(discount, memory_cost, n_max,
         if cursor[5] > last:
             cursor = prev
         if base != pair:
-            ids = first.id, second.id
-            end = ends.get(ids)
-            if end is None or end[5] != n:  # once for both scans
-                s1 = cursor[0] if first is base[0] else first.states[n - 1]
-                s2 = cursor[1] if second is base[1] else second.states[n - 1]
-                end = ends[ids] = step(*pair, (s1, s2, *cursor[2:]), 1)
+            end = ends.get(pair)
+            if end is None or end[5] != rounds:  # once for both scans
+                s1 = cursor[0] if first is base[0] else first.initial
+                s2 = cursor[1] if second is base[1] else second.initial
+                end = ends[pair] = step(*pair, (s1, s2, *cursor[2:]), 1)
             cursor = end
-        return _net_of_memory(game, pair, cursor[2:4], q ** n * scale)
+        sizes = [m.n_states + (rounds - 1 if m.id in ROUND_COUNTERS else 0)
+                 for m in pair]
+        return _net_of_memory(cost, charged, sizes, cursor[2:4],
+                              q ** rounds * scale)
 
-    scans = {"symmetric": (space_names, (True, True),
-                           ("tit_for_tat", "tit_for_tat")),
-             "asymmetric": (asym_names, (True, False),
-                            ("tit_for_tat", "retaliating_defect_last"))}
+    scans = {}  # scan -> (spaces, charged, profile)
+    for scan, names, charged, other in (
+            ("symmetric", space_names, (True, True), "tit_for_tat"),
+            ("asymmetric", asym_names, (True, False),
+             "retaliating_defect_last")):
+        space = tuple(machines[name] for name in names)
+        scans[scan] = ((space, space), charged,
+                       (machines["tit_for_tat"], machines[other]))
     least = dict.fromkeys(scans)
     for rounds in range(1, n_max + 1):
-        # both scans share this horizon's machines: each counter built once
-        machines = dict(fixed)
-        spec = _trusted(RepeatedGameSpec, stage=stage, rounds=rounds,
-                        discount=delta, memory_cost=cost)
-        for scan, (names, charged, profile) in scans.items():
-            if least[scan] is not None:
-                continue
-            for name in names:
-                if name not in machines:
-                    machines[name] = AUTOMATON_LIBRARY[name](rounds)
-            space = tuple(machines[name] for name in names)
-            game = _trusted(
-                ComputationalGame, mode="repeated", spaces=(space, space),
-                underlying=None, repeated_spec=spec, charged=charged)
-            pair = tuple(machines[name] for name in profile)
-            if _first_gain(_switches(game, pair, carried), eps) is None:
+        for scan, (spaces, charged, profile) in scans.items():
+            if least[scan] is None and _first_gain(
+                    _switches(spaces, profile, carried), eps) is None:
                 least[scan] = rounds
         if None not in least.values():
             break

@@ -274,9 +274,11 @@ AUTOMATON_LIBRARY = {
     "retaliating_defect_last": retaliating_defect_last,
 }
 # counter -> base: defect_last(N) plays as all_c, retaliating_defect_last(N)
-# as grim, through round N-1; either enters round N in states[N - 1], which
-# plays D, whatever the history.  So a counter's run at horizon N is its
-# base's run at N - 1 plus that round (used by the threshold scan).
+# as grim, through round N-1, then plays round N as its 1-round form plays
+# round 1 from its initial state: D, whatever the history.  Stepping round N
+# so gives the N-round run's totals and opponent state; only the counter's
+# own next state differs.  The N-round counter has N - 1 more states than
+# its 1-round form.  The threshold scan builds only 1-round forms.
 ROUND_COUNTERS = {"defect_last": "all_c", "retaliating_defect_last": "grim"}
 
 DEFAULT_SPACE = ("all_c", "all_d", "tit_for_tat", "grim", "defect_last")
@@ -295,10 +297,11 @@ def library_space(names, rounds):
 
 def _names(names):
     try:
-        return tuple(names)
+        if not isinstance(names, str):  # not a space of one-letter names
+            return tuple(names)
     except TypeError:
-        raise InputError(
-            "the machine space must be a sequence of names") from None
+        pass
+    raise InputError("the machine space must be a sequence of names")
 
 
 def default_stage_game():

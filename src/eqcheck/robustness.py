@@ -5,13 +5,14 @@ A profile is k-resilient when no coalition of at most k players has a joint
 of at most t players can hurt any outsider by deviating arbitrarily.  The
 (k, t) = (1, 0) case coincides with the Nash check.
 
-Coalition deviations are joint pure action tuples: members may correlate,
-and because each member's utility is linear in any mixture over joint
-deviations, a mixed deviation can never beat the best pure one (for
-resilience) or undercut the worst pure one (for immunity).  The checks
-scan them in order through games._first_gain, the one deviation scan,
-so their witness is the first counterexample.  Only the pure
-enumeration, _pure_robust, compares on its own: per context of each
+Coalition deviations are joint pure action tuples.  Each utility is linear
+in a mixture over joints, so no mixed or correlated deviation beats the best
+pure one for STRONG resilience (some member gains) or undercuts the worst
+for immunity.  WEAK resilience (every member gains) compares pure joints
+only: a mixture can give every member a gain that no pure joint gives them
+all.  The checks scan them in order through games._first_gain, the one
+deviation scan, so their witness is the first counterexample.  Only the
+pure enumeration, _pure_robust, compares on its own: per context of each
 group, it takes each member's best or each outsider's worst payoff and
 drops the profiles that it beats.
 """
@@ -33,7 +34,7 @@ from .verdicts import Verdict, Witness
 
 class ResilienceSemantics(Enum):
     # STRONG: the coalition deviates if SOME member strictly gains.
-    # WEAK: it deviates only if ALL members strictly gain.
+    # WEAK: only if ALL members strictly gain from one pure joint deviation.
     STRONG = "strong"
     WEAK = "weak"
 

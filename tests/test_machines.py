@@ -504,6 +504,13 @@ def _spec(**changes):
                      3, DELTA, COST, ("tit_for_tat", ["x"])),
                  "unknown library automaton ['x']",
                  id="dilemma-unhashable-name"),
+    pytest.param(lambda: library_space("all_c", 3),
+                 "the machine space must be a sequence of names",
+                 id="names-a-string"),
+    pytest.param(lambda: build_repeated_dilemma_game(
+                     3, DELTA, COST, space_names="all_c"),
+                 "the machine space must be a sequence of names",
+                 id="dilemma-names-a-string"),
 ])
 def test_repeated_constructor_refusals(build, message):
     with pytest.raises(InputError) as info:
@@ -1059,6 +1066,8 @@ def _stage(actions, players=("p1", "p2")):
      "unknown library automaton ['x']"),
     (_stage((("C", "D"), ("C", "D"))), None, 0,
      "the machine space must be a sequence of names"),
+    (_stage((("C", "D"), ("C", "D"))), "tit_for_tat", 0,
+     "the machine space must be a sequence of names"),
 ])
 def test_threshold_scan_refuses_what_its_first_horizon_refuses(
         stage, names, epsilon, want):
@@ -1261,3 +1270,80 @@ def test_threshold_scan_steps_linearly_many_rounds(monkeypatch):
     report = tit_for_tat_threshold(F(99, 100), F(1, 10 ** 6), 300)
     assert (report.symmetric, report.asymmetric) == (None, None)
     assert sum(stepped) <= 15 * 300
+
+
+def test_threshold_scan_builds_each_machine_once(monkeypatch):
+    """Every library machine is built once in its 1-round form, besides the
+    validating build at N = 1, and the rounds stepped are those of the
+    scan that built both round counters at every horizon."""
+    calls = dict.fromkeys(repeated.AUTOMATON_LIBRARY, 0)
+    for name, make in repeated.AUTOMATON_LIBRARY.items():
+        def counted(rounds, name=name, make=make):
+            calls[name] += 1
+            return make(rounds)
+        monkeypatch.setitem(repeated.AUTOMATON_LIBRARY, name, counted)
+    stepped = []
+    stepper = machines._stepper
+
+    def counted_steps(spec):
+        advance = stepper(spec)
+
+        def count(first, second, cursor, rounds):
+            stepped.append(rounds)
+            return advance(first, second, cursor, rounds)
+        return count
+
+    monkeypatch.setattr(machines, "_stepper", counted_steps)
+    report = tit_for_tat_threshold(F(99, 100), F(1, 10 ** 6), 300)
+    assert (report.symmetric, report.asymmetric) == (None, None)
+    assert sum(stepped) == 4191
+    assert calls == {"all_c": 2, "all_d": 2, "tit_for_tat": 2, "grim": 2,
+                     "defect_last": 2, "retaliating_defect_last": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    report = tit_for_tat_threshold(F(99, 100), F(1, 10 ** 6), 300,
+                                   tuple(calls))
+    assert (report.symmetric, report.asymmetric) == (None, None)
+    assert calls == dict.fromkeys(calls, 2)
+
+
+def test_round_counters_play_round_n_in_their_one_round_form():
+    """The other half of the ROUND_COUNTERS identity: round N stepped with
+    a counter's 1-round form, from its initial state and the base pair's
+    cursor at N - 1, gives the N-round run's totals and the opponent's
+    state; the N-round counter has N - 1 more states than that form."""
+    rng = random.Random(1985_1)
+    cd = ("C", "D")
+    stages = [default_stage_game()] + [_random_dilemma_stage(rng)
+                                       for _ in range(3)]
+    library = repeated.AUTOMATON_LIBRARY
+    short = {name: make(1) for name, make in library.items()}
+    for rounds in range(1, 61):
+        spec = RepeatedGameSpec(rng.choice(stages), rounds,
+                                _random_discount(rng), 0)
+        advance = repeated._stepper(spec)
+        others = library_space(tuple(library), rounds) + tuple(
+            _random_automaton(rng, f"m{k}", cd, cd) for k in range(4))
+        for name in repeated.ROUND_COUNTERS:
+            counter = library[name](rounds)
+            assert counter.n_states == short[name].n_states + rounds - 1
+            for other in others:
+                for pair in ((counter, other), (other, counter)):
+                    start = tuple(m.initial for m in pair) + (0, 0, 1, 0)
+                    whole = advance(*pair, start, rounds)
+                    bases = tuple(
+                        library[repeated.ROUND_COUNTERS[m.id]](rounds)
+                        if m.id in repeated.ROUND_COUNTERS else m
+                        for m in pair)
+                    start = tuple(m.initial for m in bases) + (0, 0, 1, 0)
+                    s1, s2, *sums = advance(*bases, start, rounds - 1)
+                    forms = tuple(short[m.id]
+                                  if m.id in repeated.ROUND_COUNTERS else m
+                                  for m in pair)
+                    states = tuple(
+                        f.initial if f is not m else s
+                        for f, m, s in zip(forms, pair, (s1, s2)))
+                    last = advance(*forms, states + tuple(sums), 1)
+                    assert last[2:] == whole[2:]
+                    for seat, m in enumerate(pair):
+                        if m.id not in repeated.ROUND_COUNTERS:
+                            assert last[seat] == whole[seat]

@@ -186,6 +186,43 @@ def test_strong_failure_set_contains_weak():
                 assert weak.holds
 
 
+def _xab_game(cells):
+    """p1 and p2 choose x, a or b: (x, x) pays (0, 0), the given cells
+    their payoffs, and every other cell (-1, -1)."""
+    actions = ("x", "a", "b")
+    cells = {"xx": (0, 0), **cells}
+    return NormalFormGame(("p1", "p2"), (actions, actions), {
+        (i, j): tuple(map(F, cells.get(actions[i] + actions[j], (-1, -1))))
+        for i in range(3) for j in range(3)})
+
+
+def test_weak_semantics_compares_pure_joint_deviations_only():
+    """The documented definition: WEAK asks whether one pure joint
+    deviation makes every member gain.  In both games (x, x) passes,
+    although a half-and-half deviation, correlated in the first and
+    independent in the second, gives both members 1/2."""
+    correlated = _xab_game({"aa": (2, -1), "bb": (-1, 2),
+                            "ab": (-5, -5), "ba": (-5, -5)})
+    independent = _xab_game({"aa": (-1, 2), "bb": (-1, 2),
+                             "ab": (2, -1), "ba": (2, -1)})
+    for game in (correlated, independent):
+        profile = MixedProfile.pure(game, ("x", "x"))
+        assert is_nash(game, profile).holds
+        assert check_resilience(game, profile, 2,
+                                ResilienceSemantics.WEAK).holds
+        assert not check_resilience(game, profile, 2,
+                                    ResilienceSemantics.STRONG).holds
+        query = RobustnessQuery(2, 0, semantics=ResilienceSemantics.WEAK)
+        assert ("x", "x") in enumerate_pure_robust(game, query)
+    base = MixedProfile.pure(correlated, ("x", "x"))
+    both = [utilities_under_joint_deviation(correlated, base, (0, 1), joint)
+            for joint in ((1, 1), (2, 2))]
+    assert [sum(u) / 2 for u in zip(*both)] == [F(1, 2), F(1, 2)]
+    half = {"x": 0, "a": F(1, 2), "b": F(1, 2)}
+    mixed = MixedProfile.from_mapping(independent, {"p1": half, "p2": half})
+    assert expected_utility(independent, mixed) == (F(1, 2), F(1, 2))
+
+
 def test_weak_semantics_needs_every_member_to_gain():
     # p1 moving to 1 alone drops p1 to 0, so a (p1, p2) deviation to (1, 1)
     # helps both; a deviation where only one member moves helps only one.
