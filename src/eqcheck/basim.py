@@ -130,6 +130,8 @@ class Scenario:
             raise InputError("n must be a positive integer")
         if not _is_int(preference) or preference not in (0, 1):
             raise InputError("preference must be 0 or 1")
+        bounded_product((n + 1, n + 1), DEFAULT_WORK_BOUND,
+                        "messages per round")
         self.n = n
         self.players = tuple(f"p{i}" for i in range(n))
         self.preference = preference
@@ -410,9 +412,11 @@ def check_ba(transcript: Transcript) -> Verdict:
     return Verdict(True)
 
 
-def _checked(n, protocol, adversaries, preferences, where):
+def _checked(n, protocol, adversaries, preferences, where,
+             work_bound=DEFAULT_WORK_BOUND):
     """One strategy per adversary name, in adversaries' order, and the
-    shared scenario fields, after the checks Scenario would make."""
+    shared scenario fields, after the checks Scenario would make, with
+    work_bound in place of its bound on messages per round."""
     if not _is_int(n) or n < 1:
         raise InputError("n must be a positive integer")
     for name in adversaries:
@@ -421,6 +425,7 @@ def _checked(n, protocol, adversaries, preferences, where):
                 f"{where.format(n - 1)}unknown adversary {name!r}")
     if not all(_is_int(p) and p in (0, 1) for p in preferences):
         raise InputError("preference must be 0 or 1")
+    bounded_product((n + 1, n + 1), work_bound, "messages per round")
     made = {name: ADVERSARY_LIBRARY[name]() for name in adversaries}
     players = tuple(f"p{i}" for i in range(n))
     return tuple(made[name] for name in adversaries), dict(
@@ -489,7 +494,8 @@ def sweep(n, t, protocol, adversaries=DEFAULT_ADVERSARIES,
     bounded_product(
         (len(preferences), 1 + _subset_choices(n, t, len(adversaries))),
         work_bound, "simulations")
-    strategies, fields = _checked(n, protocol, adversaries, preferences, "")
+    strategies, fields = _checked(n, protocol, adversaries, preferences, "",
+                                  work_bound)
     entries = []
     for preference in preferences:
         scenarios = [

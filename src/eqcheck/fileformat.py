@@ -4,9 +4,16 @@ Every document is a JSON object with `format: 1`, a `kind` tag, and a
 kind-specific body.  `format` and `kind` appear only at the top level: a
 nested object such as a repeated spec's `stage` or a machine game's
 `underlying` is a bare body, and either field there is an unknown field.
-Rationals travel as strings ("3", "-5", "1/3"); floats are rejected.
+Rationals travel as strings ("3", "-5", "1/3"); floats are rejected,
+and a bare JSON integer is accepted and written back as a string.
 Unknown fields are errors, reported with a `$.path` field path; malformed
 JSON is reported with line and column.
+
+parse_document decodes each distinct rational string once: it fills one
+string-to-Fraction table for the document and drops it on return, so no
+cache outlives the call.  Payoff vectors and the innermost level of
+rational maps are decoded through it in one pass; a leaf it refuses sends
+that vector back to the per-value _rational, which words every error.
 
 serialize_document writes a canonical form: fixed field order, two-space
 indent, a trailing newline, and deterministic entry orders.  Serializing,
@@ -169,12 +176,40 @@ def _rational(value, path, *keys):
                          str(exc).partition(": ")[2]) from None
 
 
-def _rational_map(value, depth, path, *keys):
+class _RationalTable(dict):
+    """One document's rationals by their string, each decoded once.
+
+    Looking up anything but a well-formed rational string raises KeyError,
+    or TypeError if it is unhashable.
+    """
+
+    def __missing__(self, text):
+        if type(text) is not str:  # an int key would let True and 1.0 in
+            raise KeyError(text)
+        try:
+            value = self[text] = parse_rational(text)
+        except InputError:
+            raise KeyError(text) from None
+        return value
+
+
+def _rational_list(rationals, labels, values, path, *keys):
+    """values decoded through the table, as a list.  If it refuses a
+    leaf, _rational decodes value by value, with labels naming the leaves
+    below the path, so the error is the first bad leaf's."""
+    try:
+        return list(map(rationals.__getitem__, values))
+    except (KeyError, TypeError):
+        return [_rational(v, path, *keys, k) for k, v in zip(labels, values)]
+
+
+def _rational_map(rationals, value, depth, path, *keys):
     """A JSON object `depth` levels deep with rationals at the leaves."""
     obj = _as_object(value, path, *keys)
     if depth == 1:
-        return {key: _rational(q, path, *keys, key) for key, q in obj.items()}
-    return {key: _rational_map(sub, depth - 1, path, *keys, key)
+        return dict(zip(obj, _rational_list(rationals, obj, obj.values(),
+                                            path, *keys)))
+    return {key: _rational_map(rationals, sub, depth - 1, path, *keys, key)
             for key, sub in obj.items()}
 
 
@@ -220,29 +255,31 @@ def _parse_per_player_names(value, path, n, what):
     return tuple(_string_array(row, path, i) for i, row in enumerate(arr))
 
 
-def _parse_payoff_table(value, path, actions, n_values):
+def _parse_payoff_table(value, path, actions, n_values, rationals):
     """Nested payoff arrays, one dimension per entry of `actions`, with a
     vector of n_values rationals innermost.  A node's key, its index
     tuple, also spells its path below `path`."""
     table = {}
 
-    def walk(node, key):
+    # rationals is passed, not closed over: walk's reference to itself is
+    # a cycle, which would keep the table alive past the call
+    def walk(node, key, rationals):
         _as_array(node, path, *key)
         depth = len(key)
         if depth == len(actions):
             if len(node) != n_values:
                 raise ParseError(_at(path, *key), f"expected {n_values} payoffs")
-            table[key] = tuple(
-                _rational(v, path, *key, i) for i, v in enumerate(node))
+            table[key] = tuple(_rational_list(
+                rationals, range(n_values), node, path, *key))
             return
         if len(node) != len(actions[depth]):
             raise ParseError(
                 _at(path, *key),
                 f"expected {len(actions[depth])} entries at depth {depth}")
         for i, sub in enumerate(node):
-            walk(sub, key + (i,))
+            walk(sub, key + (i,), rationals)
 
-    walk(value, ())
+    walk(value, (), rationals)
     return table
 
 
@@ -259,13 +296,13 @@ def _payoff_arrays(actions, values_of):
 # ---------------------------------------------------------------------------
 # normal-form games
 
-def _parse_normal_body(obj, path):
+def _parse_normal_body(obj, path, rationals):
     _check_fields(obj, path, required=("players", "actions", "payoffs"))
     players = _string_array(obj["players"], f"{path}.players")
     actions = _parse_per_player_names(
         obj["actions"], f"{path}.actions", len(players), "action")
     payoffs = _parse_payoff_table(
-        obj["payoffs"], f"{path}.payoffs", actions, len(players))
+        obj["payoffs"], f"{path}.payoffs", actions, len(players), rationals)
     _build(path, lambda: _normal_frame(players, actions))
     return _trusted(NormalFormGame, players=players, actions=actions,
                     payoffs=payoffs)
@@ -283,7 +320,7 @@ def _normal_body(game: NormalFormGame):
 # ---------------------------------------------------------------------------
 # Bayesian games
 
-def _parse_bayesian_body(obj, path):
+def _parse_bayesian_body(obj, path, rationals):
     _check_fields(
         obj, path,
         required=("players", "types", "actions", "prior", "utilities"))
@@ -317,7 +354,7 @@ def _parse_bayesian_body(obj, path):
 
     type_dims = types + actions
     flat = _parse_payoff_table(
-        obj["utilities"], f"{path}.utilities", type_dims, n)
+        obj["utilities"], f"{path}.utilities", type_dims, n, rationals)
     utilities = {
         (key[:n], key[n:]): vec for key, vec in flat.items()
     }
@@ -352,7 +389,7 @@ def _bayesian_body(game: BayesianGame):
 # ---------------------------------------------------------------------------
 # profiles
 
-def _parse_profile_body(obj, path):
+def _parse_profile_body(obj, path, rationals):
     _check_fields(obj, path, required=(), optional=("pure", "weights"))
     has_pure = "pure" in obj
     has_weights = "weights" in obj
@@ -361,7 +398,8 @@ def _parse_profile_body(obj, path):
     if has_pure:
         return ProfileDocument(pure=_string_array(obj["pure"], f"{path}.pure"))
     return ProfileDocument(
-        weights=_rational_map(obj["weights"], 2, f"{path}.weights"))
+        weights=_rational_map(rationals, obj["weights"], 2,
+                              f"{path}.weights"))
 
 
 def _profile_body(doc: ProfileDocument):
@@ -370,10 +408,10 @@ def _profile_body(doc: ProfileDocument):
     return {"weights": _rational_map_body(doc.weights, 2)}
 
 
-def _parse_bayes_profile_body(obj, path):
+def _parse_bayes_profile_body(obj, path, rationals):
     _check_fields(obj, path, required=("strategies",))
     return BayesProfileDocument(
-        _rational_map(obj["strategies"], 3, f"{path}.strategies"))
+        _rational_map(rationals, obj["strategies"], 3, f"{path}.strategies"))
 
 
 def _bayes_profile_body(doc: BayesProfileDocument):
@@ -383,18 +421,19 @@ def _bayes_profile_body(doc: BayesProfileDocument):
 # ---------------------------------------------------------------------------
 # machine-choice games
 
-def _parse_machine(obj, path):
+def _parse_machine(obj, path, rationals):
     obj = _as_object(obj, path)
     _check_fields(obj, path, required=("id", "kind", "act", "complexity"))
     machine_id = _as_string(obj["id"], f"{path}.id")
     kind = _as_string(obj["kind"], f"{path}.kind")
-    act = _rational_map(obj["act"], 2, f"{path}.act")
-    complexity = _rational_map(obj["complexity"], 1, f"{path}.complexity")
+    act = _rational_map(rationals, obj["act"], 2, f"{path}.act")
+    complexity = _rational_map(rationals, obj["complexity"], 1,
+                               f"{path}.complexity")
     return _build(path, lambda: OneShotMachine(machine_id, kind, act,
                                                complexity))
 
 
-def _parse_compgame_body(obj, path):
+def _parse_compgame_body(obj, path, rationals):
     _check_fields(obj, path, required=("mode", "underlying", "machines"))
     mode = _as_string(obj["mode"], f"{path}.mode")
     if mode != "one-shot":
@@ -404,7 +443,7 @@ def _parse_compgame_body(obj, path):
             "uses the repeated-spec kind")
     underlying = _parse_bayesian_body(
         _as_object(obj["underlying"], f"{path}.underlying"),
-        f"{path}.underlying")
+        f"{path}.underlying", rationals)
     spaces_arr = _as_array(obj["machines"], f"{path}.machines")
     if len(spaces_arr) != underlying.n_players:
         raise ParseError(f"{path}.machines",
@@ -413,7 +452,7 @@ def _parse_compgame_body(obj, path):
     for i, space in enumerate(spaces_arr):
         spath = f"{path}.machines[{i}]"
         spaces.append(tuple(
-            _parse_machine(m, f"{spath}[{j}]")
+            _parse_machine(m, f"{spath}[{j}]", rationals)
             for j, m in enumerate(_as_array(space, spath))))
     return _build(path, lambda: ComputationalGame(
         "one-shot", spaces, underlying=underlying))
@@ -458,13 +497,14 @@ def _compgame_body(game: ComputationalGame):
 # ---------------------------------------------------------------------------
 # repeated-play specs
 
-def _parse_repeated_body(obj, path):
+def _parse_repeated_body(obj, path, rationals):
     _check_fields(
         obj, path,
         required=("stage", "rounds", "discount", "memory_cost", "machines"),
         optional=("charged_players",))
     stage = _parse_normal_body(
-        _as_object(obj["stage"], f"{path}.stage"), f"{path}.stage")
+        _as_object(obj["stage"], f"{path}.stage"), f"{path}.stage",
+        rationals)
     rounds = _as_int(obj["rounds"], f"{path}.rounds")
     discount = _rational(obj["discount"], f"{path}.discount")
     memory_cost = _rational(obj["memory_cost"], f"{path}.memory_cost")
@@ -502,7 +542,7 @@ def _repeated_body(doc: RepeatedSpecDocument):
 # ---------------------------------------------------------------------------
 # games with awareness
 
-def _parse_tree_node(obj, path, history, acc, n_players):
+def _parse_tree_node(obj, path, history, acc, n_players, rationals):
     obj = _as_object(obj, path)
     if "payoffs" in obj:
         _check_fields(obj, path, required=("payoffs",))
@@ -510,8 +550,8 @@ def _parse_tree_node(obj, path, history, acc, n_players):
         if len(arr) != n_players:
             raise ParseError(f"{path}.payoffs",
                              f"expected {n_players} payoffs")
-        acc["payoffs"][history] = tuple(
-            _rational(v, path, "payoffs", i) for i, v in enumerate(arr))
+        acc["payoffs"][history] = tuple(_rational_list(
+            rationals, range(n_players), arr, path, "payoffs"))
         return
     if "owner" not in obj:
         raise ParseError(path, "expected either 'payoffs' or 'owner'")
@@ -546,20 +586,21 @@ def _parse_tree_node(obj, path, history, acc, n_players):
         if "virtual" in edge and _as_bool(edge["virtual"], epath, "virtual"):
             acc["virtual"].append((history, move))
         _parse_tree_node(edge["child"], f"{epath}.child", history + (move,),
-                         acc, n_players)
+                         acc, n_players, rationals)
     acc["moves"][history] = tuple(moves)
     if owner == NATURE:
         acc["nature"][history] = probs
 
 
-def _parse_augmented_game(obj, path):
+def _parse_augmented_game(obj, path, rationals):
     obj = _as_object(obj, path)
     _check_fields(obj, path, required=("name", "players", "root"))
     name = _as_string(obj["name"], f"{path}.name")
     players = _string_array(obj["players"], f"{path}.players")
     acc = {"moves": {}, "owner": {}, "infosets": {}, "payoffs": {},
            "nature": {}, "awareness": {}, "virtual": []}
-    _parse_tree_node(obj["root"], f"{path}.root", (), acc, len(players))
+    _parse_tree_node(obj["root"], f"{path}.root", (), acc, len(players),
+                     rationals)
     tree = _build(path, lambda: ExtensiveGame(
         players, acc["moves"], acc["owner"], acc["infosets"],
         acc["payoffs"], acc["nature"]))
@@ -567,13 +608,13 @@ def _parse_augmented_game(obj, path):
         name, tree, acc["awareness"], acc["virtual"]))
 
 
-def _parse_awareness_body(obj, path):
+def _parse_awareness_body(obj, path, rationals):
     _check_fields(obj, path, required=("games", "modeler", "F"))
     games_arr = _as_array(obj["games"], f"{path}.games")
     if not games_arr:
         raise ParseError(f"{path}.games", "expected at least one game")
     games = tuple(
-        _parse_augmented_game(g, f"{path}.games[{i}]")
+        _parse_augmented_game(g, f"{path}.games[{i}]", rationals)
         for i, g in enumerate(games_arr))
     modeler = _as_string(obj["modeler"], f"{path}.modeler")
 
@@ -646,7 +687,7 @@ def _awareness_body(gwa: GameWithAwareness):
     return {"games": games, "modeler": gwa.modeler, "F": entries}
 
 
-def _parse_generalized_profile_body(obj, path):
+def _parse_generalized_profile_body(obj, path, rationals):
     _check_fields(obj, path, required=("strategies",))
     strategies = {}
     for i, entry in enumerate(_as_array(obj["strategies"],
@@ -658,7 +699,8 @@ def _parse_generalized_profile_body(obj, path):
                 _as_string(entry["game"], f"{epath}.game"))
         if pair in strategies:
             raise ParseError(epath, "duplicate (player, game) entry")
-        strategies[pair] = _rational_map(entry["moves"], 2, f"{epath}.moves")
+        strategies[pair] = _rational_map(rationals, entry["moves"], 2,
+                                         f"{epath}.moves")
     return _build(path, lambda: GeneralizedProfile(strategies))
 
 
@@ -673,7 +715,7 @@ def _generalized_profile_body(profile: GeneralizedProfile):
 # ---------------------------------------------------------------------------
 # simulator scenarios
 
-def _parse_scenario_body(obj, path):
+def _parse_scenario_body(obj, path, rationals):
     _check_fields(obj, path, required=("n", "preference"),
                   optional=("general", "mediator_present", "faults"))
     n = _as_int(obj["n"], f"{path}.n")
@@ -739,6 +781,9 @@ def parse_document(text: str) -> GameDocument:
     except json.JSONDecodeError as exc:
         raise ParseError("$", exc.msg, line=exc.lineno,
                          column=exc.colno) from None
+    except ValueError as exc:  # an int literal past int()'s digit limit
+        raise ParseError("$", "a number literal "
+                         + str(exc).partition(";")[0].lower()) from None
     data = _as_object(data, "$")
     if "format" not in data:
         raise ParseError("$", "missing required field 'format'")
@@ -751,7 +796,8 @@ def parse_document(text: str) -> GameDocument:
     if not isinstance(kind, str) or kind not in _DOCUMENT_KINDS:
         raise ParseError("$.kind", f"unknown document kind {kind!r}")
     body = {key: v for key, v in data.items() if key not in ("format", "kind")}
-    return GameDocument(kind, _DOCUMENT_KINDS[kind][1](body, "$"))
+    return GameDocument(kind, _DOCUMENT_KINDS[kind][1](
+        body, "$", _RationalTable()))
 
 
 def load_document(path) -> GameDocument:

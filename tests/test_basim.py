@@ -268,12 +268,48 @@ def test_adversary_game_matches_empirical_immunity():
      "48828125 payoff entries exceed the bound 10000000"),
     (build_preference_bayes_game, 10,
      "19531250 utility entries exceed the bound 10000000"),
+    (build_adversary_game, 10 ** 9,
+     "1000000002000000001 messages per round exceed the bound 10000000"),
+    (build_preference_bayes_game, 10 ** 9,
+     "1000000002000000001 messages per round exceed the bound 10000000"),
 ])
 def test_adversary_builders_refuse_before_simulating(build, n, message):
     start = time.perf_counter()
     with pytest.raises(WorkBoundExceeded, match=f"^{message}$"):
         build(n, MEDIATOR)
     assert time.perf_counter() - start < 1
+
+
+_HUGE_SCENARIO = '{"format": 1, "kind": "scenario", "n": 1000000000, ' \
+                 '"preference": 0}'
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Scenario(10 ** 9, 0),
+                 "1000000002000000001 messages per round exceed the bound "
+                 "10000000", id="scenario"),
+    pytest.param(lambda: parse_document(_HUGE_SCENARIO),
+                 "1000000002000000001 messages per round exceed the bound "
+                 "10000000", id="scenario-document"),
+    pytest.param(lambda: Scenario(3162, 0),
+                 "10004569 messages per round exceed the bound 10000000",
+                 id="scenario-3162"),
+    pytest.param(lambda: sweep(10 ** 9, 0, ECHO),
+                 "1000000002000000001 messages per round exceed the bound "
+                 "10000000", id="sweep"),
+    pytest.param(lambda: sweep(4, 0, MEDIATOR, work_bound=24),
+                 "25 messages per round exceed the bound 24",
+                 id="sweep-own-bound"),
+])
+def test_player_count_is_bounded_before_names_are_built(call, message):
+    """(n + 1)^2 messages a round, the relay's included, are checked
+    against the work bound before the n player names exist."""
+    start = time.perf_counter()
+    with pytest.raises(WorkBoundExceeded, match=f"^{message}$"):
+        call()
+    assert time.perf_counter() - start < 1
+    assert Scenario(3161, 0).players[-1] == "p3160"
+    assert sweep(4, 0, MEDIATOR, work_bound=25).total == 2
 
 
 # --- differential test against the pre-optimisation run loop --------------

@@ -129,6 +129,36 @@ def test_non_string_kind_exits_2(capsys, tmp_path, kind):
     assert err.count("\n") == 1 and "$.kind: unknown document kind" in err
 
 
+def test_overlong_number_literal_exits_2(capsys, tmp_path):
+    """json.loads refuses an int literal past int()'s digit limit (4300)
+    with a ValueError that is no JSONDecodeError: one line, exit 2."""
+    with open(path("prisoners_dilemma.json"), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["payoffs"][0][0][0] = "LONG"
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(doc).replace('"LONG"', "9" * 5001),
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", "pure-robust",
+                             "--game", str(bad), "--k", "1", "--t", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: $: a number literal exceeds the limit")
+    assert err.count("\n") == 1
+
+
+def test_simulate_refuses_a_billion_players(capsys, tmp_path):
+    message = ("error: 1000000002000000001 messages per round exceed the "
+               "bound 10000000\n")
+    code, out, err = run_cli(capsys, "simulate", "ba", "--n", "1000000000",
+                             "--t", "0")
+    assert (code, out, err) == (3, "", message)
+    scenario = tmp_path / "huge.json"
+    scenario.write_text('{"format": 1, "kind": "scenario", '
+                        '"n": 1000000000, "preference": 0}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "run",
+                             "--scenario", str(scenario))
+    assert (code, out, err) == (3, "", message)
+
+
 def test_profile_with_unknown_player_exits_2(capsys, tmp_path):
     doc = tmp_path / "p9.json"
     doc.write_text(json.dumps({

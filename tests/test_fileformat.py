@@ -524,7 +524,9 @@ _RATIONAL_SITES = [
     ("frpd.json", ("stage", "payoffs", 0, 1, 0), "$.stage.payoffs[0][1][0]"),
 ]
 _BAD_LEAVES = [(1.5, _NOT_STRING), (True, _NOT_STRING), ("1.5", _MALFORMED),
-               ("x", "malformed rational 'x'"), (None, _NOT_STRING)]
+               ("x", "malformed rational 'x'"), (None, _NOT_STRING),
+               ([], _NOT_STRING), ({}, _NOT_STRING),
+               ("1/0", "malformed rational '1/0'")]
 
 
 @pytest.mark.parametrize("doc, node, path", _RATIONAL_SITES)
