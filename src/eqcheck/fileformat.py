@@ -9,19 +9,22 @@ and a bare JSON integer is accepted and written back as a string.
 Unknown fields are errors, reported with a `$.path` field path; malformed
 JSON is reported with line and column.
 
-parse_document decodes each distinct rational string once: it fills one
-string-to-Fraction table for the document and drops it on return, so no
-cache outlives the call.  Payoff vectors and the innermost level of
-rational maps are decoded through it in one pass; a leaf it refuses sends
-that vector back to the per-value _rational, which words every error.
+Every rational leaf decodes through one string-to-Fraction table that
+parse_document fills for the document and drops on return, so each
+distinct string is decoded once and no cache outlives the call.  A vector
+is looked up in one pass; one the table refuses goes leaf by leaf through
+_rational, which words every error.
 
 serialize_document writes a canonical form: fixed field order, two-space
 indent, a trailing newline, and deterministic entry orders.  Serializing,
 parsing the result, and serializing again yields byte-identical text.
+Neither direction builds a reference cycle, so a parse or a write leaves
+nothing for the cycle collector.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -164,43 +167,48 @@ def _as_bool(value, path, *keys):
     return value
 
 
-def _rational(value, path, *keys):
+class _RationalTable(dict):
+    """One document's rationals by their string, each decoded once.  A
+    malformed string raises parse_rational's InputError, a non-string key
+    KeyError (an int key would let True and 1.0 in)."""
+
+    def __missing__(self, text):
+        if type(text) is not str:
+            raise KeyError(text)
+        value = self[text] = parse_rational(text)
+        return value
+
+
+def _rational(rationals, value, path, *keys):
+    """One rational leaf, decoded through the document's table; the only
+    code that words a refused rational.  A bare int reads as its string."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ParseError(_at(path, *keys),
                          "expected a rational written as a string")
     try:
-        return parse_rational(value)
+        return rationals[str(value)]
     except InputError as exc:
         # the message without parse_rational's own "value: " prefix
         raise ParseError(_at(path, *keys),
                          str(exc).partition(": ")[2]) from None
 
 
-class _RationalTable(dict):
-    """One document's rationals by their string, each decoded once.
-
-    Looking up anything but a well-formed rational string raises KeyError,
-    or TypeError if it is unhashable.
-    """
-
-    def __missing__(self, text):
-        if type(text) is not str:  # an int key would let True and 1.0 in
-            raise KeyError(text)
-        try:
-            value = self[text] = parse_rational(text)
-        except InputError:
-            raise KeyError(text) from None
-        return value
-
-
 def _rational_list(rationals, labels, values, path, *keys):
     """values decoded through the table, as a list.  If it refuses a
-    leaf, _rational decodes value by value, with labels naming the leaves
+    leaf, _rational decodes leaf by leaf, with labels naming the leaves
     below the path, so the error is the first bad leaf's."""
     try:
         return list(map(rationals.__getitem__, values))
-    except (KeyError, TypeError):
-        return [_rational(v, path, *keys, k) for k, v in zip(labels, values)]
+    except (KeyError, TypeError, InputError):
+        return [_rational(rationals, v, path, *keys, k)
+                for k, v in zip(labels, values)]
+
+
+def _payoff_vector(rationals, value, n, path, *keys):
+    """A JSON array of n rationals, as a tuple."""
+    if len(_as_array(value, path, *keys)) != n:
+        raise ParseError(_at(path, *keys), f"expected {n} payoffs")
+    return tuple(_rational_list(rationals, range(n), value, path, *keys))
 
 
 def _rational_map(rationals, value, depth, path, *keys):
@@ -257,40 +265,33 @@ def _parse_per_player_names(value, path, n, what):
 
 def _parse_payoff_table(value, path, actions, n_values, rationals):
     """Nested payoff arrays, one dimension per entry of `actions`, with a
-    vector of n_values rationals innermost.  A node's key, its index
-    tuple, also spells its path below `path`."""
+    vector of n_values rationals innermost, read in document order.  A
+    node's key, its index tuple, also spells its path below `path`."""
     table = {}
-
-    # rationals is passed, not closed over: walk's reference to itself is
-    # a cycle, which would keep the table alive past the call
-    def walk(node, key, rationals):
-        _as_array(node, path, *key)
+    stack = [((), value)]
+    while stack:
+        key, node = stack.pop()
         depth = len(key)
         if depth == len(actions):
-            if len(node) != n_values:
-                raise ParseError(_at(path, *key), f"expected {n_values} payoffs")
-            table[key] = tuple(_rational_list(
-                rationals, range(n_values), node, path, *key))
-            return
+            table[key] = _payoff_vector(rationals, node, n_values, path, *key)
+            continue
+        _as_array(node, path, *key)
         if len(node) != len(actions[depth]):
             raise ParseError(
                 _at(path, *key),
                 f"expected {len(actions[depth])} entries at depth {depth}")
-        for i, sub in enumerate(node):
-            walk(sub, key + (i,), rationals)
-
-    walk(value, (), rationals)
+        stack += [(key + (i,), node[i]) for i in reversed(range(len(node)))]
     return table
 
 
-def _payoff_arrays(actions, values_of):
-    def build(prefix):
-        if len(prefix) == len(actions):
-            return [format_rational(v) for v in values_of(prefix)]
-        i = len(prefix)
-        return [build(prefix + (a,)) for a in range(len(actions[i]))]
-
-    return build(())
+def _payoff_arrays(dims, vectors):
+    """Nested payoff arrays, one dimension per entry of dims, from the
+    payoff vectors in key order (the last dimension varying fastest)."""
+    level = [[format_rational(v) for v in vector] for vector in vectors]
+    for names in reversed(dims):
+        m = len(names)
+        level = [level[i:i + m] for i in range(0, len(level), m)]
+    return level[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +313,8 @@ def _normal_body(game: NormalFormGame):
     return {
         "players": list(game.players),
         "actions": [list(a) for a in game.actions],
-        "payoffs": _payoff_arrays(game.actions,
-                                  lambda key: game.payoffs[key]),
+        "payoffs": _payoff_arrays(
+            game.actions, map(game.payoffs.__getitem__, game.pure_profiles())),
     }
 
 
@@ -350,7 +351,7 @@ def _parse_bayesian_body(obj, path, rationals):
         key = tuple(key)
         if key in prior:
             raise ParseError(epath, "duplicate type profile")
-        prior[key] = _rational(entry["prob"], epath, "prob")
+        prior[key] = _rational(rationals, entry["prob"], epath, "prob")
 
     type_dims = types + actions
     flat = _parse_payoff_table(
@@ -371,18 +372,16 @@ def _bayesian_body(game: BayesianGame):
             "types": [game.types[i][t] for i, t in enumerate(key)],
             "prob": format_rational(game.prior[key]),
         })
-    dims = game.types + game.actions
-    n = game.n_players
-
-    def values_of(prefix):
-        return game.utilities[(prefix[:n], prefix[n:])]
-
+    keys = itertools.product(
+        itertools.product(*(range(len(t)) for t in game.types)),
+        itertools.product(*(range(len(a)) for a in game.actions)))
     return {
         "players": list(game.players),
         "types": [list(t) for t in game.types],
         "actions": [list(a) for a in game.actions],
         "prior": prior,
-        "utilities": _payoff_arrays(dims, values_of),
+        "utilities": _payoff_arrays(game.types + game.actions,
+                                    map(game.utilities.__getitem__, keys)),
     }
 
 
@@ -506,8 +505,8 @@ def _parse_repeated_body(obj, path, rationals):
         _as_object(obj["stage"], f"{path}.stage"), f"{path}.stage",
         rationals)
     rounds = _as_int(obj["rounds"], f"{path}.rounds")
-    discount = _rational(obj["discount"], f"{path}.discount")
-    memory_cost = _rational(obj["memory_cost"], f"{path}.memory_cost")
+    discount = _rational(rationals, obj["discount"], path, "discount")
+    memory_cost = _rational(rationals, obj["memory_cost"], path, "memory_cost")
     names = _string_array(obj["machines"], f"{path}.machines")
     for i, name in enumerate(names):
         if name not in AUTOMATON_LIBRARY:
@@ -546,12 +545,8 @@ def _parse_tree_node(obj, path, history, acc, n_players, rationals):
     obj = _as_object(obj, path)
     if "payoffs" in obj:
         _check_fields(obj, path, required=("payoffs",))
-        arr = _as_array(obj["payoffs"], path, "payoffs")
-        if len(arr) != n_players:
-            raise ParseError(f"{path}.payoffs",
-                             f"expected {n_players} payoffs")
-        acc["payoffs"][history] = tuple(_rational_list(
-            rationals, range(n_players), arr, path, "payoffs"))
+        acc["payoffs"][history] = _payoff_vector(
+            rationals, obj["payoffs"], n_players, path, "payoffs")
         return
     if "owner" not in obj:
         raise ParseError(path, "expected either 'payoffs' or 'owner'")
@@ -582,7 +577,7 @@ def _parse_tree_node(obj, path, history, acc, n_players, rationals):
         move = _as_string(edge["move"], epath, "move")
         moves.append(move)
         if "prob" in edge:
-            probs[move] = _rational(edge["prob"], epath, "prob")
+            probs[move] = _rational(rationals, edge["prob"], epath, "prob")
         if "virtual" in edge and _as_bool(edge["virtual"], epath, "virtual"):
             acc["virtual"].append((history, move))
         _parse_tree_node(edge["child"], f"{epath}.child", history + (move,),
@@ -833,9 +828,11 @@ def serialize_document(value) -> str:
 def json_text(value) -> str:
     """The text of json.dumps(value, indent=2, ensure_ascii=False).
 
-    Up to Python 3.13 json.dumps lays out indented text with its
-    pure-Python encoder; this lays out lists and string-keyed objects in
-    one recursive pass and leaves every other value to json.dumps.
+    Up to Python 3.13 json.dumps indents with its pure-Python encoder,
+    which builds a cycle of closures on every call.  This lays out lists
+    and string-keyed objects itself and hands scalars and empty containers
+    to the C encoder, so it leaves no cycle unless an object has keys that
+    json.dumps must convert.
     """
     chunks = []
     _write_json(value, "\n", chunks)
@@ -867,9 +864,11 @@ def _write_json(value, newline, chunks):
                 _write_json(item, inner, chunks)
             chunks.append(",")
         chunks[-1] = newline + "}"
-    else:
+    elif isinstance(value, dict) and value:
         chunks.append(json.dumps(value, indent=2, ensure_ascii=False)
                       .replace("\n", newline))
+    else:
+        chunks.append(json.dumps(value, ensure_ascii=False))
 
 
 def write_document(value, path) -> None:

@@ -26,12 +26,13 @@ F = Fraction
 
 
 class _PerValue(dict):
-    """The reference decoder: a table that decodes nothing, so every site
-    decodes value by value with fileformat._rational, the walk as it was
-    before the table."""
+    """The reference decoder: a table that stores nothing, so every leaf
+    is decoded anew, value by value, through fileformat.parse_rational."""
 
     def __missing__(self, text):
-        raise KeyError(text)
+        if type(text) is not str:
+            raise KeyError(text)
+        return fileformat.parse_rational(text)
 
 
 def _reference(text, monkeypatch):
@@ -125,10 +126,10 @@ def test_reference_decodes_value_by_value(monkeypatch):
     assert len(calls) == 8
 
 
-def _expected_calls(obj, table_keys, single_keys=()):
-    """Distinct strings under the table keys plus one per single-value
-    leaf: the decodes one parse should make."""
-    distinct, singles = set(), [0]
+def _expected_calls(obj, table_keys):
+    """Distinct strings under the table keys: the decodes one parse should
+    make."""
+    distinct = set()
 
     def leaves(node):
         if isinstance(node, dict):
@@ -145,30 +146,28 @@ def _expected_calls(obj, table_keys, single_keys=()):
         for key, sub in items:
             if key in table_keys:
                 distinct.update(leaves(sub))
-            elif key in single_keys:
-                singles[0] += 1
             else:
                 walk(sub)
 
     walk(obj)
-    return len(distinct) + singles[0]
+    return len(distinct)
 
 
-@pytest.mark.parametrize("name, table_keys, single_keys", [
-    ("prisoners_dilemma.json", {"payoffs"}, ()),
-    ("bargaining_5.json", {"payoffs"}, ()),
-    ("zero_one_3.json", {"payoffs"}, ()),
-    ("primality_4bit.json", {"utilities", "act", "complexity"}, {"prob"}),
-    ("roshambo.json", {"utilities", "act", "complexity"}, {"prob"}),
-    ("crossing_p3.json", {"payoffs"}, {"prob"}),
-    ("crossing_eq.json", {"moves"}, ()),
-    ("frpd.json", {"payoffs"}, {"discount", "memory_cost"}),
+@pytest.mark.parametrize("name, table_keys", [
+    ("prisoners_dilemma.json", {"payoffs"}),
+    ("bargaining_5.json", {"payoffs"}),
+    ("zero_one_3.json", {"payoffs"}),
+    ("primality_4bit.json", {"utilities", "act", "complexity", "prob"}),
+    ("roshambo.json", {"utilities", "act", "complexity", "prob"}),
+    ("crossing_p3.json", {"payoffs", "prob"}),
+    ("crossing_eq.json", {"moves"}),
+    ("frpd.json", {"payoffs", "discount", "memory_cost"}),
 ])
 def test_each_distinct_string_is_decoded_once_per_parse(
-        name, table_keys, single_keys, monkeypatch):
+        name, table_keys, monkeypatch):
     with open(data.path(name), encoding="utf-8") as handle:
         text = handle.read()
-    expected = _expected_calls(json.loads(text), table_keys, single_keys)
+    expected = _expected_calls(json.loads(text), table_keys)
     calls = []
     real = fileformat.parse_rational
     monkeypatch.setattr(fileformat, "parse_rational",
