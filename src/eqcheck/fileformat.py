@@ -11,9 +11,10 @@ JSON is reported with line and column.
 
 Every rational leaf decodes through one string-to-Fraction table that
 parse_document fills for the document and drops on return, so each
-distinct string is decoded once and no cache outlives the call.  A vector
-is looked up in one pass; one the table refuses goes leaf by leaf through
-_rational, which words every error.
+distinct string is decoded once and no cache outlives the call.  A
+payoff table is checked one level at a time and decoded in one pass, and
+a walk only words its errors; any vector the table refuses goes leaf by
+leaf through _rational, which words every error.
 
 serialize_document writes a canonical form: fixed field order, two-space
 indent, a trailing newline, and deterministic entry orders.  Serializing,
@@ -265,15 +266,37 @@ def _parse_per_player_names(value, path, n, what):
 
 def _parse_payoff_table(value, path, actions, n_values, rationals):
     """Nested payoff arrays, one dimension per entry of `actions`, with a
-    vector of n_values rationals innermost, read in document order.  A
-    node's key, its index tuple, also spells its path below `path`."""
-    table = {}
+    vector of n_values > 0 rationals innermost, keyed by index tuple (the
+    last dimension varying fastest).  One scan checks each level, whose
+    nodes concatenate to the next; the leaves then decode in one pass.  A
+    refused level goes to _payoff_table_error, a refused leaf vector by
+    vector to _rational_list."""
+    level = [value]
+    for m in (*map(len, actions), n_values):
+        if level and ({*map(type, level)} != {list}
+                      or {*map(len, level)} != {m}):
+            _payoff_table_error(value, path, actions, n_values, rationals)
+        vectors, level = level, [*itertools.chain.from_iterable(level)]
+    dims = [range(len(names)) for names in actions]
+    try:
+        leaves = map(rationals.__getitem__, level)
+        return dict(zip(itertools.product(*dims), zip(*[leaves] * n_values)))
+    except (KeyError, TypeError, InputError):
+        return {key: tuple(_rational_list(rationals, range(n_values), vec,
+                                          path, *key))
+                for key, vec in zip(itertools.product(*dims), vectors)}
+
+
+def _payoff_table_error(value, path, actions, n_values, rationals):
+    """Raise the first error of a table that _parse_payoff_table refused,
+    walking it in document order; a node's key, its index tuple, also
+    spells its path below `path`."""
     stack = [((), value)]
     while stack:
         key, node = stack.pop()
         depth = len(key)
         if depth == len(actions):
-            table[key] = _payoff_vector(rationals, node, n_values, path, *key)
+            _payoff_vector(rationals, node, n_values, path, *key)
             continue
         _as_array(node, path, *key)
         if len(node) != len(actions[depth]):
@@ -281,7 +304,6 @@ def _parse_payoff_table(value, path, actions, n_values, rationals):
                 _at(path, *key),
                 f"expected {len(actions[depth])} entries at depth {depth}")
         stack += [(key + (i,), node[i]) for i in reversed(range(len(node)))]
-    return table
 
 
 def _payoff_arrays(dims, vectors):

@@ -440,9 +440,9 @@ def _fixed_prior(prior, types):
         if not _is_index_key(key, types):
             raise InputError(f"prior: bad type profile key {key!r}")
         q = as_fraction(q, f"prior[{key}]")
-        if q < 0:
+        if q.numerator < 0:
             raise InputError(f"prior[{key}]: negative probability")
-        if q != 0:
+        if q.numerator:
             fixed[key] = q
     d, nums = _over_lcm(list(fixed.values()))
     total = Fraction(sum(nums), d)

@@ -45,7 +45,8 @@ class OneShotMachine:
     charge per type.
 
     kind is "deterministic" or "randomized"; deterministic machines must
-    put probability 1 on a single action for every type.
+    put probability 1 on a single action for every type.  A row (one
+    type's distribution) that repeats an earlier row is checked once.
     """
 
     def __init__(self, machine_id, kind, act, complexity):
@@ -57,12 +58,19 @@ class OneShotMachine:
         self.id = machine_id
         self.kind = kind
         fixed_act = {}
+        checked = set()  # rows, as (action, num, den) triples
         for t, dist in act.items():
             try:
                 fixed = {a: as_fraction(q) for a, q in dist.items()}
             except InputError:  # refused again below, now with its name
                 for a, q in dist.items():
                     as_fraction(q, f"machine {machine_id}, type {t}, action {a}")
+            fixed_act[t] = fixed
+            row = tuple([(a, q.numerator, q.denominator)
+                         for a, q in fixed.items()])
+            if row in checked:
+                continue
+            checked.add(row)  # a row that fails raises before it repeats
             d, weights = _over_lcm(list(fixed.values()))
             if any(w < 0 for w in weights) or sum(weights) != d:
                 raise InputError(
@@ -73,7 +81,6 @@ class OneShotMachine:
                 raise InputError(
                     f"machine {machine_id}: deterministic machines need a "
                     f"degenerate distribution for type {t!r}")
-            fixed_act[t] = fixed
         self.act = fixed_act
         fixed_cost = {}
         for t, c in complexity.items():
@@ -81,7 +88,7 @@ class OneShotMachine:
                 c = as_fraction(c)
             except InputError:  # refused again, now with its name
                 as_fraction(c, f"machine {machine_id}, complexity of type {t}")
-            if c < 0:
+            if c.numerator < 0:
                 raise InputError(
                     f"machine {machine_id}: negative complexity for type {t!r}")
             fixed_cost[t] = c

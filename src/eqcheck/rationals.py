@@ -56,11 +56,10 @@ def parse_rational(value, where: str = "value") -> Fraction:
 def format_rational(value) -> str:
     """Canonical string form: "5", "-5", or "1/3"; WorkBoundExceeded if a
     part has more digits than str() converts (sys.get_int_max_str_digits)."""
-    frac = value if type(value) is Fraction else Fraction(value)
+    n, d = (value if type(value) is Fraction
+            else Fraction(value)).as_integer_ratio()
     try:
-        if frac.denominator == 1:
-            return str(frac.numerator)
-        return f"{frac.numerator}/{frac.denominator}"
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise WorkBoundExceeded(

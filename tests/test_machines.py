@@ -28,7 +28,7 @@ DEFAULT_NAMES = machines.DEFAULT_SPACE
 DELTA = F(9, 10)
 COST = F(1, 10)
 # values as_fraction refuses, with the type name its message gives
-_NOT_RATIONAL = ((0.5, "float"), (True, "bool"), ("1/2", "str"))
+_NOT_RATIONAL = ((0.5, "float"), (True, "bool"), ("1/2", "str"), ([], "list"))
 
 
 def test_run_automata_alld_vs_tft():
@@ -357,6 +357,32 @@ def test_one_shot_machine_refusals(build, message):
     with pytest.raises(InputError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, bad, message", [
+    ("randomized", {"a": F(1, 2)},
+     "machine m: action weights for type 'u' must be nonnegative and sum "
+     "to 1"),
+    ("deterministic", {"a": F(1, 2), "b": F(1, 2)},
+     "machine m: deterministic machines need a degenerate distribution for "
+     "type 'u'"),
+])
+def test_a_bad_row_between_equal_rows_is_named(kind, bad, message):
+    """Rows are checked once each, so the bad row is the only one checked
+    after the first, and its own type is the one named."""
+    with pytest.raises(InputError) as info:
+        OneShotMachine("m", kind, {"t": {"a": 1}, "u": bad, "v": {"a": 1}},
+                       dict.fromkeys("tuv", 0))
+    assert str(info.value) == message
+
+
+def test_equal_rows_get_their_own_dicts():
+    machine = OneShotMachine("m", "randomized",
+                             {"t": {"a": F(1, 2), "b": F(1, 2)},
+                              "u": {"a": F(1, 2), "b": F(1, 2)}},
+                             {"t": 0, "u": 0})
+    assert machine.act["t"] == machine.act["u"]
+    assert machine.act["t"] is not machine.act["u"]
 
 
 def test_computational_game_validation():

@@ -4,10 +4,12 @@ Run it from the repository root:
 
     PYTHONPATH=src python tests/trace_lines.py
 
-It installs a ``sys.settrace`` hook before anything imports ``eqcheck``
-(module-level lines run at import), runs the whole tier-1 suite in this
-process (the count means nothing over a part of it), and then prints each
-executable line of ``src/eqcheck/**/*.py`` that never ran, as
+It reads and compiles each file of ``src/eqcheck`` first, so the lines it
+names are those of the code that ran even if a file is edited during the
+run. It then installs a ``sys.settrace`` hook before anything imports
+``eqcheck`` (module-level lines run at import), runs the whole tier-1
+suite in this process (the count means nothing over a part of it), and
+prints each executable line of ``src/eqcheck/**/*.py`` that never ran, as
 ``path:line: source``, followed by the count. It uses only the standard
 library. The exit status is pytest's when pytest fails, and otherwise 1
 if some line is unreached, so every line of the package must be reached
@@ -28,10 +30,10 @@ def _code_lines(code):
     return {line for _, _, line in code.co_lines() if line}
 
 
-def executable_lines(path):
-    """Every line number that some code object compiled from path runs."""
-    with open(path, encoding="utf-8") as handle:
-        stack = [compile(handle.read(), path, "exec")]
+def executable_lines(path, source):
+    """Every line number that some code object compiled from source, the
+    text of path, runs."""
+    stack = [compile(source, path, "exec")]
     lines = set()
     while stack:
         code = stack.pop()
@@ -92,6 +94,14 @@ def start_trace():
 
 
 def main():
+    # each file is read and compiled before the suite runs, so an edit
+    # during the run cannot misname the lines that ran
+    files = []
+    for path in package_files():
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        files.append((path, executable_lines(path, source),
+                      source.splitlines()))
     reached = start_trace()
     try:
         import pytest
@@ -100,13 +110,10 @@ def main():
         sys.settrace(None)
     total = 0
     unreached = []
-    for path in package_files():
-        lines = executable_lines(path)
+    for path, lines, source in files:
         total += len(lines)
         missing = sorted(lines - reached.get(os.path.realpath(path), set()))
         if missing:
-            with open(path, encoding="utf-8") as handle:
-                source = handle.read().splitlines()
             shown = os.path.relpath(path, ROOT)
             unreached += [f"{shown}:{n}: {source[n - 1].strip()}"
                           for n in missing]
